@@ -256,7 +256,8 @@ type SolveOptions struct {
 	Params Params
 	// Iterations is the number of AS iterations (default 20).
 	Iterations int
-	// Backend selects CPU (default) or simulated GPU.
+	// Backend selects the float64 CPU colony (default), the simulated GPU
+	// or the float32 tensor engine.
 	Backend Backend
 	// Device is the simulated GPU (default Tesla M2050). GPU backend only.
 	Device *Device
@@ -267,7 +268,10 @@ type SolveOptions struct {
 	// Pher selects the pheromone kernel (default atomic + shared memory,
 	// the paper's winner). GPU backend only.
 	Pher PherVersion
-	// Variant selects the CPU construction strategy (default NN-list).
+	// Variant selects the construction strategy of the CPU and tensor
+	// backends. The zero value is aco.FullProbabilistic, the
+	// random-proportional rule over all cities; aco.NNListConstruction
+	// restricts the choice to the nearest-neighbour lists.
 	Variant aco.Variant
 	// LocalSearch applies 2-opt local search (nearest-neighbour candidate
 	// lists, don't-look bits) to every ant's tour after construction — the
@@ -481,6 +485,12 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 		return solveMMAS(ctx, in, opts)
 	case AlgorithmEAS, AlgorithmRank:
 		return solveVariant(ctx, in, opts)
+	}
+	// Validate before derivedData, not only in the engines: an invalid NN
+	// reaching the shared cache would count a miss for a key it never
+	// fills and panic deriving the lists.
+	if err := opts.Params.Validate(in.N()); err != nil {
+		return nil, err
 	}
 	switch opts.Backend {
 	case BackendCPU:

@@ -197,41 +197,47 @@ func (c *Convergence) flush() {
 // n×n pheromone matrix: each row's off-diagonal values are normalised to a
 // distribution, its entropy divided by log(n−1), and the rows averaged.
 // 1 means uniform trails, 0 means every city has a single dominant edge.
-func Entropy64(pher []float64, n int) float64 {
-	return entropy(func(i int) float64 { return pher[i] }, n)
-}
+func Entropy64(pher []float64, n int) float64 { return entropy(pher, n) }
 
 // Entropy32 is Entropy64 over float32 trails.
-func Entropy32(pher []float32, n int) float64 {
-	return entropy(func(i int) float64 { return float64(pher[i]) }, n)
-}
+func Entropy32(pher []float32, n int) float64 { return entropy(pher, n) }
 
-func entropy(at func(int) float64, n int) float64 {
+func entropy[T float32 | float64](pher []T, n int) float64 {
 	if n < 3 {
 		return 0
 	}
 	norm := math.Log(float64(n - 1))
 	total := 0.0
 	for i := 0; i < n; i++ {
-		row := i * n
+		row := pher[i*n : (i+1)*n]
 		sum := 0.0
-		for j := 0; j < n; j++ {
+		for j, v := range row {
 			if j != i {
-				sum += at(row + j)
+				sum += float64(v)
 			}
 		}
 		if sum <= 0 {
 			continue
 		}
+		// Cells no ant has deposited on since τ0 evaporate to the same
+		// bits, so a row is mostly runs of equal cells: a cell equal to
+		// the previous one reuses its p·log p term. The terms are still
+		// subtracted one per cell in column order (a zero term for p <= 0
+		// leaves h unchanged), so h is bit-identical to computing every
+		// term.
 		h := 0.0
-		for j := 0; j < n; j++ {
+		prev, term := T(math.NaN()), 0.0
+		for j, v := range row {
 			if j == i {
 				continue
 			}
-			p := at(row+j) / sum
-			if p > 0 {
-				h -= p * math.Log(p)
+			if v != prev {
+				prev, term = v, 0
+				if p := float64(v) / sum; p > 0 {
+					term = p * math.Log(p)
+				}
 			}
+			h -= term
 		}
 		total += h / norm
 	}
@@ -241,38 +247,34 @@ func entropy(at func(int) float64, n int) float64 {
 // LambdaBranching64 returns the average λ-branching factor of an n×n
 // pheromone matrix: per city, the number of edges whose trail is at least
 // τmin + λ·(τmax − τmin) over that city's row, averaged over cities.
-func LambdaBranching64(pher []float64, n int) float64 {
-	return lambdaBranching(func(i int) float64 { return pher[i] }, n)
-}
+func LambdaBranching64(pher []float64, n int) float64 { return lambdaBranching(pher, n) }
 
 // LambdaBranching32 is LambdaBranching64 over float32 trails.
-func LambdaBranching32(pher []float32, n int) float64 {
-	return lambdaBranching(func(i int) float64 { return float64(pher[i]) }, n)
-}
+func LambdaBranching32(pher []float32, n int) float64 { return lambdaBranching(pher, n) }
 
-func lambdaBranching(at func(int) float64, n int) float64 {
+func lambdaBranching[T float32 | float64](pher []T, n int) float64 {
 	if n < 2 {
 		return 0
 	}
 	total := 0
 	for i := 0; i < n; i++ {
-		row := i * n
+		row := pher[i*n : (i+1)*n]
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for j := 0; j < n; j++ {
+		for j, v := range row {
 			if j == i {
 				continue
 			}
-			v := at(row + j)
-			if v < lo {
-				lo = v
+			f := float64(v)
+			if f < lo {
+				lo = f
 			}
-			if v > hi {
-				hi = v
+			if f > hi {
+				hi = f
 			}
 		}
 		cut := lo + LambdaBranchingFactor*(hi-lo)
-		for j := 0; j < n; j++ {
-			if j != i && at(row+j) >= cut {
+		for j, v := range row {
+			if j != i && float64(v) >= cut {
 				total++
 			}
 		}

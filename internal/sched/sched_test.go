@@ -362,12 +362,12 @@ func TestRunHookedCancelSkipsUndispatchedJobs(t *testing.T) {
 
 func TestWorkerShare(t *testing.T) {
 	cases := []struct{ procs, pool, want int }{
-		{8, 4, 2},   // even split
-		{8, 1, 8},   // single-slot pool keeps the machine
-		{8, 3, 2},   // rounds down
-		{2, 8, 1},   // oversubscribed pool floors at one core each
+		{8, 4, 2}, // even split
+		{8, 1, 8}, // single-slot pool keeps the machine
+		{8, 3, 2}, // rounds down
+		{2, 8, 1}, // oversubscribed pool floors at one core each
 		{1, 1, 1},
-		{0, 4, 1},   // degenerate inputs degrade to 1
+		{0, 4, 1}, // degenerate inputs degrade to 1
 		{4, 0, 1},
 		{-3, -2, 1},
 	}

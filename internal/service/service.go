@@ -186,19 +186,19 @@ type JobStatus struct {
 	// RequestID is the correlation key of the submit that created the job:
 	// the X-Request-ID the client sent, or the one generated at admission.
 	// Every log line the job produced carries the same value.
-	RequestID  string     `json:"request_id,omitempty"`
-	State    string `json:"state"`
-	Instance string `json:"instance"`
-	Backend  string `json:"backend"`
+	RequestID string `json:"request_id,omitempty"`
+	State     string `json:"state"`
+	Instance  string `json:"instance"`
+	Backend   string `json:"backend"`
 	// BackendAuto marks a backend the service chose because the submit
 	// omitted one.
 	BackendAuto bool `json:"backend_auto,omitempty"`
 	// Workers is the engine-internal worker count the job solves with
 	// (tensor backend only; zero for backends that don't parallelize
 	// within a solve).
-	Workers    int    `json:"workers,omitempty"`
-	Algorithm  string `json:"algorithm"`
-	Iterations int    `json:"iterations"`
+	Workers    int        `json:"workers,omitempty"`
+	Algorithm  string     `json:"algorithm"`
+	Iterations int        `json:"iterations"`
 	Created    time.Time  `json:"created"`
 	Started    *time.Time `json:"started,omitempty"`
 	Finished   *time.Time `json:"finished,omitempty"`

@@ -24,8 +24,9 @@ var ErrF32Precision = errors.New("distance exceeds exact float32 range (2^24)")
 // before its first iteration: the distance matrix converted to the float32
 // the device kernels consume, the nearest-neighbour lists, and the greedy
 // nearest-neighbour tour length C^nn that sets the initial pheromone level.
-// Computing it is the Θ(n² log n) fixed cost of starting a solve; a batch
-// of solves over the same instance shares one Derived (see internal/sched).
+// Computing it is the Θ(n²) fixed cost of starting a solve (at most
+// Θ(n² log nn) for the NN lists); a batch of solves over the same instance
+// shares one Derived (see internal/sched).
 //
 // A Derived is immutable after ComputeDerived returns and safe to share
 // across concurrent solves; consumers must treat the slices as read-only
