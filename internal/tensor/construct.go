@@ -1,11 +1,109 @@
 package tensor
 
 import (
+	"slices"
 	"time"
 
 	"antgpu/internal/aco"
 	"antgpu/internal/rng"
 )
+
+// constructScratch is one worker's private construction state.
+type constructScratch struct {
+	mask []float32  // n tabu mask: 1 unvisited, 0 visited
+	mw   []float32  // nn masked NN-list weights staged by the NN rule
+	unv  []int32    // unvisited cities, ascending (full rule)
+	cls  [4][]int32 // unv split into the four total accumulators' classes
+}
+
+func newConstructScratch(n, nn int) constructScratch {
+	// One allocation holds unv and the four class lists, each in its own
+	// capped window, so the appends of reset never spill into a neighbour.
+	c := n/4 + n%4 // room for class 0's tail
+	lists := make([]int32, n+4*c)
+	sc := constructScratch{
+		mask: make([]float32, n),
+		mw:   make([]float32, nn),
+		unv:  lists[:n:n],
+	}
+	for k := range sc.cls {
+		lo := n + k*c
+		sc.cls[k] = lists[lo : lo : lo+c]
+	}
+	return sc
+}
+
+// totalClass returns the total accumulator that city j feeds: j mod 4,
+// except that the n mod 4 tail cities all go to class 0.
+func totalClass(j, n int) int {
+	if j < n&^3 {
+		return j & 3
+	}
+	return 0
+}
+
+// reset marks every city unvisited.
+func (sc *constructScratch) reset() {
+	n := len(sc.mask)
+	for i := range sc.mask {
+		sc.mask[i] = 1
+	}
+	sc.unv = sc.unv[:n]
+	for k := range sc.cls {
+		sc.cls[k] = sc.cls[k][:0]
+	}
+	for j := range n {
+		sc.unv[j] = int32(j)
+		k := totalClass(j, n)
+		sc.cls[k] = append(sc.cls[k], int32(j))
+	}
+}
+
+// visit marks city c visited: it leaves the mask, the ascending list and
+// its class list.
+func (sc *constructScratch) visit(c int) {
+	sc.mask[c] = 0
+	sc.unv = removeSorted(sc.unv, int32(c))
+	k := totalClass(c, len(sc.mask))
+	sc.cls[k] = removeSorted(sc.cls[k], int32(c))
+}
+
+// total sums row over the unvisited cities: one accumulator per class
+// list, so the four add chains pipeline, combined as (t0+t1)+(t2+t3).
+// Each accumulator sees its cities in ascending order, exactly as a 4-way
+// unrolled pass over the masked row feeds them, so the result is that
+// pass's total bit for bit whenever the visited weights are finite.
+func (sc *constructScratch) total(row []float32) float32 {
+	c0, c1, c2, c3 := sc.cls[0], sc.cls[1], sc.cls[2], sc.cls[3]
+	var t0, t1, t2, t3 float32
+	k := min(len(c0), len(c1), len(c2), len(c3))
+	for i, j := range c0[:k] {
+		t0 += row[j]
+		t1 += row[c1[i]]
+		t2 += row[c2[i]]
+		t3 += row[c3[i]]
+	}
+	for _, j := range c0[k:] {
+		t0 += row[j]
+	}
+	for _, j := range c1[k:] {
+		t1 += row[j]
+	}
+	for _, j := range c2[k:] {
+		t2 += row[j]
+	}
+	for _, j := range c3[k:] {
+		t3 += row[j]
+	}
+	return (t0 + t1) + (t2 + t3)
+}
+
+// removeSorted deletes c from an ascending list by an in-order copy.
+func removeSorted(list []int32, c int32) []int32 {
+	i, _ := slices.BinarySearch(list, c)
+	copy(list[i:], list[i+1:])
+	return list[:len(list)-1]
+}
 
 // ConstructTours builds tours for all m ants with the selected variant,
 // drawing from the same per-ant random streams as the reference colony:
@@ -13,19 +111,21 @@ import (
 // Float64 per step if and only if the step's probability mass is positive.
 // Ants are independent given the iteration's frozen weight matrix, so they
 // shard over the worker pool — each worker builds its contiguous ant range
-// with its own mask/staging scratch, and the best-so-far folds in
-// afterwards in ant-index order (reduceBest), keeping results bit-identical
-// to the serial loop for any worker count.
+// with its own scratch, and the best-so-far folds in afterwards in
+// ant-index order (reduceBest), keeping results bit-identical to the
+// serial loop for any worker count.
 //
-// Selection is a two-pass masked cumulative sum. Pass one stages the
-// masked weights into the worker's mw scratch row while computing the
-// total probability mass with the float add latency chain broken across
-// independent accumulators; pass two accumulates the cumulative sum over
-// mw — a pure sequential scan, no gathers — until it crosses the draw,
-// with the last positive slot as the r == total fallback
-// (aco.RouletteSelect semantics). On the NN path the weights come from the
-// pre-gathered wNN tensor, so the only indexed load in either pass is the
-// n-wide tabu mask.
+// The full rule walks only the unvisited cities. Each worker keeps them as
+// an ascending list for the roulette scan and split into four class lists
+// — city j in class j mod 4, the n mod 4 tail cities in class 0 — that
+// feed four independent total accumulators, so the float adds pipeline
+// instead of serialising on the add latency. The roulette scan then
+// accumulates the cumulative sum along the ascending list until it
+// crosses the draw, with the last positive city as the r == total
+// fallback (aco.RouletteSelect semantics). A chosen city leaves both lists
+// by an in-order copy. The NN rule stages masked weights from the
+// pre-gathered wNN tensor and scans them the same way, so its only indexed
+// load is the tabu mask.
 func (e *Engine) ConstructTours(v aco.Variant) {
 	start := time.Now()
 	e.iteration++
@@ -42,57 +142,40 @@ func (e *Engine) ConstructTours(v aco.Variant) {
 	e.span("construct", time.Since(start).Seconds())
 }
 
-// constructAntFull applies the random-proportional rule over all unvisited
-// cities, streaming the full weight row against the mask.
+// constructAntFull applies the random-proportional rule over the
+// unvisited cities only. The paper's data-parallel form scores all n
+// cities and zeroes the visited ones with a tabu multiply. The +0 terms
+// that multiply produces leave a non-negative float sum unchanged, and
+// every other add here sees the same operands in the same order, so for
+// finite weights the tours are bit-identical to that form. A visited city
+// with an infinite or NaN weight would turn the masked total into NaN
+// (Inf·0); here it is simply absent, and selection stays proportional
+// over the unvisited cities, as in the float64 colony.
 func (e *Engine) constructAntFull(ant int, g *rng.LCG, sc *constructScratch) {
 	n := e.n
 	tour := e.Tours[ant*n : (ant+1)*n]
-	mask := sc.mask
-	for i := range mask {
-		mask[i] = 1
-	}
+	sc.reset()
 
 	cur := g.Intn(n)
 	tour[0] = int32(cur)
-	mask[cur] = 0
+	sc.visit(cur)
 	length := int64(0)
 
 	for step := 1; step < n; step++ {
 		row := e.weight[cur*n : cur*n+n]
-		mw := sc.mw[:n]
-		// Pass one: stage the masked weights and total them, four
-		// independent accumulators so the adds pipeline instead of
-		// serialising on the FMA latency.
-		var t0, t1, t2, t3 float32
-		j := 0
-		for ; j+3 < n; j += 4 {
-			w0, w1 := row[j]*mask[j], row[j+1]*mask[j+1]
-			w2, w3 := row[j+2]*mask[j+2], row[j+3]*mask[j+3]
-			mw[j], mw[j+1], mw[j+2], mw[j+3] = w0, w1, w2, w3
-			t0 += w0
-			t1 += w1
-			t2 += w2
-			t3 += w3
-		}
-		for ; j < n; j++ {
-			w := row[j] * mask[j]
-			mw[j] = w
-			t0 += w
-		}
-		total := (t0 + t1) + (t2 + t3)
-
+		total := sc.total(row)
 		next := -1
 		if total > 0 {
 			// The draw resolves in float64 against float32 partial sums so
 			// exact rows reproduce the colony's selection bit for bit.
 			r := g.Float64() * float64(total)
-			next = rouletteMasked(mw, r)
+			next = rouletteList(row, sc.unv, r)
 		}
 		if next < 0 {
-			next = e.bestFeasible(cur, mask)
+			next = e.bestFeasible(cur, sc.mask)
 		}
 		tour[step] = int32(next)
-		mask[next] = 0
+		sc.visit(next)
 		length += int64(e.dist[cur*n+next])
 		cur = next
 	}
@@ -169,6 +252,24 @@ func rouletteMasked(mw []float32, r float64) int {
 			acc += w
 			if float64(acc) >= r {
 				return k
+			}
+		}
+	}
+	return last
+}
+
+// rouletteList is rouletteMasked over a gathered row: it scans the
+// weights of the listed cities in list order and returns the winning
+// city, or -1 when no listed city carries any probability.
+func rouletteList(row []float32, list []int32, r float64) int {
+	last := -1
+	acc := float32(0)
+	for _, j := range list {
+		if w := row[j]; w > 0 {
+			last = int(j)
+			acc += w
+			if float64(acc) >= r {
+				return int(j)
 			}
 		}
 	}

@@ -21,11 +21,12 @@
 //     which is what the hardware prefetcher and the Go auto-vectoriser
 //     both want. There is no separate "compute choice info" stage.
 //
-//   - Batched roulette via cumulative-sum rows with tabu masking. The
-//     selection probabilities of one construction step are a cumulative
-//     sum over the (gathered) weight row times a 0/1 tabu mask; the draw
-//     is resolved against the running sums with the same last-valid-slot
-//     fallback as aco.RouletteSelect.
+//   - Batched roulette via cumulative-sum rows. The selection
+//     probabilities of one construction step are a cumulative sum over
+//     the feasible weights — the gathered NN row times a 0/1 tabu mask,
+//     or on the full rule the weight row gathered along a compacted list
+//     of the unvisited cities; the draw is resolved against the running
+//     sums with the same last-valid-slot fallback as aco.RouletteSelect.
 //
 //   - Exact lengths. Tour lengths accumulate from the int32 distance
 //     matrix into int64 — never through float32 — so best-tour ranking
@@ -96,18 +97,12 @@ type Engine struct {
 
 	// Multicore state: the resolved worker count, the persistent pool, and
 	// one private scratch set per worker — ant-sharded kernels index their
-	// scratch by worker id, never sharing a mask, staging row or 2-opt
+	// scratch by worker id, never sharing a mask, city list or 2-opt
 	// position table across goroutines.
 	workers int
 	pool    *workerPool
 	cs      []constructScratch
 	ls      []twoOptScratch // allocated on first LocalSearchTours
-}
-
-// constructScratch is one worker's private construction state.
-type constructScratch struct {
-	mask []float32 // n tabu mask: 1 unvisited, 0 visited
-	mw   []float32 // n masked-weight row staged by selection pass one
 }
 
 // New creates a tensorized Ant System engine with pheromone initialised to
@@ -154,7 +149,7 @@ func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (
 	e.pool = newWorkerPool(e.workers)
 	e.cs = make([]constructScratch, e.workers)
 	for w := range e.cs {
-		e.cs[w] = constructScratch{mask: make([]float32, n), mw: make([]float32, n)}
+		e.cs[w] = newConstructScratch(n, e.nn)
 	}
 	// Backstop teardown: the pool's parked goroutines reference only the
 	// pool, so an unreachable engine is collectible and this cleanup
@@ -463,11 +458,4 @@ func powF32(x float32, p float64) float32 {
 		return x * x
 	}
 	return float32(math.Pow(float64(x), p))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

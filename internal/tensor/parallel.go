@@ -64,6 +64,9 @@ type workerPool struct {
 	stop    chan struct{}
 	once    sync.Once // guards close(stop)
 	started bool
+	// panics[w] holds what worker w recovered during the current run;
+	// run re-raises it on the caller after the barrier.
+	panics []any
 }
 
 type poolTask struct {
@@ -77,8 +80,12 @@ func newWorkerPool(workers int) *workerPool {
 }
 
 // run executes fn(w) for every worker id 0..workers-1 — fn(0) on the
-// calling goroutine — and returns when all are done. The engine is
-// single-goroutine at its API surface, so run is never reentered.
+// calling goroutine — and returns when all are done. A panic in any fn
+// surfaces on the caller, after every worker has finished, so a recover
+// above the engine fails one solve instead of the process: fn(0)'s panic
+// unwinds as raised, a pool worker's is re-raised with its value (the
+// lowest worker id first). The engine is single-goroutine at its API
+// surface, so run is never reentered.
 func (p *workerPool) run(fn func(w int)) {
 	if p.workers <= 1 {
 		fn(0)
@@ -87,31 +94,52 @@ func (p *workerPool) run(fn func(w int)) {
 	if !p.started {
 		p.start()
 	}
+	clear(p.panics)
 	var wg sync.WaitGroup
 	wg.Add(p.workers - 1)
 	for w := 1; w < p.workers; w++ {
 		p.tasks <- poolTask{fn: fn, wg: &wg, w: w}
 	}
+	// Deferred, so a panicking fn(0) still waits: no worker may keep
+	// writing engine state while the panic unwinds past the engine.
+	defer wg.Wait()
 	fn(0)
 	wg.Wait()
+	for _, v := range p.panics {
+		if v != nil {
+			panic(v)
+		}
+	}
 }
 
 func (p *workerPool) start() {
 	p.started = true
 	p.tasks = make(chan poolTask)
+	p.panics = make([]any, p.workers)
 	for i := 0; i < p.workers-1; i++ {
 		go func() {
 			for {
 				select {
 				case t := <-p.tasks:
-					t.fn(t.w)
-					t.wg.Done()
+					p.exec(t)
 				case <-p.stop:
 					return
 				}
 			}
 		}()
 	}
+}
+
+// exec runs one task on a pool goroutine, recording a panic for run to
+// re-raise instead of letting it kill the process.
+func (p *workerPool) exec(t poolTask) {
+	defer t.wg.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			p.panics[t.w] = v
+		}
+	}()
+	t.fn(t.w)
 }
 
 // close parks the pool for good, releasing its goroutines. Safe to call

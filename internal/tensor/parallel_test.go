@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"antgpu/internal/aco"
@@ -275,5 +276,56 @@ func TestWorkerResolution(t *testing.T) {
 	p.Workers = -1
 	if _, err := New(in, p); err == nil {
 		t.Fatal("negative Workers passed validation")
+	}
+}
+
+// TestWorkerPanicSurfacesOnCaller: a panic on a pool goroutine must reach
+// the engine's caller — where the facade's recover turns it into one
+// failed solve — instead of killing the process, and only after every
+// other worker has finished its shard; the engine must stay usable
+// afterwards. Ant 0 panics on the calling goroutine itself; the last ant
+// belongs to the last pool goroutine.
+func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
+	in := tsp.MustLoadBenchmark("att48")
+	p := aco.DefaultParams()
+	p.Ants = 12
+	for _, workers := range []int{2, 8} {
+		e, err := NewWithOptions(in, p, nil, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []int{e.m - 1, 0} {
+			// Every ant but those from bad to the end of its shard completes.
+			want := 0
+			for w := 0; w < workers; w++ {
+				if lo, hi := shard(e.m, workers, w); bad >= lo && bad < hi {
+					want = e.m - (hi - bad)
+				}
+			}
+			var done atomic.Int32
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				e.forAnts(func(w, ant int) {
+					if ant == bad {
+						panic("injected")
+					}
+					done.Add(1)
+				})
+				return nil
+			}()
+			if got != "injected" {
+				t.Fatalf("%d workers, ant %d: recovered %v on the caller, want the injected panic", workers, bad, got)
+			}
+			if n := int(done.Load()); n != want {
+				t.Fatalf("%d workers, ant %d: %d ants done when the panic surfaced, want %d", workers, bad, n, want)
+			}
+			e.ConstructTours(aco.FullProbabilistic)
+			for ant := 0; ant < e.m; ant++ {
+				if err := in.ValidTour(e.Tours[ant*e.n : (ant+1)*e.n]); err != nil {
+					t.Fatalf("%d workers: ant %d after the panic: %v", workers, ant, err)
+				}
+			}
+		}
+		e.Close()
 	}
 }

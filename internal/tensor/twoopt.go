@@ -189,18 +189,27 @@ func (e *Engine) apply(tour []int32, c1, s1, c2, s2 int32, ls *twoOptScratch) {
 }
 
 // reverse flips length tour positions starting at position i (cyclic).
+// The two cursors wrap around the tour's ends by compare-and-reset, so
+// the swap loop pays no division.
 func (e *Engine) reverse(tour []int32, i, length int, ls *twoOptScratch) {
 	n := e.n
 	pos := ls.pos
 	a := i
 	b := i + length - 1
+	if b >= n {
+		b -= n
+	}
 	for k := 0; k < length/2; k++ {
-		pa := a % n
-		pb := b % n
-		tour[pa], tour[pb] = tour[pb], tour[pa]
-		pos[tour[pa]] = int32(pa)
-		pos[tour[pb]] = int32(pb)
+		tour[a], tour[b] = tour[b], tour[a]
+		pos[tour[a]] = int32(a)
+		pos[tour[b]] = int32(b)
 		a++
+		if a == n {
+			a = 0
+		}
 		b--
+		if b < 0 {
+			b = n - 1
+		}
 	}
 }
