@@ -57,6 +57,7 @@ type HostPerfResult struct {
 	Instance   string           `json:"instance"`
 	Device     string           `json:"device"`
 	Repeats    int              `json:"repeats"`
+	NumCPU     int              `json:"num_cpu"`
 	GoMaxProcs int              `json:"gomaxprocs"`
 	Kernels    []HostPerfKernel `json:"kernels"`
 }
@@ -154,6 +155,7 @@ func HostPerf(cfg HostPerfConfig) (*HostPerfResult, error) {
 		Instance:   cfg.Instance,
 		Device:     dev.Name,
 		Repeats:    cfg.Repeats,
+		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 
@@ -211,8 +213,8 @@ func (r *HostPerfResult) WriteJSON(w io.Writer) error {
 
 // Format writes a human-readable summary.
 func (r *HostPerfResult) Format(w io.Writer) {
-	fmt.Fprintf(w, "host performance: %s on simulated %s, %d launches/kernel/path, GOMAXPROCS %d\n",
-		r.Instance, r.Device, r.Repeats, r.GoMaxProcs)
+	fmt.Fprintf(w, "host performance: %s on simulated %s, %d launches/kernel/path, %d CPUs, GOMAXPROCS %d\n",
+		r.Instance, r.Device, r.Repeats, r.NumCPU, r.GoMaxProcs)
 	fmt.Fprintf(w, "  %-24s %14s %14s %14s %9s %13s %13s\n",
 		"kernel", "lane-ops", "scalar ns/op", "vector ns/op", "speedup", "scalar allocs", "vector allocs")
 	for _, k := range r.Kernels {

@@ -18,6 +18,9 @@ func TestHostPerfSmall(t *testing.T) {
 	if r.Instance != "att48" || r.Repeats != 1 {
 		t.Fatalf("config not echoed: %+v", r)
 	}
+	if r.NumCPU < 1 || r.GoMaxProcs < 1 {
+		t.Errorf("host shape not recorded: num_cpu %d, gomaxprocs %d", r.NumCPU, r.GoMaxProcs)
+	}
 	names := map[string]bool{}
 	for _, k := range r.Kernels {
 		names[k.Name] = true

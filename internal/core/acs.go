@@ -112,8 +112,8 @@ func (a *ACSEngine) ConstructTours() (*StageResult, error) {
 		nextSh := b.SharedI32(1)
 		modeSh := b.SharedI32(1) // 1 = exploit, 0 = explore
 
-		tabu := make([]int32, threads)
-		states := make([]uint64, threads)
+		tabu := b.RegsI32(threads)
+		states := b.RegsU64(threads)
 		cur := 0
 		lenAcc := float32(0)
 

@@ -570,6 +570,14 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 			wg.Add(1)
 			go func(is *island) {
 				defer wg.Done()
+				// A panic here would kill the process: the caller's
+				// recover cannot see another goroutine. As an error it is
+				// not a fault, so the serial phase fails the run.
+				defer func() {
+					if r := recover(); r != nil {
+						errs[is.id] = fmt.Errorf("panic: %v", r)
+					}
+				}()
 				errs[is.id] = is.step(ctx)
 			}(is)
 		}

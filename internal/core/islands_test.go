@@ -347,3 +347,27 @@ func TestIslandParamsDerivation(t *testing.T) {
 		}
 	}
 }
+
+// panicOnLaunch is a launch observer that panics on its at-th launch.
+type panicOnLaunch struct{ n, at int }
+
+func (p *panicOnLaunch) ObserveLaunch(*cuda.LaunchConfig, *cuda.LaunchResult) {
+	p.n++
+	if p.n == p.at {
+		panic("observer failure")
+	}
+}
+
+// TestIslandsStepPanicFailsRun: a panic on an island's step goroutine —
+// here in a device's metrics hook, which cuda.Launch calls outside its
+// kernel recover — fails the run with an error naming the island instead
+// of killing the process.
+func TestIslandsStepPanicFailsRun(t *testing.T) {
+	in := tsp.MustLoadBenchmark("att48")
+	devs := islandDevs(2)
+	devs[1].Metrics = &panicOnLaunch{at: 3}
+	_, err := core.RunIslands(context.Background(), devs, in, aco.DefaultParams(), core.IslandConfig{Iterations: 4})
+	if err == nil || !strings.Contains(err.Error(), "island 1") || !strings.Contains(err.Error(), "observer failure") {
+		t.Fatalf("want an island 1 error carrying the panic, got %v", err)
+	}
+}

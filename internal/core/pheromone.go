@@ -238,9 +238,9 @@ func (e *Engine) pherScatterGather(v PherVersion) (*cuda.LaunchResult, error) {
 
 	kernel := func(b *cuda.Block) {
 		// Per-thread registers living across phases.
-		ci := make([]int32, threads) // cell row
-		cj := make([]int32, threads) // cell column
-		acc := make([]float32, threads)
+		ci := b.RegsI32(threads) // cell row
+		cj := b.RegsI32(threads) // cell column
+		acc := b.RegsF32(threads)
 
 		if e.Vector {
 			b.RunWarps(func(w *cuda.Warp) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"antgpu/internal/cuda"
 	"antgpu/internal/rng"
@@ -73,8 +72,8 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 		tileBestI := b.SharedI32(tiles)
 		nextSh := b.SharedI32(1)
 
-		tabu := make([]int32, threads)
-		states := make([]uint64, threads)
+		tabu := b.RegsI32(threads)
+		states := b.RegsU64(threads)
 		cur := 0
 		lenAcc := float32(0)
 
@@ -163,31 +162,7 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 				})
 				b.Sync()
 				// Shared-memory max-reduction for the tile winner.
-				for s := threads / 2; s > 0; s /= 2 {
-					s := s
-					b.RunWarps(func(w *cuda.Warp) {
-						part := w.MaskTo(s - w.Base())
-						if part == 0 {
-							return
-						}
-						var aV, cV [32]float32
-						var iV [32]int32
-						w.LdShF32Masked(vals, w.Base(), part, aV[:])
-						w.LdShF32Masked(vals, w.Base()+s, part, cV[:])
-						w.Charge(chargeCompare)
-						var imp uint32
-						for mk := part; mk != 0; mk &= mk - 1 {
-							l := bits.TrailingZeros32(mk)
-							if cV[l] > aV[l] {
-								imp |= 1 << uint(l)
-							}
-						}
-						w.StShF32Masked(vals, w.Base(), imp, cV[:])
-						w.LdShI32Masked(idxs, w.Base()+s, imp, iV[:])
-						w.StShI32Masked(idxs, w.Base(), imp, iV[:])
-					})
-					b.Sync()
-				}
+				b.ArgMaxSh(vals, idxs, chargeCompare)
 				b.RunWarps(func(w *cuda.Warp) {
 					if w.ID() != 0 {
 						return
@@ -281,8 +256,8 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 
 		// Per-thread registers: the tabu bitmask (bit t = this thread's
 		// city on tile t, 1 = unvisited) and the RNG state.
-		tabu := make([]int32, threads)
-		states := make([]uint64, threads)
+		tabu := b.RegsI32(threads)
+		states := b.RegsU64(threads)
 		cur := 0
 		lenAcc := float32(0)
 

@@ -129,15 +129,15 @@ func (e *Engine) tourTask(v TourVersion) (*cuda.LaunchResult, error) {
 		base := b.LinearIdx() * threads
 
 		// Per-thread registers.
-		cur := make([]int32, threads)
-		lenAcc := make([]float32, threads)
+		cur := b.RegsI32(threads)
+		lenAcc := b.RegsF32(threads)
 		probs := make([][]float32, 0)
 		if useNN {
 			for i := 0; i < threads; i++ {
 				probs = append(probs, make([]float32, nn))
 			}
 		}
-		sums := make([]float32, threads)
+		sums := b.RegsF32(threads)
 
 		// Shared tabu, if this version keeps it on-chip. The byte layout
 		// packs four cities per 32-bit word; both layouts are lane-

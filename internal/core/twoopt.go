@@ -155,31 +155,11 @@ func (e *Engine) LocalSearchKernel() (*StageResult, error) {
 			b.Sync()
 
 			// Phase 2: argmax reduction over the per-thread bests.
-			for s := threads / 2; s > 0; s /= 2 {
-				s := s
-				if e.Vector {
-					b.RunWarps(func(w *cuda.Warp) {
-						part := w.MaskTo(s - w.Base())
-						if part == 0 {
-							return
-						}
-						var aV, cV [32]float32
-						var iV [32]int32
-						w.LdShF32Masked(gains, w.Base(), part, aV[:])
-						w.LdShF32Masked(gains, w.Base()+s, part, cV[:])
-						w.Charge(chargeCompare)
-						var imp uint32
-						for mk := part; mk != 0; mk &= mk - 1 {
-							l := bits.TrailingZeros32(mk)
-							if cV[l] > aV[l] {
-								imp |= 1 << uint(l)
-							}
-						}
-						w.StShF32Masked(gains, w.Base(), imp, cV[:])
-						w.LdShI32Masked(moves, w.Base()+s, imp, iV[:])
-						w.StShI32Masked(moves, w.Base(), imp, iV[:])
-					})
-				} else {
+			if e.Vector {
+				b.ArgMaxSh(gains, moves, chargeCompare)
+			} else {
+				for s := threads / 2; s > 0; s /= 2 {
+					s := s
 					b.Run(func(t *cuda.Thread) {
 						if t.ID() < s {
 							a := t.LdShF32(gains, t.ID())
@@ -191,8 +171,8 @@ func (e *Engine) LocalSearchKernel() (*StageResult, error) {
 							}
 						}
 					})
+					b.Sync()
 				}
-				b.Sync()
 			}
 			if e.Vector {
 				b.RunWarps(func(w *cuda.Warp) {

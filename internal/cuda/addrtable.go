@@ -1,5 +1,7 @@
 package cuda
 
+import "sync"
+
 // statTable is an open-addressing hash table from packed atomic address keys
 // (see atomicKey) to (operation count, touching-block count) pairs: the
 // cross-block atomic histogram of one launch worker. It replaces the
@@ -24,6 +26,39 @@ type statTable struct {
 
 // addrTableMinCap is the initial capacity; must be a power of two.
 const addrTableMinCap = 64
+
+// addrTableMaxPooled is the largest capacity a table may have to return to
+// statPool; a launch that grew one past it drops it, so a few huge
+// launches do not pin their tables for every later small one.
+const addrTableMaxPooled = 1 << 16
+
+// statPool recycles the workers' tables across launches, so an
+// atomic-heavy launch does not regrow one from addrTableMinCap each time.
+var statPool sync.Pool
+
+// getStatTable returns an empty table, pooled when one is available.
+func getStatTable() *statTable {
+	if t, _ := statPool.Get().(*statTable); t != nil {
+		return t
+	}
+	return newStatTable()
+}
+
+// putStatTable empties t and returns it to statPool. The caller must not
+// use t afterwards.
+func putStatTable(t *statTable) {
+	if len(t.keys) > addrTableMaxPooled {
+		return
+	}
+	if t.n != 0 {
+		clear(t.keys)
+		clear(t.ops)
+		clear(t.blocks)
+		clear(t.last)
+		t.n = 0
+	}
+	statPool.Put(t)
+}
 
 func newStatTable() *statTable {
 	return &statTable{

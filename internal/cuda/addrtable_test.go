@@ -160,3 +160,25 @@ func TestBlockPoolReusesTexCaches(t *testing.T) {
 	}
 	putBlock(blk2)
 }
+
+// TestPutStatTableEmpties checks that a table handed back to statPool is
+// as empty as a new one: a stale key would make slot probing skip a free
+// slot, and a stale operation, block or last-toucher count would leak into
+// the next launch's histogram.
+func TestPutStatTableEmpties(t *testing.T) {
+	tab := newStatTable()
+	for i := 0; i < 500; i++ { // grows past addrTableMinCap
+		tab.note(atomicKey(3, i%200), int32(i/7))
+	}
+	size := len(tab.keys)
+	putStatTable(tab)
+	if tab.n != 0 || len(tab.keys) != size {
+		t.Fatalf("after put: n = %d, %d slots; want 0 and %d", tab.n, len(tab.keys), size)
+	}
+	for i := range tab.keys {
+		if tab.keys[i] != 0 || tab.ops[i] != 0 || tab.blocks[i] != 0 || tab.last[i] != 0 {
+			t.Fatalf("slot %d not empty after put: key %d ops %d blocks %d last %d",
+				i, tab.keys[i], tab.ops[i], tab.blocks[i], tab.last[i])
+		}
+	}
+}

@@ -99,6 +99,42 @@ type Block struct {
 	// scratch for warp retirement
 	segScratch  []int64
 	bankScratch [64]int16
+
+	// The handles Run and RunWarps pass to their closures. They live in the
+	// pooled Block, so a phase allocates nothing; a closure must not keep
+	// its *Thread or *Warp past the call.
+	thread Thread
+	warp   Warp
+
+	// Backing memory for the shared arrays and per-thread register arrays
+	// of the current block (SharedF32, RegsU64, ...). It lives in the
+	// pooled Block and reset reclaims it, so every block of a launch reuses
+	// the same few cache-warm kilobytes instead of allocating fresh ones.
+	f32 arena[float32]
+	i32 arena[int32]
+	u64 arena[uint64]
+}
+
+// arena hands out zeroed slices carved from one backing array.
+type arena[T float32 | int32 | uint64] struct {
+	buf  []T
+	used int
+}
+
+// take returns a zeroed slice of n elements whose capacity is n, so an
+// append cannot run into its neighbour.
+func (a *arena[T]) take(n int) []T {
+	if a.used+n > len(a.buf) {
+		// Slices already taken keep the old array alive. The new one is
+		// at least twice as large, so a block's demand is met from one
+		// array after a few blocks.
+		a.buf = make([]T, max(2*len(a.buf), a.used+n, 64))
+		a.used = 0
+	}
+	s := a.buf[a.used : a.used+n : a.used+n]
+	a.used += n
+	clear(s)
+	return s
 }
 
 // minStreamCap is the smallest initial per-lane stream capacity.
@@ -179,6 +215,7 @@ func (b *Block) reset(linear int) {
 	x, y, z := b.cfg.Grid.Coords(linear)
 	b.idx = Dim3{X: x, Y: y, Z: z}
 	b.sharedUsed = 0
+	b.f32.used, b.i32.used, b.u64.used = 0, 0, 0
 	b.divergeExtra = 0
 	*b.meter = Meter{}
 	for _, tc := range b.texUsed {
@@ -231,19 +268,33 @@ func (b *Block) GridDim() Dim3 { return b.cfg.Grid }
 // Device returns the device executing the block.
 func (b *Block) Device() *Device { return b.dev }
 
-// SharedF32 allocates a shared-memory array of n float32 values for this
-// block, the analogue of __shared__ float s[n]. It panics if the block's
-// shared memory budget is exceeded, like a launch failure would.
+// SharedF32 allocates a zeroed shared-memory array of n float32 values for
+// this block, the analogue of __shared__ float s[n]. It panics if the
+// block's shared memory budget is exceeded, like a launch failure would.
+// The array is valid until the block ends; the next block reuses its
+// memory.
 func (b *Block) SharedF32(n int) []float32 {
 	b.takeShared(4 * n)
-	return make([]float32, n)
+	return b.f32.take(n)
 }
 
-// SharedI32 allocates a shared-memory array of n int32 values.
+// SharedI32 allocates a zeroed shared-memory array of n int32 values.
 func (b *Block) SharedI32(n int) []int32 {
 	b.takeShared(4 * n)
-	return make([]int32, n)
+	return b.i32.take(n)
 }
+
+// RegsF32 returns a zeroed array of n float32 values for per-thread values
+// that live across phases: registers on the device, one slot per thread
+// index on the host. It is not metered and, like a shared array, is valid
+// until the block ends.
+func (b *Block) RegsF32(n int) []float32 { return b.f32.take(n) }
+
+// RegsI32 is RegsF32 for int32 values.
+func (b *Block) RegsI32(n int) []int32 { return b.i32.take(n) }
+
+// RegsU64 is RegsF32 for uint64 values, such as per-thread RNG states.
+func (b *Block) RegsU64(n int) []uint64 { return b.u64.take(n) }
 
 func (b *Block) takeShared(bytes int) {
 	b.sharedUsed += bytes
@@ -279,7 +330,7 @@ func (b *Block) Failf(format string, args ...any) {
 func (b *Block) Run(f func(t *Thread)) {
 	b.meter.RunPhases++
 	ws := b.dev.WarpSize
-	var th Thread
+	th := &b.thread
 	th.b = b
 	for w := 0; w < b.warps; w++ {
 		base := w * ws
@@ -296,7 +347,7 @@ func (b *Block) Run(f func(t *Thread)) {
 			active++
 			th.tid = tid
 			th.lane = lane
-			f(&th)
+			f(th)
 		}
 		b.retireWarp(active)
 	}
@@ -589,16 +640,24 @@ func (b *Block) retireTexture(pos int, buf bufferID) {
 	m.TexFetches += int64(n)
 	missed := false
 	for _, line := range b.segScratch {
-		if tc.probe(line) {
-			m.TexHits++
-		} else {
-			m.TexMisses++
+		if b.probeTex(tc, line) {
 			missed = true
 		}
 	}
 	if missed {
 		m.TexMissInstr++
 	}
+}
+
+// probeTex probes the tag cache for one line of a texture instruction,
+// counts the hit or miss, and reports a miss.
+func (b *Block) probeTex(tc *texTags, line int64) bool {
+	if tc.probe(line) {
+		b.meter.TexHits++
+		return false
+	}
+	b.meter.TexMisses++
+	return true
 }
 
 // record appends one metered operation to a lane stream.

@@ -17,6 +17,10 @@ func randomKernelMeters(t *testing.T, seed uint64, blocks, threads int) cuda.Met
 	t.Helper()
 	dev := cuda.TeslaC1060()
 	buf := cuda.MallocF32("f", 1<<14)
+	// Stores go to a separate buffer, each block to its own 2048-element
+	// region: blocks run on concurrent goroutines, and a store to an
+	// element another block loads would be a data race.
+	out := cuda.MallocF32("out", 1<<14)
 	ibuf := cuda.MallocI32("i", 1<<14)
 	tex := cuda.BindTexture(buf)
 	res, err := cuda.Launch(dev, cuda.LaunchConfig{
@@ -42,7 +46,7 @@ func randomKernelMeters(t *testing.T, seed uint64, blocks, threads int) cuda.Met
 					case 0:
 						_ = th.LdF32(buf, idx)
 					case 1:
-						th.StF32(buf, idx, 1)
+						th.StF32(out, b.LinearIdx()<<11|idx&(1<<11-1), 1)
 					case 2:
 						_ = th.LdShF32(sh, idx%len(sh))
 					case 3:

@@ -89,7 +89,7 @@ func Launch(dev *Device, cfg LaunchConfig, name string, k Kernel) (*LaunchResult
 	acc := make([]workerAccum, workers)
 	runRange := func(w int) error {
 		a := &acc[w]
-		a.addrs = newStatTable()
+		a.addrs = getStatTable()
 		blk := getBlock(dev, &cfg)
 		defer putBlock(blk)
 		blk.stats = a.addrs
@@ -145,6 +145,9 @@ func Launch(dev *Device, cfg LaunchConfig, name string, k Kernel) (*LaunchResult
 		total.Scale(float64(blocks) / float64(executed))
 	}
 	applyCrossBlockAtomics(&total, addrs, float64(blocks)/float64(executed))
+	for w := range acc {
+		putStatTable(acc[w].addrs)
+	}
 	total.BlocksLaunched = int64(blocks)
 	total.BlocksExecuted = int64(executed)
 

@@ -78,7 +78,7 @@ func (b *Block) RunWarps(f func(w *Warp)) {
 		panic("cuda: RunWarps requires WarpSize <= 32 (lane masks are uint32)")
 	}
 	b.meter.RunPhases++
-	var w Warp
+	w := &b.warp
 	w.b = b
 	for wi := 0; wi < b.warps; wi++ {
 		base := wi * ws
@@ -94,8 +94,53 @@ func (b *Block) RunWarps(f func(w *Warp)) {
 		} else {
 			w.mask = 1<<uint(active) - 1
 		}
-		f(&w)
+		f(w)
 		b.meter.LaneOps += int64(active)
+	}
+}
+
+// ArgMaxSh runs the block-wide shared-memory argmax tree in one call: for
+// s = Threads()/2, Threads()/4, ..., 1, every slot t < s whose partner
+// vals[t+s] is strictly greater takes vals[t+s] and idxs[t+s], and a
+// barrier ends the level. Afterwards vals[0] and idxs[0] hold the winner
+// (with a power-of-two block, the tree covers every slot). Ties keep the
+// lower slot and a NaN partner never wins. vals and idxs must hold at least
+// Threads() slots.
+//
+// It meters exactly what the tree written as one RunWarps phase and one
+// Sync per level meters. Per level, each warp with lanes t < s issues two
+// shared loads over those lanes, charge compute issues and, if any partner
+// won, a shared store, a shared load and a shared store over the winning
+// lanes; every warp counts its live lanes; then the barrier. The compute
+// charges and barrier costs are added in the same order, level by level and
+// warp by warp, so even a fractional charge sums to the same bits; the
+// instruction and operation counts are whole numbers, exact in any grouping.
+func (b *Block) ArgMaxSh(vals []float32, idxs []int32, charge float64) {
+	ws := b.dev.WarpSize
+	m := b.meter
+	vals, idxs = vals[:b.threads], idxs[:b.threads]
+	for s := b.threads / 2; s > 0; s /= 2 {
+		m.RunPhases++
+		for base := 0; base < s; base += ws {
+			n := min(s-base, ws)
+			m.SharedInstr += 2
+			m.SharedOps += 2 * int64(n)
+			m.ComputeIssues += charge
+			won := 0
+			for t := base; t < base+n; t++ {
+				if vals[t+s] > vals[t] {
+					vals[t] = vals[t+s]
+					idxs[t] = idxs[t+s]
+					won++
+				}
+			}
+			if won > 0 {
+				m.SharedInstr += 3
+				m.SharedOps += 3 * int64(won)
+			}
+		}
+		m.LaneOps += int64(b.threads)
+		b.Sync()
 	}
 }
 
@@ -202,6 +247,38 @@ func (b *Block) gatherTx(idxs []int32, mask uint32, elemBytes, segBytes int64) i
 
 func (b *Block) segBytes() int64 { return int64(b.dev.SegmentBytes) }
 
+// isPrefix reports whether mask is a lane prefix (lanes 0..n-1), as every
+// full warp and every in-range tile row is. The masked row ops move a
+// prefix with one copy instead of a per-lane loop; the meters do not depend
+// on the path.
+func isPrefix(mask uint32) bool { return mask&(mask+1) == 0 }
+
+// loadLanes copies src[base+l] into dst[l] for every lane l in mask.
+func loadLanes[T float32 | int32](dst, src []T, base int, mask uint32) {
+	if isPrefix(mask) {
+		n := bits.Len32(mask)
+		copy(dst[:n], src[base:base+n])
+		return
+	}
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros32(mk)
+		dst[l] = src[base+l]
+	}
+}
+
+// storeLanes copies src[l] into dst[base+l] for every lane l in mask.
+func storeLanes[T float32 | int32](dst []T, base int, src []T, mask uint32) {
+	if isPrefix(mask) {
+		n := bits.Len32(mask)
+		copy(dst[base:base+n], src[:n])
+		return
+	}
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		l := bits.TrailingZeros32(mk)
+		dst[base+l] = src[l]
+	}
+}
+
 // --- global memory: rows ----------------------------------------------------
 
 // LdF32Row loads buf[base+l] into dst[l] for every live lane l: one global
@@ -220,10 +297,7 @@ func (w *Warp) LdF32Masked(buf *F32, base int, mask uint32, dst []float32) {
 	}
 	b := w.b
 	b.meterGlobalLoad(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = buf.data[base+l]
-	}
+	loadLanes(dst, buf.data, base, mask)
 }
 
 // StF32Row stores src[l] to buf[base+l] for every live lane.
@@ -240,10 +314,7 @@ func (w *Warp) StF32Masked(buf *F32, base int, mask uint32, src []float32) {
 	}
 	b := w.b
 	b.meterGlobalStore(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		buf.data[base+l] = src[l]
-	}
+	storeLanes(buf.data, base, src, mask)
 }
 
 // LdI32Row loads buf[base+l] into dst[l] for every live lane.
@@ -260,10 +331,7 @@ func (w *Warp) LdI32Masked(buf *I32, base int, mask uint32, dst []int32) {
 	}
 	b := w.b
 	b.meterGlobalLoad(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = buf.data[base+l]
-	}
+	loadLanes(dst, buf.data, base, mask)
 }
 
 // StI32Row stores src[l] to buf[base+l] for every live lane.
@@ -280,10 +348,7 @@ func (w *Warp) StI32Masked(buf *I32, base int, mask uint32, src []int32) {
 	}
 	b := w.b
 	b.meterGlobalStore(maskedRowTx(base, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		buf.data[base+l] = src[l]
-	}
+	storeLanes(buf.data, base, src, mask)
 }
 
 // --- global memory: strides, broadcasts, gathers ----------------------------
@@ -479,31 +544,33 @@ func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) 
 	b := w.b
 	m := b.meter
 	m.TexInstr++
+	m.TexFetches += int64(bits.OnesCount32(mask))
+	loadLanes(dst, tex.buf.data, base, mask)
 	tc := b.texCache(tex.buf.id)
 	lineBytes := int64(b.dev.TextureLineBytes)
-	prev := int64(-1)
-	firstLine := true
 	missed := false
-	n := 0
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		idx := base + l
-		dst[l] = tex.buf.data[idx]
-		n++
-		line := int64(idx) * 4 / lineBytes
-		if !firstLine && line == prev {
-			continue
+	if isPrefix(mask) && lineBytes >= 4 {
+		// Consecutive elements of a line at least one element wide touch
+		// every line from the first lane's to the last lane's.
+		last := (int64(base) + int64(bits.Len32(mask)) - 1) * 4 / lineBytes
+		for line := int64(base) * 4 / lineBytes; line <= last; line++ {
+			if b.probeTex(tc, line) {
+				missed = true
+			}
 		}
-		firstLine = false
-		prev = line
-		if tc.probe(line) {
-			m.TexHits++
-		} else {
-			m.TexMisses++
-			missed = true
+	} else {
+		prev := int64(-1)
+		for mk := mask; mk != 0; mk &= mk - 1 {
+			line := int64(base+bits.TrailingZeros32(mk)) * 4 / lineBytes
+			if line == prev {
+				continue
+			}
+			prev = line
+			if b.probeTex(tc, line) {
+				missed = true
+			}
 		}
 	}
-	m.TexFetches += int64(n)
 	if missed {
 		m.TexMissInstr++
 	}
@@ -527,10 +594,7 @@ func (w *Warp) LdShF32Masked(s []float32, base int, mask uint32, dst []float32) 
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = s[base+l]
-	}
+	loadLanes(dst, s, base, mask)
 }
 
 // StShF32Row stores src[l] to s[base+l] for every live lane.
@@ -545,10 +609,7 @@ func (w *Warp) StShF32Masked(s []float32, base int, mask uint32, src []float32) 
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		s[base+l] = src[l]
-	}
+	storeLanes(s, base, src, mask)
 }
 
 // LdShI32Row loads s[base+l] into dst[l] for every live lane.
@@ -563,10 +624,7 @@ func (w *Warp) LdShI32Masked(s []int32, base int, mask uint32, dst []int32) {
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = s[base+l]
-	}
+	loadLanes(dst, s, base, mask)
 }
 
 // StShI32Row stores src[l] to s[base+l] for every live lane.
@@ -581,10 +639,7 @@ func (w *Warp) StShI32Masked(s []int32, base int, mask uint32, src []int32) {
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		s[base+l] = src[l]
-	}
+	storeLanes(s, base, src, mask)
 }
 
 // LdShF32Bcast models every live lane reading the same shared element: a
@@ -638,12 +693,6 @@ func (w *Warp) StShF32I32Row(sf []float32, vf []float32, maskF uint32, si []int3
 		return
 	}
 	w.b.meterShared(bits.OnesCount32(both))
-	for mk := maskF; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		sf[base+l] = vf[l]
-	}
-	for mk := maskI; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		si[base+l] = vi[l]
-	}
+	storeLanes(sf, base, vf, maskF)
+	storeLanes(si, base, vi, maskI)
 }
