@@ -722,6 +722,7 @@ func solveVariant(ctx context.Context, in *Instance, opts SolveOptions) (*Result
 				return nil, err
 			}
 			c.Tracer = tr
+			c.ResetMeters()
 			run = func() ([]int32, int64, *aco.Colony, error) {
 				tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
 				return tour, l, c.Colony, err
@@ -732,6 +733,7 @@ func solveVariant(ctx context.Context, in *Instance, opts SolveOptions) (*Result
 				return nil, err
 			}
 			c.Tracer = tr
+			c.ResetMeters()
 			run = func() ([]int32, int64, *aco.Colony, error) {
 				tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
 				return tour, l, c.Colony, err
