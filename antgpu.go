@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"time"
 
 	"antgpu/internal/aco"
@@ -241,6 +242,7 @@ func DefaultMMASParams() MMASParams { return aco.DefaultMMASParams() }
 // SolveOptions configures Solve.
 type SolveOptions struct {
 	// Algorithm selects the ACO variant (default the paper's Ant System).
+	// A value outside the declared constants fails with ErrInvalidParams.
 	Algorithm Algorithm
 	// ACS are the Ant Colony System parameters, used when Algorithm is
 	// AlgorithmACS; zero value selects DefaultACSParams.
@@ -263,7 +265,9 @@ type SolveOptions struct {
 	Device *Device
 	// Tour selects the construction kernel (default the paper's
 	// recommendation per size: data-parallel up to ~500 cities, NN-list
-	// beyond). GPU backend only.
+	// beyond; MMAS, EAS and Rank default to the NN-list kernel with shared
+	// memory). GPU backend only; GPU ACS has a single construction kernel
+	// of its own and ignores it.
 	Tour TourVersion
 	// Pher selects the pheromone kernel (default atomic + shared memory,
 	// the paper's winner). GPU backend only.
@@ -275,8 +279,8 @@ type SolveOptions struct {
 	Variant aco.Variant
 	// LocalSearch applies 2-opt local search (nearest-neighbour candidate
 	// lists, don't-look bits) to every ant's tour after construction — the
-	// AS + local-search configuration of ACOTSP. Supported for
-	// AlgorithmAS on both backends.
+	// AS + local-search configuration of ACOTSP. Supported for AlgorithmAS
+	// on every backend; any other algorithm fails with ErrInvalidParams.
 	LocalSearch bool
 	// Profile records every kernel launch and algorithm phase on a
 	// simulated timeline; the collector is returned in Result.Trace. The
@@ -297,11 +301,11 @@ type SolveOptions struct {
 	Recovery *RecoveryOptions
 	// Metrics, when non-nil, collects telemetry from the solve into the
 	// registry: solve outcome counters on every path, per-kernel hardware
-	// counters from the simulated device (GPU backend), and — for
-	// AlgorithmAS — per-iteration convergence gauges (best/mean tour
-	// length, pheromone entropy, λ-branching). Nil (the default) disables
-	// collection at zero cost. The registry only observes; solves stay
-	// deterministic and byte-identical with metrics on or off.
+	// counters from the simulated device (GPU backend), and per-iteration
+	// convergence gauges (best/mean tour length, pheromone entropy,
+	// λ-branching) for every (backend, algorithm) pair. Nil (the default)
+	// disables collection at zero cost. The registry only observes; solves
+	// stay deterministic and byte-identical with metrics on or off.
 	Metrics *Metrics
 	// Optimum is the known optimal tour length of the instance, when the
 	// caller has one. It feeds the antgpu_optimum_gap_ratio gauge and the
@@ -321,10 +325,9 @@ type SolveOptions struct {
 	// ACO iteration — iteration best/mean tour length, best-so-far, gap to
 	// Optimum, pheromone entropy and λ-branching — called synchronously
 	// from the solve goroutine in iteration order. It works with or
-	// without Metrics and is produced by the AlgorithmAS paths on both
-	// backends (including the fault-tolerant runtime); other algorithms
-	// complete without events. This is the feed the antgpud service
-	// streams to clients over SSE.
+	// without Metrics and is produced by every (backend, algorithm) pair,
+	// with or without local search, and by the fault-tolerant runtime.
+	// This is the feed the antgpud service streams to clients over SSE.
 	OnIteration func(IterationEvent)
 
 	// cache, when non-nil, is the batch pool's shared derived-data cache
@@ -338,8 +341,9 @@ type SolveOptions struct {
 type Result struct {
 	BestTour []int32
 	BestLen  int64
-	// SimulatedSeconds is the accumulated simulated GPU time (GPU backend)
-	// or the modelled CPU time (CPU backend) of all iterations.
+	// SimulatedSeconds is the accumulated simulated GPU time (GPU backend),
+	// the modelled CPU time (CPU backend) or the host wall-clock time
+	// (tensor backend) of all iterations. Engine set-up is excluded.
 	SimulatedSeconds float64
 	// Trace holds the profiling timeline when SolveOptions.Profile is set.
 	Trace *Trace
@@ -384,8 +388,8 @@ func (o *launchLogger) ObserveLaunch(cfg *cuda.LaunchConfig, res *cuda.LaunchRes
 		slog.Float64("sim_ms", res.Millis()))
 }
 
-// Solve runs the Ant System on the instance and returns the best tour
-// found.
+// Solve runs the selected ACO algorithm on the instance and returns the
+// best tour found.
 func Solve(in *Instance, opts SolveOptions) (*Result, error) {
 	return SolveContext(context.Background(), in, opts)
 }
@@ -420,20 +424,33 @@ func gpuDevice(ctx context.Context, opts SolveOptions) *Device {
 	return dev
 }
 
-// derivedData fetches the shared instance-derived data from the batch
-// cache, or nil for a standalone solve (engines then compute their own).
-// A derivation error (e.g. ErrF32Precision for instances whose distances
-// exceed the exact float32 range) is surfaced to the caller.
-func derivedData(opts SolveOptions, in *Instance, nn int) (*tsp.Derived, error) {
+// derivedData validates the AS parameters, then fetches the shared
+// instance-derived data from the batch cache, or nil for a standalone
+// solve (engines then compute their own). Validation comes first: an
+// invalid NN reaching the shared cache would count a miss for a key it
+// never fills and panic deriving the lists. The host engines score tours
+// in exact int64 and never read the float32 distance matrix, so for them
+// (host) an instance beyond the exact-float32 range stays solvable, just
+// without the cache; the GPU backend surfaces tsp.ErrF32Precision.
+func derivedData(opts SolveOptions, in *Instance, host bool) (*tsp.Derived, error) {
+	if err := opts.Params.Validate(in.N()); err != nil {
+		return nil, err
+	}
 	if opts.cache == nil {
 		return nil, nil
 	}
-	return opts.cache.Derived(in, nn)
+	d, err := opts.cache.Derived(in, opts.Params.NN)
+	if host && errors.Is(err, tsp.ErrF32Precision) {
+		return nil, nil
+	}
+	return d, err
 }
 
 // SolveContext is Solve with cancellation: the context is checked between
 // iterations and its error returned promptly. No panic escapes — internal
-// failures come back as errors.
+// failures come back as errors. Every (backend, algorithm) pair runs
+// through the one loop below (DESIGN §19); only the fault-tolerant GPU AS
+// path keeps the recovery runtime's own loop.
 func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Result, err error) {
 	// Registered before the recover handler so it runs after it (defers are
 	// LIFO) and sees the final res/err even on a recovered panic.
@@ -463,6 +480,13 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 			return nil, fmt.Errorf("antgpu: the fault-tolerant runtime supports AlgorithmAS on the GPU backend without local search (the tensor backend checkpoints through tensor.Engine.Checkpoint/Restore instead)")
 		}
 	}
+	if opts.Algorithm < AlgorithmAS || opts.Algorithm > AlgorithmRank {
+		return nil, fmt.Errorf("antgpu: unknown algorithm %v: %w", opts.Algorithm, ErrInvalidParams)
+	}
+	if opts.LocalSearch && opts.Algorithm != AlgorithmAS {
+		return nil, fmt.Errorf("antgpu: local search is supported for AlgorithmAS only, not %v: %w",
+			opts.Algorithm, ErrInvalidParams)
+	}
 	if opts.Logger.Enabled(slog.LevelDebug) {
 		opts.Logger.Debug(ctx, obslog.EvSolveStart,
 			slog.String("backend", opts.Backend.String()),
@@ -478,376 +502,277 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 			}
 		}()
 	}
-	switch opts.Algorithm {
-	case AlgorithmACS:
-		return solveACS(ctx, in, opts)
-	case AlgorithmMMAS:
-		return solveMMAS(ctx, in, opts)
-	case AlgorithmEAS, AlgorithmRank:
-		return solveVariant(ctx, in, opts)
+	tr := newTracer(ctx, opts)
+	if opts.Backend == BackendGPU && opts.Algorithm == AlgorithmAS && !opts.LocalSearch &&
+		(opts.Faults != nil || opts.Recovery != nil) {
+		var ro RecoveryOptions
+		if opts.Recovery != nil {
+			ro = *opts.Recovery
+		}
+		tv, pv := gpuVersions(opts, in)
+		tour, l, secs, rep, err := core.RunRecovered(ctx, gpuDevice(ctx, opts), in, opts.Params,
+			tv, pv, opts.Iterations, ro, tr, solveConv(opts, in), opts.Logger)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr, Recovery: rep}, nil
 	}
-	// Validate before derivedData, not only in the engines: an invalid NN
-	// reaching the shared cache would count a miss for a key it never
-	// fills and panic deriving the lists.
-	if err := opts.Params.Validate(in.N()); err != nil {
+
+	eng, err := newEngine(ctx, in, opts, tr)
+	if err != nil {
 		return nil, err
 	}
-	switch opts.Backend {
-	case BackendCPU:
-		d, err := derivedData(opts, in, opts.Params.NN)
-		if errors.Is(err, tsp.ErrF32Precision) {
-			// The float64 colony does not consume the float32 distance
-			// matrix, so instances beyond the exact-float32 range stay
-			// solvable on the CPU backend — just without the shared cache.
-			d = nil
-		} else if err != nil {
+	defer eng.close()
+	conv := solveConv(opts, in)
+	for i := 0; i < opts.Iterations; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := eng.step(); err != nil {
+			return nil, err
+		}
+		eng.record(conv)
+	}
+	tour, l := eng.best()
+	if tour == nil || l <= 0 || l == math.MaxInt64 {
+		return nil, fmt.Errorf("antgpu: %v on the %v backend produced no tour (best length %d)",
+			opts.Algorithm, opts.Backend, l)
+	}
+	if err := in.ValidTour(tour); err != nil {
+		return nil, fmt.Errorf("antgpu: %v on the %v backend: %w", opts.Algorithm, opts.Backend, err)
+	}
+	return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: eng.seconds(), Trace: tr}, nil
+}
+
+// gpuVersions resolves the GPU Ant System kernels: the requested versions,
+// or the paper's recommendation per size (data-parallel construction up to
+// 500 cities, the NN-list kernel beyond) and its winning atomic +
+// shared-memory pheromone update.
+func gpuVersions(opts SolveOptions, in *Instance) (TourVersion, PherVersion) {
+	tv, pv := opts.Tour, opts.Pher
+	if tv == 0 {
+		tv = TourNNSharedTexture
+		if in.N() <= 500 {
+			tv = TourDataParallelTexture
+		}
+	}
+	if pv == 0 {
+		pv = PherAtomicShared
+	}
+	return tv, pv
+}
+
+// engine is one solve's colony as the run loop drives it: step runs one
+// iteration, best reads the best-so-far tour, seconds is the time charged
+// so far (simulated on gpu, modelled on cpu, wall-clock on tensor), record
+// publishes the latest iteration to a convergence recorder, and close
+// releases the engine. cpuEngine, gpuEngine and tensorEngine build it over
+// the base engine that every algorithm of a backend embeds.
+type engine struct {
+	step    func() error
+	best    func() ([]int32, int64)
+	seconds func() float64
+	record  func(*metrics.Convergence)
+	close   func()
+}
+
+// cpuEngine adapts a CPU colony. Its stage meters are reset after set-up,
+// so the modelled seconds cover the iterations only.
+func cpuEngine(c *aco.Colony, tr *trace.Collector, iterate func()) *engine {
+	c.Tracer = tr
+	c.ResetMeters()
+	return &engine{
+		step: func() error { iterate(); return nil },
+		best: func() ([]int32, int64) { return c.BestTour, c.BestLen },
+		seconds: func() float64 {
+			total := c.ConstructMeter
+			total.Add(&c.PheromoneMeter)
+			total.Add(&c.ChoiceMeter)
+			return aco.DefaultCPU().Seconds(&total)
+		},
+		record: c.RecordConvergence,
+		close:  func() {},
+	}
+}
+
+// gpuEngine adapts a simulated-GPU engine. Its seconds are the summed
+// simulated kernel time of every iteration.
+func gpuEngine(e *core.Engine, tr *trace.Collector, free func(), iterate func() (*core.IterationResult, error)) *engine {
+	if tr != nil {
+		e.SetTracer(tr)
+	}
+	secs := 0.0
+	return &engine{
+		step: func() error {
+			res, err := iterate()
+			if err != nil {
+				return err
+			}
+			secs += res.Construct.Seconds() + res.Update.Seconds()
+			return nil
+		},
+		best:    e.Best,
+		seconds: func() float64 { return secs },
+		record:  e.RecordConvergence,
+		close:   free,
+	}
+}
+
+// tensorEngine adapts a tensor engine. It runs natively on the host, so its
+// seconds are real wall-clock time since set-up, not a modelled estimate.
+func tensorEngine(e *tensor.Engine, tr *trace.Collector, iterate func()) *engine {
+	e.Tracer = tr
+	start := time.Now()
+	return &engine{
+		step:    func() error { iterate(); return nil },
+		best:    func() ([]int32, int64) { return e.BestTour, e.BestLen },
+		seconds: func() float64 { return time.Since(start).Seconds() },
+		record:  e.RecordConvergence,
+		close:   e.Close,
+	}
+}
+
+// pair keys the constructor switch.
+type pair struct {
+	b Backend
+	a Algorithm
+}
+
+// newEngine builds the engine of the solve's (backend, algorithm) pair.
+// Only unset (zero-valued) ACS and MMAS fields are defaulted; their seed
+// falls back to opts.Params.Seed, and on the tensor backend their worker
+// count to opts.Params.Workers. EAS and Rank run with the default variant
+// parameters (e = m, w = 6).
+func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*engine, error) {
+	v := opts.Variant
+	acs := opts.ACS.WithDefaults(opts.Params.Seed)
+	mmas := opts.MMAS.WithDefaults(opts.Params.Seed)
+	switch (pair{opts.Backend, opts.Algorithm}) {
+	case pair{BackendCPU, AlgorithmAS}:
+		d, err := derivedData(opts, in, true)
+		if err != nil {
 			return nil, err
 		}
 		c, err := aco.NewWithDerived(in, opts.Params, d)
 		if err != nil {
 			return nil, err
 		}
-		tr := newTracer(ctx, opts)
-		c.Tracer = tr
-		c.Conv = solveConv(opts, in)
-		c.ResetMeters()
-		var tour []int32
-		var l int64
 		if opts.LocalSearch {
-			for i := 0; i < opts.Iterations; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				c.ConstructTours(opts.Variant)
+			return cpuEngine(c, tr, func() {
+				c.ConstructTours(v)
 				c.LocalSearchTours(c.Ants())
 				c.UpdatePheromone()
-			}
-			tour, l = c.BestTour, c.BestLen
-		} else {
-			if tour, l, err = c.RunContext(ctx, opts.Variant, opts.Iterations); err != nil {
-				return nil, err
-			}
+			}), nil
 		}
-		cpu := aco.DefaultCPU()
-		total := c.ConstructMeter
-		total.Add(&c.PheromoneMeter)
-		total.Add(&c.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		tv := opts.Tour
-		if tv == 0 {
-			if in.N() <= 500 {
-				tv = TourDataParallelTexture
-			} else {
-				tv = TourNNSharedTexture
-			}
-		}
-		pv := opts.Pher
-		if pv == 0 {
-			pv = PherAtomicShared
-		}
-		if (opts.Faults != nil || opts.Recovery != nil) && !opts.LocalSearch {
-			var ro RecoveryOptions
-			if opts.Recovery != nil {
-				ro = *opts.Recovery
-			}
-			tr := newTracer(ctx, opts)
-			tour, l, secs, rep, err := core.RunRecovered(ctx, dev, in, opts.Params,
-				tv, pv, opts.Iterations, ro, tr, solveConv(opts, in), opts.Logger)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr, Recovery: rep}, nil
-		}
-		d, err := derivedData(opts, in, opts.Params.NN)
+		return cpuEngine(c, tr, func() { c.Iterate(v) }), nil
+	case pair{BackendCPU, AlgorithmACS}:
+		a, err := aco.NewACSColony(in, acs)
 		if err != nil {
 			return nil, err
 		}
-		e, err := core.NewEngineWithOptions(dev, in, opts.Params,
-			core.EngineOptions{Derived: d})
+		return cpuEngine(a.Colony, tr, a.Iterate), nil
+	case pair{BackendCPU, AlgorithmMMAS}:
+		m, err := aco.NewMMASColony(in, mmas)
 		if err != nil {
 			return nil, err
 		}
-		defer e.Free()
-		tr := newTracer(ctx, opts)
-		if tr != nil {
-			e.SetTracer(tr)
+		return cpuEngine(m.Colony, tr, func() { m.Iterate(v) }), nil
+	case pair{BackendCPU, AlgorithmEAS}:
+		e, err := aco.NewEASColony(in, opts.Params, 0)
+		if err != nil {
+			return nil, err
 		}
-		e.SetMetrics(solveConv(opts, in))
-		var tour []int32
-		var l int64
-		var secs float64
+		return cpuEngine(e.Colony, tr, func() { e.Iterate(v) }), nil
+	case pair{BackendCPU, AlgorithmRank}:
+		r, err := aco.NewRankColony(in, opts.Params, 0)
+		if err != nil {
+			return nil, err
+		}
+		return cpuEngine(r.Colony, tr, func() { r.Iterate(v) }), nil
+
+	case pair{BackendGPU, AlgorithmAS}:
+		d, err := derivedData(opts, in, false)
+		if err != nil {
+			return nil, err
+		}
+		e, err := core.NewEngineWithOptions(gpuDevice(ctx, opts), in, opts.Params, core.EngineOptions{Derived: d})
+		if err != nil {
+			return nil, err
+		}
+		tv, pv := gpuVersions(opts, in)
+		iterate := func() (*core.IterationResult, error) { return e.Iterate(tv, pv) }
 		if opts.LocalSearch {
-			for i := 0; i < opts.Iterations; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				res, err := e.IterateWithLocalSearch(tv, pv)
-				if err != nil {
-					return nil, err
-				}
-				secs += res.Construct.Seconds() + res.Update.Seconds()
-			}
-			tour, l = e.Best()
-		} else {
-			tour, l, secs, err = e.RunContext(ctx, tv, pv, opts.Iterations)
-			if err != nil {
-				return nil, err
-			}
+			iterate = func() (*core.IterationResult, error) { return e.IterateWithLocalSearch(tv, pv) }
 		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	case BackendTensor:
-		d, err := derivedData(opts, in, opts.Params.NN)
-		if errors.Is(err, tsp.ErrF32Precision) {
-			// Like the CPU colony, the tensor engine scores tours in exact
-			// int64 and never reads the float32 distance matrix, so it stays
-			// usable beyond the exact-float32 range — without the cache.
-			d = nil
-		} else if err != nil {
+		return gpuEngine(e, tr, e.Free, iterate), nil
+	case pair{BackendGPU, AlgorithmACS}:
+		a, err := core.NewACSEngine(gpuDevice(ctx, opts), in, acs)
+		if err != nil {
+			return nil, err
+		}
+		return gpuEngine(a.Engine, tr, a.Free, a.Iterate), nil
+	case pair{BackendGPU, AlgorithmMMAS}:
+		m, err := core.NewMMASEngine(gpuDevice(ctx, opts), in, mmas)
+		if err != nil {
+			return nil, err
+		}
+		if opts.Tour != 0 {
+			m.SetTourVersion(opts.Tour)
+		}
+		return gpuEngine(m.Engine, tr, m.Free, m.Iterate), nil
+	case pair{BackendGPU, AlgorithmEAS}:
+		e, err := core.NewEASEngine(gpuDevice(ctx, opts), in, opts.Params, 0)
+		if err != nil {
+			return nil, err
+		}
+		if opts.Tour != 0 {
+			e.SetTourVersion(opts.Tour)
+		}
+		return gpuEngine(e.Engine, tr, e.Free, e.Iterate), nil
+	case pair{BackendGPU, AlgorithmRank}:
+		r, err := core.NewRankEngine(gpuDevice(ctx, opts), in, opts.Params, 0)
+		if err != nil {
+			return nil, err
+		}
+		if opts.Tour != 0 {
+			r.SetTourVersion(opts.Tour)
+		}
+		return gpuEngine(r.Engine, tr, r.Free, r.Iterate), nil
+
+	case pair{BackendTensor, AlgorithmAS}:
+		d, err := derivedData(opts, in, true)
+		if err != nil {
 			return nil, err
 		}
 		e, err := tensor.NewWithDerived(in, opts.Params, d)
 		if err != nil {
 			return nil, err
 		}
-		defer e.Close()
-		tr := newTracer(ctx, opts)
-		e.Tracer = tr
-		e.Conv = solveConv(opts, in)
-		start := time.Now()
-		var tour []int32
-		var l int64
+		iterate := func() { e.Iterate(v) }
 		if opts.LocalSearch {
-			for i := 0; i < opts.Iterations; i++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				e.IterateWithLocalSearch(opts.Variant)
-			}
-			tour, l = e.BestTour, e.BestLen
-		} else {
-			if tour, l, err = e.RunContext(ctx, opts.Variant, opts.Iterations); err != nil {
-				return nil, err
-			}
+			iterate = func() { e.IterateWithLocalSearch(v) }
 		}
-		// The tensor engine runs natively on the host, so the duration is
-		// real wall-clock time, not a modelled estimate.
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
-	}
-}
-
-// solveMMAS runs the Max-Min Ant System variant on either backend. Like
-// the AS path, only unset (zero-valued) MMAS fields are defaulted; the
-// seed falls back to opts.Params.Seed when unset.
-func solveMMAS(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
-	p := opts.MMAS.WithDefaults(opts.Params.Seed)
-	switch opts.Backend {
-	case BackendCPU:
-		c, err := aco.NewMMASColony(in, p)
+		return tensorEngine(e, tr, iterate), nil
+	case pair{BackendTensor, AlgorithmACS}:
+		if acs.Workers == 0 {
+			acs.Workers = opts.Params.Workers
+		}
+		a, err := tensor.NewACS(in, acs)
 		if err != nil {
 			return nil, err
 		}
-		tr := newTracer(ctx, opts)
-		c.Tracer = tr
-		c.ResetMeters()
-		tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
+		return tensorEngine(a.Engine, tr, a.Iterate), nil
+	case pair{BackendTensor, AlgorithmMMAS}:
+		if mmas.Workers == 0 {
+			mmas.Workers = opts.Params.Workers
+		}
+		m, err := tensor.NewMMAS(in, mmas)
 		if err != nil {
 			return nil, err
 		}
-		cpu := aco.DefaultCPU()
-		total := c.ConstructMeter
-		total.Add(&c.PheromoneMeter)
-		total.Add(&c.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		e, err := core.NewMMASEngine(dev, in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Free()
-		tr := newTracer(ctx, opts)
-		if tr != nil {
-			e.SetTracer(tr)
-		}
-		if opts.Tour != 0 {
-			e.SetTourVersion(opts.Tour)
-		}
-		tour, l, secs, err := e.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	case BackendTensor:
-		if p.Workers == 0 {
-			// Like the seed, the worker knob falls back to the AS-level
-			// Params of the enclosing solve options.
-			p.Workers = opts.Params.Workers
-		}
-		e, err := tensor.NewMMAS(in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		tr := newTracer(ctx, opts)
-		e.Tracer = tr
-		e.Conv = solveConv(opts, in)
-		start := time.Now()
-		tour, l, err := e.RunContext(ctx, opts.Variant, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
-	}
-}
-
-// solveVariant runs the Elitist or Rank-based Ant System on either backend
-// with the default variant parameters (e = m, w = 6).
-func solveVariant(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
-	if opts.Backend == BackendTensor {
+		return tensorEngine(m.Engine, tr, func() { m.Iterate(v) }), nil
+	case pair{BackendTensor, AlgorithmEAS}, pair{BackendTensor, AlgorithmRank}:
 		return nil, fmt.Errorf("antgpu: the tensor backend supports AS, ACS and MMAS; %v is not tensorized", opts.Algorithm)
 	}
-	tr := newTracer(ctx, opts)
-	switch opts.Backend {
-	case BackendCPU:
-		var run func() ([]int32, int64, *aco.Colony, error)
-		if opts.Algorithm == AlgorithmEAS {
-			c, err := aco.NewEASColony(in, opts.Params, 0)
-			if err != nil {
-				return nil, err
-			}
-			c.Tracer = tr
-			c.ResetMeters()
-			run = func() ([]int32, int64, *aco.Colony, error) {
-				tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
-				return tour, l, c.Colony, err
-			}
-		} else {
-			c, err := aco.NewRankColony(in, opts.Params, 0)
-			if err != nil {
-				return nil, err
-			}
-			c.Tracer = tr
-			c.ResetMeters()
-			run = func() ([]int32, int64, *aco.Colony, error) {
-				tour, l, err := c.RunContext(ctx, opts.Variant, opts.Iterations)
-				return tour, l, c.Colony, err
-			}
-		}
-		tour, l, col, err := run()
-		if err != nil {
-			return nil, err
-		}
-		cpu := aco.DefaultCPU()
-		total := col.ConstructMeter
-		total.Add(&col.PheromoneMeter)
-		total.Add(&col.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		var tour []int32
-		var l int64
-		var secs float64
-		var err error
-		if opts.Algorithm == AlgorithmEAS {
-			var e *core.EASEngine
-			if e, err = core.NewEASEngine(dev, in, opts.Params, 0); err == nil {
-				defer e.Free()
-				if tr != nil {
-					e.SetTracer(tr)
-				}
-				if opts.Tour != 0 {
-					e.SetTourVersion(opts.Tour)
-				}
-				tour, l, secs, err = e.RunContext(ctx, opts.Iterations)
-			}
-		} else {
-			var r *core.RankEngine
-			if r, err = core.NewRankEngine(dev, in, opts.Params, 0); err == nil {
-				defer r.Free()
-				if tr != nil {
-					r.SetTracer(tr)
-				}
-				if opts.Tour != 0 {
-					r.SetTourVersion(opts.Tour)
-				}
-				tour, l, secs, err = r.RunContext(ctx, opts.Iterations)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
-	}
-}
-
-// solveACS runs the Ant Colony System variant on either backend. Like the
-// AS path, only unset (zero-valued) ACS fields are defaulted; the seed
-// falls back to opts.Params.Seed when unset.
-func solveACS(ctx context.Context, in *Instance, opts SolveOptions) (*Result, error) {
-	p := opts.ACS.WithDefaults(opts.Params.Seed)
-	switch opts.Backend {
-	case BackendCPU:
-		c, err := aco.NewACSColony(in, p)
-		if err != nil {
-			return nil, err
-		}
-		tr := newTracer(ctx, opts)
-		c.Tracer = tr
-		c.ResetMeters()
-		tour, l, err := c.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		cpu := aco.DefaultCPU()
-		total := c.ConstructMeter
-		total.Add(&c.PheromoneMeter)
-		total.Add(&c.ChoiceMeter)
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: cpu.Seconds(&total), Trace: tr}, nil
-	case BackendGPU:
-		dev := gpuDevice(ctx, opts)
-		e, err := core.NewACSEngine(dev, in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Free()
-		tr := newTracer(ctx, opts)
-		if tr != nil {
-			e.SetTracer(tr)
-		}
-		tour, l, secs, err := e.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr}, nil
-	case BackendTensor:
-		if p.Workers == 0 {
-			// Like the seed, the worker knob falls back to the AS-level
-			// Params of the enclosing solve options.
-			p.Workers = opts.Params.Workers
-		}
-		e, err := tensor.NewACS(in, p)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		tr := newTracer(ctx, opts)
-		e.Tracer = tr
-		e.Conv = solveConv(opts, in)
-		start := time.Now()
-		tour, l, err := e.RunContext(ctx, opts.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: time.Since(start).Seconds(), Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
-	}
+	return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
 }

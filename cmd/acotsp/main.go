@@ -51,13 +51,12 @@ func run(args []string, stdout io.Writer) error {
 		iterLog   = fs.Bool("trace", false, "log per-iteration best and stage times (gpu backend)")
 		alg       = fs.String("alg", "as", "algorithm: as, acs, mmas, eas or rank")
 		ls        = fs.Bool("ls", false, "apply 2-opt local search to every ant's tour (AS only)")
-		runs      = fs.Int("runs", 1, "independent runs with consecutive seeds, best-of (AS; "+
-			"the gpu backend schedules them concurrently)")
-		workers  = fs.Int("workers", 0, "worker goroutines for -runs on the gpu backend (0 = GOMAXPROCS)")
-		tourOut  = fs.String("tourout", "", "write the best tour to this TSPLIB .tour file")
-		profile  = fs.Bool("profile", false, "profile every kernel launch and phase; print the per-kernel summary")
-		traceOut = fs.String("traceout", "", "write the profile as Chrome trace-event JSON (implies -profile)")
-		inject   = fs.String("inject", "", "inject deterministic device faults, e.g. rate=0.02,sticky=0.1,seed=7 "+
+		runs      = fs.Int("runs", 1, "independent runs with consecutive seeds, solved concurrently; reports the best")
+		workers   = fs.Int("workers", 0, "worker goroutines for -runs (0 = GOMAXPROCS)")
+		tourOut   = fs.String("tourout", "", "write the best tour to this TSPLIB .tour file")
+		profile   = fs.Bool("profile", false, "profile every kernel launch and phase; print the per-kernel summary")
+		traceOut  = fs.String("traceout", "", "write the profile as Chrome trace-event JSON (implies -profile)")
+		inject    = fs.String("inject", "", "inject deterministic device faults, e.g. rate=0.02,sticky=0.1,seed=7 "+
 			"(gpu backend; AS recovers via checkpoint/retry/CPU-failover, other algorithms fail fast)")
 		metricsOut = fs.String("metricsout", "", "write the solve's Prometheus metrics exposition to this file "+
 			"(\"-\" for stdout): kernel hardware counters, convergence gauges, solve outcomes")
@@ -122,142 +121,68 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "instance %s: %d cities (%s), %d ants, %d iterations\n",
 		in.Name, in.N(), in.Type, p.AntCount(in.N()), *iters)
 
-	if v := strings.ToLower(*alg); v == "acs" || v == "mmas" || v == "eas" || v == "rank" {
-		opts := antgpu.SolveOptions{Iterations: *iters, Profile: *profile, Metrics: reg, Optimum: *optimum}
-		switch v {
-		case "eas":
-			opts.Algorithm = antgpu.AlgorithmEAS
-			opts.Params = p
-		case "rank":
-			opts.Algorithm = antgpu.AlgorithmRank
-			opts.Params = p
-		case "acs":
-			opts.Algorithm = antgpu.AlgorithmACS
-			acs := antgpu.DefaultACSParams()
-			acs.Seed = *seed
-			if *ants > 0 {
-				acs.Ants = *ants
-			}
-			opts.ACS = acs
-		case "mmas":
-			opts.Algorithm = antgpu.AlgorithmMMAS
-			mmas := antgpu.DefaultMMASParams()
-			mmas.Seed = *seed
-			if *ants > 0 {
-				mmas.Ants = *ants
-			}
-			opts.MMAS = mmas
+	// ACS and MMAS default their unset fields per field and take their seed
+	// from Params, so only an explicit -ants needs carrying over.
+	opts := antgpu.SolveOptions{
+		Params: p, Iterations: *iters, LocalSearch: *ls, Profile: *profile,
+		Metrics: reg, Optimum: *optimum,
+	}
+	switch strings.ToLower(*alg) {
+	case "as":
+		opts.Variant = aco.NNListConstruction
+		if *variant == "full" {
+			opts.Variant = aco.FullProbabilistic
 		}
-		clock := "modelled CPU"
-		if *backend == "tensor" {
-			opts.Backend = antgpu.BackendTensor
-			clock = "host wall-clock"
-		}
-		if *backend == "gpu" {
-			opts.Backend = antgpu.BackendGPU
-			opts.Faults = faults
-			if strings.EqualFold(*device, "c1060") {
-				opts.Device = antgpu.TeslaC1060()
-			} else {
-				opts.Device = antgpu.TeslaM2050()
-			}
-			fmt.Fprintf(stdout, "device: %s\n", opts.Device)
-			clock = "simulated GPU"
-		}
-		res, err := antgpu.Solve(in, opts)
-		if err != nil {
-			return err
-		}
-		reportRecovery(stdout, res.Recovery)
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, clock); err != nil {
-			return err
-		}
-		return emitProfile(stdout, res.Trace, *traceOut)
+	case "acs":
+		opts.Algorithm = antgpu.AlgorithmACS
+		opts.ACS.Ants = *ants
+	case "mmas":
+		opts.Algorithm = antgpu.AlgorithmMMAS
+		opts.MMAS.Ants = *ants
+	case "eas":
+		opts.Algorithm = antgpu.AlgorithmEAS
+	case "rank":
+		opts.Algorithm = antgpu.AlgorithmRank
+	default:
+		return fmt.Errorf("unknown algorithm %q (want as, acs, mmas, eas or rank)", *alg)
 	}
 
-	if *backend == "tensor" {
-		if *runs > 1 {
-			return fmt.Errorf("-runs is not supported with -backend tensor (use the batch API)")
-		}
+	label, clock := "CPU", "modelled CPU"
+	switch *backend {
+	case "tensor":
 		if *iterLog {
 			return fmt.Errorf("-trace is not supported with -backend tensor")
 		}
-		v := aco.NNListConstruction
-		if *variant == "full" {
-			v = aco.FullProbabilistic
+		opts.Backend, label, clock = antgpu.BackendTensor, "tensor", "host wall-clock"
+	case "gpu":
+		var dev *antgpu.Device
+		switch strings.ToLower(*device) {
+		case "c1060":
+			dev = antgpu.TeslaC1060()
+		case "m2050":
+			dev = antgpu.TeslaM2050()
+		default:
+			return fmt.Errorf("unknown device %q (want c1060 or m2050)", *device)
 		}
-		res, err := antgpu.Solve(in, antgpu.SolveOptions{
-			Params: p, Iterations: *iters, Variant: v, Backend: antgpu.BackendTensor,
-			LocalSearch: *ls, Profile: *profile, Metrics: reg, Optimum: *optimum,
-		})
-		if err != nil {
-			return err
+		fmt.Fprintf(stdout, "device: %s\n", dev)
+		if *iterLog && opts.Algorithm == antgpu.AlgorithmAS {
+			return tracedRun(stdout, dev, in, p, *tourV, *pherV, *iters, *profile, *tourOut, *traceOut)
 		}
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, "host wall-clock"); err != nil {
-			return err
-		}
-		if err := writeTour(stdout, *tourOut, in, res.BestTour); err != nil {
-			return err
-		}
-		return emitProfile(stdout, res.Trace, *traceOut)
+		opts.Backend, opts.Device, opts.Faults = antgpu.BackendGPU, dev, faults
+		opts.Tour, opts.Pher = antgpu.TourVersion(*tourV), antgpu.PherVersion(*pherV)
+		label, clock = "GPU", "simulated GPU"
 	}
 
-	if *backend == "cpu" {
-		v := aco.NNListConstruction
-		if *variant == "full" {
-			v = aco.FullProbabilistic
-		}
-		if *runs > 1 {
-			results, best, err := aco.IndependentRuns(in, p, v, *runs, *iters)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "best of %d independent runs (seed %d):\n", *runs, results[best].Seed)
-			if err := report(stdout, in, results[best].BestTour, results[best].BestLen, 0, "modelled CPU"); err != nil {
-				return err
-			}
-			return writeTour(stdout, *tourOut, in, results[best].BestTour)
-		}
-		res, err := antgpu.Solve(in, antgpu.SolveOptions{
-			Params: p, Iterations: *iters, Variant: v, LocalSearch: *ls, Profile: *profile,
-			Metrics: reg, Optimum: *optimum,
-		})
-		if err != nil {
-			return err
-		}
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, "modelled CPU"); err != nil {
-			return err
-		}
-		if err := writeTour(stdout, *tourOut, in, res.BestTour); err != nil {
-			return err
-		}
-		return emitProfile(stdout, res.Trace, *traceOut)
-	}
-
-	var dev *antgpu.Device
-	switch strings.ToLower(*device) {
-	case "c1060":
-		dev = antgpu.TeslaC1060()
-	case "m2050":
-		dev = antgpu.TeslaM2050()
-	default:
-		return fmt.Errorf("unknown device %q (want c1060 or m2050)", *device)
-	}
-	fmt.Fprintf(stdout, "device: %s\n", dev)
-
-	if *runs > 1 && !*iterLog {
-		// Best-of over consecutive seeds, scheduled concurrently: every run
-		// solves on a private clone of dev and the runs share the instance's
-		// derived data through the batch pool's cache.
+	var res *antgpu.Result
+	var tr *antgpu.Trace
+	if *runs > 1 {
+		// Best-of over consecutive seeds, scheduled concurrently as one
+		// batch: the runs share the instance's derived data through the
+		// pool's cache, and GPU runs each solve on a private device clone.
 		reqs := make([]antgpu.SolveRequest, *runs)
 		for i := range reqs {
-			pi := p
-			pi.Seed = *seed + uint64(i)
-			reqs[i] = antgpu.SolveRequest{Instance: in, Options: antgpu.SolveOptions{
-				Params: pi, Iterations: *iters, Backend: antgpu.BackendGPU,
-				Device: dev, Tour: antgpu.TourVersion(*tourV), Pher: antgpu.PherVersion(*pherV),
-				LocalSearch: *ls, Faults: faults, Optimum: *optimum,
-			}}
+			reqs[i] = antgpu.SolveRequest{Instance: in, Options: opts}
+			reqs[i].Options.Params.Seed = *seed + uint64(i)
 		}
 		rep, err := antgpu.SolveBatch(context.Background(), reqs,
 			antgpu.PoolOptions{Workers: *workers, Metrics: reg})
@@ -273,60 +198,53 @@ func run(args []string, stdout io.Writer) error {
 				best = i
 			}
 		}
-		fmt.Fprintf(stdout, "best of %d concurrent GPU runs (seed %d): "+
+		fmt.Fprintf(stdout, "best of %d concurrent %s runs (seed %d): "+
 			"%.3f s wall, %.3f s simulated total, cache %d hits / %d misses\n",
-			*runs, *seed+uint64(best), rep.WallSeconds, rep.SimulatedSeconds,
+			*runs, label, *seed+uint64(best), rep.WallSeconds, rep.SimulatedSeconds,
 			rep.CacheHits, rep.CacheMisses)
-		res := rep.Results[best].Result
-		reportRecovery(stdout, res.Recovery)
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, "simulated GPU"); err != nil {
+		res, tr = rep.Results[best].Result, rep.Trace
+	} else {
+		var err error
+		if res, err = antgpu.Solve(in, opts); err != nil {
 			return err
 		}
-		return writeTour(stdout, *tourOut, in, res.BestTour)
+		tr = res.Trace
 	}
-
-	if !*iterLog {
-		res, err := antgpu.Solve(in, antgpu.SolveOptions{
-			Params: p, Iterations: *iters, Backend: antgpu.BackendGPU,
-			Device: dev, Tour: antgpu.TourVersion(*tourV), Pher: antgpu.PherVersion(*pherV),
-			LocalSearch: *ls, Profile: *profile, Faults: faults,
-			Metrics: reg, Optimum: *optimum,
-		})
-		if err != nil {
-			return err
-		}
-		reportRecovery(stdout, res.Recovery)
-		if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, "simulated GPU"); err != nil {
-			return err
-		}
-		if err := writeTour(stdout, *tourOut, in, res.BestTour); err != nil {
-			return err
-		}
-		return emitProfile(stdout, res.Trace, *traceOut)
+	reportRecovery(stdout, res.Recovery)
+	if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, clock); err != nil {
+		return err
 	}
+	if err := writeTour(stdout, *tourOut, in, res.BestTour); err != nil {
+		return err
+	}
+	return emitProfile(stdout, tr, *traceOut)
+}
 
-	// Traced run: drive the engine directly for per-iteration detail.
+// tracedRun drives the GPU Ant System engine directly, logging every
+// iteration's best length and stage times.
+func tracedRun(stdout io.Writer, dev *antgpu.Device, in *antgpu.Instance, p antgpu.Params,
+	tourV, pherV, iters int, profile bool, tourOut, traceOut string) error {
 	e, err := core.NewEngine(dev, in, p)
 	if err != nil {
 		return err
 	}
 	defer e.Free()
 	var tr *antgpu.Trace
-	if *profile {
+	if profile {
 		tr = antgpu.NewTrace()
 		e.SetTracer(tr)
 	}
-	tv := antgpu.TourVersion(*tourV)
+	tv := antgpu.TourVersion(tourV)
 	if tv == 0 {
 		tv = antgpu.TourNNSharedTexture
 	}
-	pv := antgpu.PherVersion(*pherV)
+	pv := antgpu.PherVersion(pherV)
 	if pv == 0 {
 		pv = antgpu.PherAtomicShared
 	}
 	fmt.Fprintf(stdout, "kernels: %v / %v\n", tv, pv)
 	total := 0.0
-	for i := 1; i <= *iters; i++ {
+	for i := 1; i <= iters; i++ {
 		res, err := e.Iterate(tv, pv)
 		if err != nil {
 			return err
@@ -340,10 +258,10 @@ func run(args []string, stdout io.Writer) error {
 	if err := report(stdout, in, tour, best, total, "simulated GPU"); err != nil {
 		return err
 	}
-	if err := writeTour(stdout, *tourOut, in, tour); err != nil {
+	if err := writeTour(stdout, tourOut, in, tour); err != nil {
 		return err
 	}
-	return emitProfile(stdout, tr, *traceOut)
+	return emitProfile(stdout, tr, traceOut)
 }
 
 // writeMetrics writes the registry's Prometheus exposition to path ("-"

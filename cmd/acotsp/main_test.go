@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -164,26 +165,40 @@ func TestInjectRejectsBadUsage(t *testing.T) {
 }
 
 func TestSmokeGPURuns(t *testing.T) {
+	checkBestOfRuns(t, "gpu", "GPU", 4)
+}
+
+// TestSmokeRunsHostBackends: -runs takes the same batch path on the cpu
+// and tensor backends as on gpu.
+func TestSmokeRunsHostBackends(t *testing.T) {
+	checkBestOfRuns(t, "cpu", "CPU", 3)
+	checkBestOfRuns(t, "tensor", "tensor", 3)
+}
+
+// checkBestOfRuns runs -runs on the backend and checks the batch header,
+// that the runs shared the instance's derived data, and that the best-of
+// matches the best of the same seeds run one by one.
+func checkBestOfRuns(t *testing.T, backend, label string, runs int) {
+	t.Helper()
 	var out bytes.Buffer
 	err := run([]string{"-bench", "att48", "-seed", "7", "-iters", "3",
-		"-backend", "gpu", "-runs", "4", "-workers", "2"}, &out)
+		"-backend", backend, "-runs", strconv.Itoa(runs), "-workers", "2"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(out.Bytes(), []byte("best of 4 concurrent GPU runs")) {
+	if !bytes.Contains(out.Bytes(), []byte(fmt.Sprintf("best of %d concurrent %s runs", runs, label))) {
 		t.Fatalf("no best-of header in output:\n%s", out.String())
 	}
-	if !bytes.Contains(out.Bytes(), []byte("cache 3 hits / 1 misses")) {
+	if !bytes.Contains(out.Bytes(), []byte(fmt.Sprintf("cache %d hits / 1 misses", runs-1))) {
 		t.Fatalf("runs did not share derived data:\n%s", out.String())
 	}
 	multi := bestLen(t, out.String())
 
-	// The best-of must match the best of four sequential single runs.
 	bestSolo := 0
-	for s := 7; s <= 10; s++ {
+	for s := 7; s < 7+runs; s++ {
 		var solo bytes.Buffer
 		if err := run([]string{"-bench", "att48", "-seed", strconv.Itoa(s), "-iters", "3",
-			"-backend", "gpu"}, &solo); err != nil {
+			"-backend", backend}, &solo); err != nil {
 			t.Fatal(err)
 		}
 		if l := bestLen(t, solo.String()); bestSolo == 0 || l < bestSolo {
@@ -191,7 +206,7 @@ func TestSmokeGPURuns(t *testing.T) {
 		}
 	}
 	if multi != bestSolo {
-		t.Fatalf("best-of-4 reported %d, sequential best is %d", multi, bestSolo)
+		t.Fatalf("%s: best-of-%d reported %d, sequential best is %d", backend, runs, multi, bestSolo)
 	}
 }
 

@@ -1,7 +1,6 @@
 package aco
 
 import (
-	"context"
 	"math"
 
 	"antgpu/internal/rng"
@@ -254,22 +253,4 @@ func (a *ACS) Iterate() {
 	defer a.phase("iteration")()
 	a.ConstructTours()
 	a.GlobalUpdate()
-}
-
-// Run executes iters iterations and returns the best tour and length.
-func (a *ACS) Run(iters int) ([]int32, int64) {
-	tour, l, _ := a.RunContext(context.Background(), iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (a *ACS) RunContext(ctx context.Context, iters int) ([]int32, int64, error) {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		a.Iterate()
-	}
-	return a.BestTour, a.BestLen, nil
 }

@@ -126,7 +126,10 @@ func TestACSConvergesOnSmallInstance(t *testing.T) {
 	a.ConstructTours()
 	first := a.BestLen
 	a.GlobalUpdate()
-	_, best := a.Run(30)
+	for i := 0; i < 30; i++ {
+		a.Iterate()
+	}
+	best := a.BestLen
 	if best > first {
 		t.Errorf("ACS best after 30 iterations (%d) worse than first batch (%d)", best, first)
 	}
@@ -143,8 +146,10 @@ func TestACSConvergesOnSmallInstance(t *testing.T) {
 func TestACSDeterministicPerSeed(t *testing.T) {
 	a := newACS(t, "att48")
 	b := newACS(t, "att48")
-	a.Run(3)
-	b.Run(3)
+	for i := 0; i < 3; i++ {
+		a.Iterate()
+		b.Iterate()
+	}
 	if a.BestLen != b.BestLen {
 		t.Errorf("same-seed ACS runs diverged: %d vs %d", a.BestLen, b.BestLen)
 	}
@@ -157,7 +162,9 @@ func TestACSDeterministicPerSeed(t *testing.T) {
 
 func TestACSPheromoneStaysPositive(t *testing.T) {
 	a := newACS(t, "att48")
-	a.Run(10)
+	for i := 0; i < 10; i++ {
+		a.Iterate()
+	}
 	for i, v := range a.Pher {
 		if v <= 0 {
 			t.Fatalf("pheromone[%d] = %v", i, v)

@@ -1,7 +1,6 @@
 package aco
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -66,11 +65,6 @@ type Colony struct {
 	// timeline; phase durations come from the stage meters through the
 	// reference CPU model (DefaultCPU).
 	Tracer *trace.Collector
-
-	// Conv, when non-nil, receives per-iteration convergence metrics
-	// (best/mean tour length, pheromone entropy, λ-branching). The O(n²)
-	// matrix statistics are computed only while a recorder is attached.
-	Conv *metrics.Convergence
 
 	// scratch
 	visited []bool
@@ -420,37 +414,36 @@ func (c *Colony) Iterate(v Variant) {
 	defer c.phase("iteration")()
 	c.ConstructTours(v)
 	c.UpdatePheromone()
-	if c.Conv != nil {
-		best := int64(math.MaxInt64)
-		sum := int64(0)
-		for _, l := range c.Lengths {
-			sum += l
-			if l < best {
-				best = l
-			}
-		}
-		c.Conv.RecordIteration(float64(best), float64(sum)/float64(c.m), c.BestLen)
-		c.Conv.RecordPheromone64(c.Pher, c.n)
-	}
 }
 
 // Run executes `iters` iterations and returns the best tour found and its
 // length.
 func (c *Colony) Run(v Variant, iters int) ([]int32, int64) {
-	tour, l, _ := c.RunContext(context.Background(), v, iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (c *Colony) RunContext(ctx context.Context, v Variant, iters int) ([]int32, int64, error) {
 	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
 		c.Iterate(v)
 	}
-	return c.BestTour, c.BestLen, nil
+	return c.BestTour, c.BestLen
+}
+
+// RecordConvergence publishes the latest iteration to conv: the best and
+// mean tour length of the colony, the best-so-far and the pheromone
+// statistics. Every algorithm embedding the colony shares it. A nil conv
+// is a no-op, so the O(n²) matrix statistics run only while a recorder is
+// attached.
+func (c *Colony) RecordConvergence(conv *metrics.Convergence) {
+	if conv == nil {
+		return
+	}
+	best := int64(math.MaxInt64)
+	sum := int64(0)
+	for _, l := range c.Lengths {
+		sum += l
+		if l < best {
+			best = l
+		}
+	}
+	conv.RecordIteration(float64(best), float64(sum)/float64(c.m), c.BestLen)
+	conv.RecordPheromone64(c.Pher, c.n)
 }
 
 func min(a, b int) int {

@@ -1,7 +1,6 @@
 package aco
 
 import (
-	"context"
 	"math"
 
 	"antgpu/internal/tsp"
@@ -180,24 +179,6 @@ func (m *MMAS) Iterate(v Variant) {
 	if m.iterSinceBest >= m.PM.StagnationReset {
 		m.resetTrails()
 	}
-}
-
-// Run executes iters iterations and returns the best tour and length.
-func (m *MMAS) Run(v Variant, iters int) ([]int32, int64) {
-	tour, l, _ := m.RunContext(context.Background(), v, iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (m *MMAS) RunContext(ctx context.Context, v Variant, iters int) ([]int32, int64, error) {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		m.Iterate(v)
-	}
-	return m.BestTour, m.BestLen, nil
 }
 
 // BoundsValid reports whether every trail lies in [τmin, τmax] (within a

@@ -94,7 +94,9 @@ func TestMMASConverges(t *testing.T) {
 	m := newMMAS(t, "kroC100")
 	m.Iterate(aco.NNListConstruction)
 	first := m.BestLen
-	m.Run(aco.NNListConstruction, 250)
+	for i := 0; i < 250; i++ {
+		m.Iterate(aco.NNListConstruction)
+	}
 	if m.BestLen > first {
 		t.Errorf("MMAS best after 250 iterations (%d) worse than first (%d)", m.BestLen, first)
 	}
@@ -107,8 +109,10 @@ func TestMMASConverges(t *testing.T) {
 func TestMMASDeterministic(t *testing.T) {
 	a := newMMAS(t, "att48")
 	b := newMMAS(t, "att48")
-	a.Run(aco.NNListConstruction, 5)
-	b.Run(aco.NNListConstruction, 5)
+	for i := 0; i < 5; i++ {
+		a.Iterate(aco.NNListConstruction)
+		b.Iterate(aco.NNListConstruction)
+	}
 	if a.BestLen != b.BestLen {
 		t.Errorf("same-seed MMAS diverged: %d vs %d", a.BestLen, b.BestLen)
 	}
@@ -116,7 +120,9 @@ func TestMMASDeterministic(t *testing.T) {
 
 func TestMMASBoundsTrackBestTour(t *testing.T) {
 	m := newMMAS(t, "kroC100")
-	m.Run(aco.NNListConstruction, 10)
+	for i := 0; i < 10; i++ {
+		m.Iterate(aco.NNListConstruction)
+	}
 	// After any improvement, τmax must equal 1/(ρ·C_best) and τmin must be
 	// τmax/(2n).
 	want := 1 / (m.P.Rho * float64(m.BestLen))

@@ -1,7 +1,6 @@
 package aco
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -69,24 +68,6 @@ func (e *EAS) Iterate(v Variant) {
 	e.UpdatePheromone()
 }
 
-// Run executes iters iterations and returns the best tour and length.
-func (e *EAS) Run(v Variant, iters int) ([]int32, int64) {
-	tour, l, _ := e.RunContext(context.Background(), v, iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (e *EAS) RunContext(ctx context.Context, v Variant, iters int) ([]int32, int64, error) {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		e.Iterate(v)
-	}
-	return e.BestTour, e.BestLen, nil
-}
-
 // RankAS is a rank-based Ant System colony.
 type RankAS struct {
 	*Colony
@@ -141,24 +122,6 @@ func (r *RankAS) Iterate(v Variant) {
 	defer r.phase("iteration")()
 	r.ConstructTours(v)
 	r.UpdatePheromone()
-}
-
-// Run executes iters iterations and returns the best tour and length.
-func (r *RankAS) Run(v Variant, iters int) ([]int32, int64) {
-	tour, l, _ := r.RunContext(context.Background(), v, iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (r *RankAS) RunContext(ctx context.Context, v Variant, iters int) ([]int32, int64, error) {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		r.Iterate(v)
-	}
-	return r.BestTour, r.BestLen, nil
 }
 
 // BranchingFactor returns the average λ-branching factor of the pheromone

@@ -48,7 +48,10 @@ func TestEASConvergesFasterThanAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, easBest := eas.Run(aco.NNListConstruction, 15)
+	for i := 0; i < 15; i++ {
+		eas.Iterate(aco.NNListConstruction)
+	}
+	easBest := eas.BestLen
 	if err := in.ValidTour(eas.BestTour); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,10 @@ func TestRankASConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, best := r.Run(aco.NNListConstruction, 20)
+	for i := 0; i < 20; i++ {
+		r.Iterate(aco.NNListConstruction)
+	}
+	best := r.BestLen
 	if err := in.ValidTour(r.BestTour); err != nil {
 		t.Fatal(err)
 	}

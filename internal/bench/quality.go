@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"antgpu"
 	"antgpu/internal/aco"
 	"antgpu/internal/core"
 	"antgpu/internal/cuda"
-	"antgpu/internal/tsp"
 )
 
 // QualityTable checks the paper's side remark that the GPU implementations'
@@ -15,7 +15,9 @@ import (
 // it runs the CPU Ant System, the GPU Ant System (data-parallel and NN-list
 // construction), and the ACS/MMAS extensions for the same iteration budget
 // and reports each best tour as a ratio to the greedy nearest-neighbour
-// tour (lower is better; < 1 beats greedy).
+// tour (lower is better; < 1 beats greedy). Every row is one SolveOptions
+// value through antgpu.Solve on cfg.Params; ACS and MMAS run their default
+// parameters with cfg.Params.Seed.
 func QualityTable(dev *cuda.Device, cfg Config, iterations int) (*Table, error) {
 	start := time.Now()
 	cfg = cfg.withDefaults()
@@ -32,91 +34,22 @@ func QualityTable(dev *cuda.Device, cfg Config, iterations int) (*Table, error) 
 		Instances: cfg.Instances,
 	}
 
-	type runner func(in *tsp.Instance) (int64, error)
+	gpu := func(o antgpu.SolveOptions) antgpu.SolveOptions {
+		o.Backend, o.Device = antgpu.BackendGPU, dev
+		return o
+	}
 	configs := []struct {
 		name string
-		run  runner
+		opts antgpu.SolveOptions
 	}{
-		{"AS, sequential CPU", func(in *tsp.Instance) (int64, error) {
-			c, err := aco.New(in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			_, l := c.Run(aco.NNListConstruction, iterations)
-			return l, nil
-		}},
-		{"AS, GPU data-parallel (v8)", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEngine(dev, in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			_, l, _, err := e.Run(core.TourDataParallelTexture, core.PherAtomicShared, iterations)
-			return l, err
-		}},
-		{"AS, GPU NN-list (v6)", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEngine(dev, in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			_, l, _, err := e.Run(core.TourNNSharedTexture, core.PherAtomicShared, iterations)
-			return l, err
-		}},
-		{"AS + 2-opt, GPU", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEngine(dev, in, cfg.Params)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			for i := 0; i < iterations; i++ {
-				if _, err := e.IterateWithLocalSearch(core.TourNNList, core.PherAtomicShared); err != nil {
-					return 0, err
-				}
-			}
-			_, l := e.Best()
-			return l, nil
-		}},
-		{"EAS, GPU", func(in *tsp.Instance) (int64, error) {
-			e, err := core.NewEASEngine(dev, in, cfg.Params, 0)
-			if err != nil {
-				return 0, err
-			}
-			defer e.Free()
-			_, l, _, err := e.Run(iterations)
-			return l, err
-		}},
-		{"ASrank, GPU", func(in *tsp.Instance) (int64, error) {
-			r, err := core.NewRankEngine(dev, in, cfg.Params, 0)
-			if err != nil {
-				return 0, err
-			}
-			defer r.Free()
-			_, l, _, err := r.Run(iterations)
-			return l, err
-		}},
-		{"ACS, GPU", func(in *tsp.Instance) (int64, error) {
-			p := aco.DefaultACSParams()
-			p.Seed = cfg.Params.Seed
-			a, err := core.NewACSEngine(dev, in, p)
-			if err != nil {
-				return 0, err
-			}
-			defer a.Free()
-			_, l, _, err := a.Run(iterations)
-			return l, err
-		}},
-		{"MMAS, GPU", func(in *tsp.Instance) (int64, error) {
-			p := aco.DefaultMMASParams()
-			p.Seed = cfg.Params.Seed
-			m, err := core.NewMMASEngine(dev, in, p)
-			if err != nil {
-				return 0, err
-			}
-			defer m.Free()
-			_, l, _, err := m.Run(iterations)
-			return l, err
-		}},
+		{"AS, sequential CPU", antgpu.SolveOptions{Variant: aco.NNListConstruction}},
+		{"AS, GPU data-parallel (v8)", gpu(antgpu.SolveOptions{Tour: core.TourDataParallelTexture})},
+		{"AS, GPU NN-list (v6)", gpu(antgpu.SolveOptions{Tour: core.TourNNSharedTexture})},
+		{"AS + 2-opt, GPU", gpu(antgpu.SolveOptions{Tour: core.TourNNList, LocalSearch: true})},
+		{"EAS, GPU", gpu(antgpu.SolveOptions{Algorithm: antgpu.AlgorithmEAS})},
+		{"ASrank, GPU", gpu(antgpu.SolveOptions{Algorithm: antgpu.AlgorithmRank})},
+		{"ACS, GPU", gpu(antgpu.SolveOptions{Algorithm: antgpu.AlgorithmACS})},
+		{"MMAS, GPU", gpu(antgpu.SolveOptions{Algorithm: antgpu.AlgorithmMMAS})},
 	}
 
 	greedy := make([]float64, len(instances))
@@ -126,12 +59,14 @@ func QualityTable(dev *cuda.Device, cfg Config, iterations int) (*Table, error) 
 
 	for _, c := range configs {
 		vals := make([]float64, len(instances))
+		opts := c.opts
+		opts.Params, opts.Iterations = cfg.Params, iterations
 		for i, in := range instances {
-			l, err := c.run(in)
+			res, err := antgpu.Solve(in, opts)
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", c.name, in.Name, err)
 			}
-			vals[i] = float64(l) / greedy[i]
+			vals[i] = float64(res.BestLen) / greedy[i]
 		}
 		t.AddRow(c.name, vals)
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"math"
 
 	"antgpu/internal/aco"
 	"antgpu/internal/cuda"
@@ -349,37 +347,4 @@ func (a *ACSEngine) Iterate() (*IterationResult, error) {
 		return nil, err
 	}
 	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
-}
-
-// Run executes iters full ACS iterations and returns the best tour, its
-// length, and the accumulated simulated seconds.
-func (a *ACSEngine) Run(iters int) ([]int32, int64, float64, error) {
-	return a.RunContext(context.Background(), iters)
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (a *ACSEngine) RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error) {
-	total := 0.0
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := a.Iterate()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		total += res.Construct.Seconds() + res.Update.Seconds()
-	}
-	tour, l := a.Best()
-	if tour == nil {
-		return nil, 0, 0, fmt.Errorf("core: ACS produced no tour")
-	}
-	if err := a.In.ValidTour(tour); err != nil {
-		return nil, 0, 0, err
-	}
-	if l <= 0 || l == math.MaxInt64 {
-		return nil, 0, 0, fmt.Errorf("core: ACS best length corrupt: %d", l)
-	}
-	return tour, l, total, nil
 }

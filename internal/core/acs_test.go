@@ -77,7 +77,7 @@ func TestACSEngineGlobalUpdateRequiresBest(t *testing.T) {
 func TestACSEngineRunConvergesAndIsDeterministic(t *testing.T) {
 	run := func() (int64, float64) {
 		a := newACSEngine(t, cuda.TeslaM2050(), "kroC100")
-		tour, l, secs, err := a.Run(10)
+		tour, l, secs, err := iterateN(a, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +113,13 @@ func TestACSEngineMatchesCPUQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cpuBest := cpu.Run(15)
+	for i := 0; i < 15; i++ {
+		cpu.Iterate()
+	}
+	cpuBest := cpu.BestLen
 
 	gpu := newACSEngine(t, cuda.TeslaM2050(), "att48")
-	_, gpuBest, _, err := gpu.Run(15)
+	_, gpuBest, _, err := iterateN(gpu, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

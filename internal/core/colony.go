@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 )
@@ -72,7 +71,7 @@ func (e *Engine) ReadBest() (int, int64, error) {
 			bestAnt, bestLen = k, l
 		}
 	}
-	e.lastMean = float64(sum) / float64(e.m)
+	e.lastBest, e.lastMean = bestLen, float64(sum)/float64(e.m)
 	if bestLen < e.bestLen {
 		e.bestLen = bestLen
 		if e.bestTour == nil {
@@ -119,27 +118,14 @@ func (e *Engine) Iterate(tv TourVersion, pv PherVersion) (*IterationResult, erro
 	if err != nil {
 		return nil, err
 	}
-	if e.conv != nil {
-		e.conv.RecordIteration(float64(l), e.lastMean, e.bestLen)
-		e.conv.RecordPheromone32(e.pher.Data(), e.n)
-	}
 	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
 }
 
 // Run executes iters full iterations and returns the best tour found, its
 // length, and the accumulated simulated GPU seconds.
 func (e *Engine) Run(tv TourVersion, pv PherVersion, iters int) ([]int32, int64, float64, error) {
-	return e.RunContext(context.Background(), tv, pv, iters)
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (e *Engine) RunContext(ctx context.Context, tv TourVersion, pv PherVersion, iters int) ([]int32, int64, float64, error) {
 	total := 0.0
 	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
 		res, err := e.Iterate(tv, pv)
 		if err != nil {
 			return nil, 0, 0, err

@@ -86,11 +86,9 @@ type Engine struct {
 	// observer hook is installed too).
 	Tracer *trace.Collector
 
-	// conv, when non-nil, receives per-iteration convergence metrics
-	// (best/mean tour length, pheromone entropy, λ-branching). Set it
-	// with SetMetrics; nil costs nothing on the iteration path.
-	conv *metrics.Convergence
-	// lastMean is the mean exact tour length of the latest ReadBest scan.
+	// lastBest and lastMean are the best and mean exact tour length of
+	// the latest ReadBest scan.
+	lastBest int64
 	lastMean float64
 
 	theta       int // pheromone tour-tile length θ (and deposit block size)
@@ -340,11 +338,18 @@ func (e *Engine) SetTracer(tr *trace.Collector) {
 	e.Dev.Observer = tr
 }
 
-// SetMetrics attaches (or, with nil, detaches) a convergence recorder:
-// every Iterate then publishes the iteration's best and mean tour length
-// plus the pheromone matrix's entropy and λ-branching factor. The O(n²)
-// matrix statistics are computed only while a recorder is attached.
-func (e *Engine) SetMetrics(c *metrics.Convergence) { e.conv = c }
+// RecordConvergence publishes the latest iteration to conv: the best and
+// mean tour length of the latest ReadBest scan, the best-so-far and the
+// statistics of the device pheromone matrix. Every algorithm embedding the
+// engine shares it. A nil conv is a no-op, so the O(n²) matrix statistics
+// run only while a recorder is attached.
+func (e *Engine) RecordConvergence(conv *metrics.Convergence) {
+	if conv == nil {
+		return
+	}
+	conv.RecordIteration(float64(e.lastBest), e.lastMean, e.bestLen)
+	conv.RecordPheromone32(e.pher.Data(), e.n)
+}
 
 // span opens a phase span on the tracer and returns its closer; both are
 // no-ops without a tracer, so call sites read `defer e.span("name")()`.

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"math"
 
 	"antgpu/internal/aco"
 	"antgpu/internal/cuda"
@@ -169,33 +167,6 @@ func (m *MMASEngine) Iterate() (*IterationResult, error) {
 	}
 
 	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: iterBestLen}, nil
-}
-
-// Run executes iters full MMAS iterations and returns the best tour, its
-// length, and the accumulated simulated seconds.
-func (m *MMASEngine) Run(iters int) ([]int32, int64, float64, error) {
-	return m.RunContext(context.Background(), iters)
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (m *MMASEngine) RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error) {
-	total := 0.0
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := m.Iterate()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		total += res.Construct.Seconds() + res.Update.Seconds()
-	}
-	tour, l := m.Best()
-	if tour == nil || l == math.MaxInt64 {
-		return nil, 0, 0, fmt.Errorf("core: MMAS produced no tour")
-	}
-	return tour, l, total, nil
 }
 
 // BoundsValid reports whether every device trail lies in [τmin, τmax]

@@ -71,7 +71,7 @@ func TestMMASEngineDeterministicAndConverging(t *testing.T) {
 	run := func() (int64, float64) {
 		m := newMMASEngine(t, cuda.TeslaM2050(), "kroC100")
 		m.SetTourVersion(core.TourDataParallel)
-		_, l, secs, err := m.Run(30)
+		_, l, secs, err := iterateN(m, 30)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,10 +160,12 @@ func faultName(err error) string {
 // RunRecovered executes iters Ant System iterations on the device with
 // checkpoint/retry/failover fault tolerance and returns the best tour, its
 // length, the simulated seconds (kernel time plus backoff), and a report of
-// the recovery activity. With no faults injected it is exactly Engine.Run
-// plus a per-iteration checkpoint copy. conv, when non-nil, receives the
-// per-iteration convergence metrics; it is re-attached to every rebuilt
-// engine so recording survives device resets and the CPU failover. lg, when
+// the recovery activity. With no faults injected it runs the same
+// iterations, with the same results, as an uninterrupted Engine.Iterate
+// loop, plus a per-iteration checkpoint copy. conv, when non-nil, receives
+// the convergence metrics of every committed iteration, from whichever
+// engine committed it, so recording survives device resets and the CPU
+// failover. lg, when
 // non-nil, receives one structured event per fault, retry, reset, failover
 // and (at debug level) checkpoint, keyed by ctx's correlation.
 func RunRecovered(ctx context.Context, dev *cuda.Device, in *tsp.Instance, p aco.Params,
@@ -234,7 +236,6 @@ func RunRecovered(ctx context.Context, dev *cuda.Device, in *tsp.Instance, p aco
 		if tr != nil {
 			e.SetTracer(tr)
 		}
-		e.SetMetrics(conv)
 		return e, nil
 	}
 
@@ -271,6 +272,7 @@ func RunRecovered(ctx context.Context, dev *cuda.Device, in *tsp.Instance, p aco
 		}
 		res, err := e.Iterate(tv, pv)
 		if err == nil {
+			e.RecordConvergence(conv)
 			done++
 			consecutive = 0
 			secs += res.Construct.Seconds() + res.Update.Seconds()
@@ -344,7 +346,6 @@ func failoverCPU(ctx context.Context, in *tsp.Instance, p aco.Params, cp *Checkp
 		return nil, 0, 0, rep, err
 	}
 	c.Tracer = tr
-	c.Conv = conv
 	if cp != nil {
 		for i, v := range cp.Pher {
 			c.Pher[i] = float64(v)
@@ -356,10 +357,14 @@ func failoverCPU(ctx context.Context, in *tsp.Instance, p aco.Params, cp *Checkp
 		}
 	}
 	c.ResetMeters()
-	tour, l, err := c.RunContext(ctx, aco.NNListConstruction, iters-done)
-	if err != nil {
-		return nil, 0, 0, rep, err
+	for ; done < iters; done++ {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, 0, rep, err
+		}
+		c.Iterate(aco.NNListConstruction)
+		c.RecordConvergence(conv)
 	}
+	tour, l := c.BestTour, c.BestLen
 	if tour == nil {
 		return nil, 0, 0, rep, fmt.Errorf("core: CPU failover produced no tour")
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -115,29 +114,6 @@ func (e *EASEngine) Iterate() (*IterationResult, error) {
 	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
 }
 
-// Run executes iters EAS iterations.
-func (e *EASEngine) Run(iters int) ([]int32, int64, float64, error) {
-	return e.RunContext(context.Background(), iters)
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (e *EASEngine) RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error) {
-	total := 0.0
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := e.Iterate()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		total += res.Construct.Seconds() + res.Update.Seconds()
-	}
-	tour, l := e.Best()
-	return tour, l, total, nil
-}
-
 // RankEngine runs the Rank-based Ant System on the simulated device.
 type RankEngine struct {
 	*Engine
@@ -210,27 +186,4 @@ func (r *RankEngine) Iterate() (*IterationResult, error) {
 		return nil, err
 	}
 	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
-}
-
-// Run executes iters ASrank iterations.
-func (r *RankEngine) Run(iters int) ([]int32, int64, float64, error) {
-	return r.RunContext(context.Background(), iters)
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (r *RankEngine) RunContext(ctx context.Context, iters int) ([]int32, int64, float64, error) {
-	total := 0.0
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		res, err := r.Iterate()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		total += res.Construct.Seconds() + res.Update.Seconds()
-	}
-	tour, l := r.Best()
-	return tour, l, total, nil
 }

@@ -9,6 +9,28 @@ import (
 	"antgpu/internal/tsp"
 )
 
+// algorithmEngine is what the GPU algorithm engines share: one Iterate
+// step and the best-so-far readout of the embedded Engine.
+type algorithmEngine interface {
+	Iterate() (*core.IterationResult, error)
+	Best() ([]int32, int64)
+}
+
+// iterateN runs iters iterations of an algorithm engine and returns its
+// best tour, the tour's length and the summed simulated seconds.
+func iterateN(e algorithmEngine, iters int) ([]int32, int64, float64, error) {
+	secs := 0.0
+	for i := 0; i < iters; i++ {
+		res, err := e.Iterate()
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		secs += res.Construct.Seconds() + res.Update.Seconds()
+	}
+	tour, l := e.Best()
+	return tour, l, secs, nil
+}
+
 func TestEASEngineConvergesAndValid(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
 	e, err := core.NewEASEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), 0)
@@ -18,7 +40,7 @@ func TestEASEngineConvergesAndValid(t *testing.T) {
 	if e.Elite != 48 {
 		t.Errorf("default elite = %v, want m = 48", e.Elite)
 	}
-	tour, l, secs, err := e.Run(8)
+	tour, l, secs, err := iterateN(e, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +103,7 @@ func TestRankEngineConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetTourVersion(core.TourDataParallel)
-	tour, l, _, err := r.Run(10)
+	tour, l, _, err := iterateN(r, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

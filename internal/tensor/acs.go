@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"context"
 	"time"
 
 	"antgpu/internal/aco"
@@ -208,22 +207,4 @@ func (a *ACS) Iterate() {
 	}
 	a.ConstructTours()
 	a.GlobalUpdate()
-	a.recordIteration()
-}
-
-// Run executes iters iterations and returns the best tour and length.
-func (a *ACS) Run(iters int) ([]int32, int64) {
-	tour, l, _ := a.RunContext(context.Background(), iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation.
-func (a *ACS) RunContext(ctx context.Context, iters int) ([]int32, int64, error) {
-	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		a.Iterate()
-	}
-	return a.BestTour, a.BestLen, nil
 }

@@ -48,7 +48,6 @@
 package tensor
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -84,9 +83,6 @@ type Engine struct {
 	tau0      float64
 	cnn       int64 // greedy NN tour length (variant τ0 / τmax derivations)
 
-	// Conv, when non-nil, receives per-iteration convergence metrics —
-	// the same sink the colony and the GPU engine feed.
-	Conv *metrics.Convergence
 	// Tracer, when non-nil, records construct/update phases. The tensor
 	// engine is a real host engine, so spans carry wall-clock seconds.
 	Tracer *trace.Collector
@@ -324,9 +320,13 @@ func (e *Engine) applyUpdate() {
 	e.refreshNN()
 }
 
-// recordIteration feeds the convergence sink exactly like the colony does.
-func (e *Engine) recordIteration() {
-	if e.Conv == nil {
+// RecordConvergence publishes the latest iteration to conv exactly like
+// the colony does: the best and mean tour length of the colony, the
+// best-so-far and the pheromone statistics. Every algorithm embedding the
+// engine shares it. A nil conv is a no-op, so the O(n²) matrix statistics
+// run only while a recorder is attached.
+func (e *Engine) RecordConvergence(conv *metrics.Convergence) {
+	if conv == nil {
 		return
 	}
 	best := int64(math.MaxInt64)
@@ -337,8 +337,8 @@ func (e *Engine) recordIteration() {
 			best = l
 		}
 	}
-	e.Conv.RecordIteration(float64(best), float64(sum)/float64(e.m), e.BestLen)
-	e.Conv.RecordPheromone32(e.tau, e.n)
+	conv.RecordIteration(float64(best), float64(sum)/float64(e.m), e.BestLen)
+	conv.RecordPheromone32(e.tau, e.n)
 }
 
 // Iterate runs one full Ant System iteration.
@@ -349,7 +349,6 @@ func (e *Engine) Iterate(v aco.Variant) {
 	}
 	e.ConstructTours(v)
 	e.UpdatePheromone()
-	e.recordIteration()
 }
 
 // IterateWithLocalSearch is Iterate with the vectorised 2-opt pass applied
@@ -359,26 +358,15 @@ func (e *Engine) IterateWithLocalSearch(v aco.Variant) {
 	e.ConstructTours(v)
 	e.LocalSearchTours()
 	e.UpdatePheromone()
-	e.recordIteration()
 }
 
 // Run executes iters iterations and returns the best tour found and its
 // length.
 func (e *Engine) Run(v aco.Variant, iters int) ([]int32, int64) {
-	tour, l, _ := e.RunContext(context.Background(), v, iters)
-	return tour, l
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// iterations and its error returned promptly.
-func (e *Engine) RunContext(ctx context.Context, v aco.Variant, iters int) ([]int32, int64, error) {
 	for i := 0; i < iters; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
 		e.Iterate(v)
 	}
-	return e.BestTour, e.BestLen, nil
+	return e.BestTour, e.BestLen
 }
 
 // Checkpoint is a restartable snapshot of the engine's evolving state: the

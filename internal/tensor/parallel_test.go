@@ -81,12 +81,13 @@ func TestWorkerCountInvarianceAS(t *testing.T) {
 		if e.Workers() != workers {
 			t.Fatalf("resolved %d workers, requested %d", e.Workers(), workers)
 		}
-		e.Conv = metrics.NewConvergenceWithSink(nil, "att48", "as", "tensor", 0,
+		conv := metrics.NewConvergenceWithSink(nil, "att48", "as", "tensor", 0,
 			func(ev metrics.IterationEvent) { events = append(events, ev) })
 		for i := 0; i < 6; i++ {
 			e.IterateWithLocalSearch(aco.NNListConstruction)
+			e.RecordConvergence(conv)
 		}
-		e.Conv.Flush()
+		conv.Flush()
 		return snapshot(e, events)
 	}
 
@@ -110,12 +111,13 @@ func TestWorkerCountInvarianceMMAS(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		m.Conv = metrics.NewConvergenceWithSink(nil, "att48", "mmas", "tensor", 0,
+		conv := metrics.NewConvergenceWithSink(nil, "att48", "mmas", "tensor", 0,
 			func(ev metrics.IterationEvent) { events = append(events, ev) })
 		for i := 0; i < 6; i++ {
 			m.Iterate(aco.NNListConstruction)
+			m.RecordConvergence(conv)
 		}
-		m.Conv.Flush()
+		conv.Flush()
 		return snapshot(m.Engine, events)
 	}
 
@@ -140,12 +142,13 @@ func TestWorkerCountInvarianceACS(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		a.Conv = metrics.NewConvergenceWithSink(nil, "att48", "acs", "tensor", 0,
+		conv := metrics.NewConvergenceWithSink(nil, "att48", "acs", "tensor", 0,
 			func(ev metrics.IterationEvent) { events = append(events, ev) })
 		for i := 0; i < 6; i++ {
 			a.Iterate()
+			a.RecordConvergence(conv)
 		}
-		a.Conv.Flush()
+		conv.Flush()
 		return snapshot(a.Engine, events)
 	}
 

@@ -143,7 +143,6 @@ func refIterateMMAS(m *MMAS, sc []refScratch) {
 	if m.iterSinceBest >= m.PM.StagnationReset {
 		m.resetTrails()
 	}
-	m.recordIteration()
 }
 
 // identityInstances are the byte-identity suite's instances: four TSPLIB
@@ -270,14 +269,12 @@ func matchReference(t *testing.T, in *tsp.Instance) {
 					refConstructTours(ew, sc)
 					ew.LocalSearchTours()
 					ew.UpdatePheromone()
-					ew.recordIteration()
 				}
 			} else {
 				stepGot = func() { eg.Iterate(aco.FullProbabilistic) }
 				stepWant = func() {
 					refConstructTours(ew, sc)
 					ew.UpdatePheromone()
-					ew.recordIteration()
 				}
 			}
 		}
