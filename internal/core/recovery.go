@@ -165,9 +165,9 @@ func faultName(err error) string {
 // loop, plus a per-iteration checkpoint copy. conv, when non-nil, receives
 // the convergence metrics of every committed iteration, from whichever
 // engine committed it, so recording survives device resets and the CPU
-// failover. lg, when
-// non-nil, receives one structured event per fault, retry, reset, failover
-// and (at debug level) checkpoint, keyed by ctx's correlation.
+// failover. lg, when non-nil, receives one structured event per fault,
+// retry, reset, failover and (at debug level) checkpoint, keyed by ctx's
+// correlation.
 func RunRecovered(ctx context.Context, dev *cuda.Device, in *tsp.Instance, p aco.Params,
 	tv TourVersion, pv PherVersion, iters int, opts RecoveryOptions,
 	tr *trace.Collector, conv *metrics.Convergence, lg *obslog.Logger) ([]int32, int64, float64, *RecoveryReport, error) {
