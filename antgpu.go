@@ -33,7 +33,6 @@ package antgpu
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -428,22 +427,18 @@ func gpuDevice(ctx context.Context, opts SolveOptions) *Device {
 // instance-derived data from the batch cache, or nil for a standalone
 // solve (engines then compute their own). Validation comes first: an
 // invalid NN reaching the shared cache would count a miss for a key it
-// never fills and panic deriving the lists. The host engines score tours
-// in exact int64 and never read the float32 distance matrix, so for them
-// (host) an instance beyond the exact-float32 range stays solvable, just
-// without the cache; the GPU backend surfaces tsp.ErrF32Precision.
-func derivedData(opts SolveOptions, in *Instance, host bool) (*tsp.Derived, error) {
+// never fills and panic deriving the lists. The derived data holds no
+// float32 distances, so it serves every backend; the GPU engine enforces
+// the exact-float32 range itself (tsp.ErrF32Precision) when it converts
+// the matrix.
+func derivedData(opts SolveOptions, in *Instance) (*tsp.Derived, error) {
 	if err := opts.Params.Validate(in.N()); err != nil {
 		return nil, err
 	}
 	if opts.cache == nil {
 		return nil, nil
 	}
-	d, err := opts.cache.Derived(in, opts.Params.NN)
-	if host && errors.Is(err, tsp.ErrF32Precision) {
-		return nil, nil
-	}
-	return d, err
+	return opts.cache.Derived(in, opts.Params.NN)
 }
 
 // SolveContext is Solve with cancellation: the context is checked between
@@ -649,7 +644,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 	mmas := opts.MMAS.WithDefaults(opts.Params.Seed)
 	switch (pair{opts.Backend, opts.Algorithm}) {
 	case pair{BackendCPU, AlgorithmAS}:
-		d, err := derivedData(opts, in, true)
+		d, err := derivedData(opts, in)
 		if err != nil {
 			return nil, err
 		}
@@ -691,7 +686,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		return cpuEngine(r.Colony, tr, func() { r.Iterate(v) }), nil
 
 	case pair{BackendGPU, AlgorithmAS}:
-		d, err := derivedData(opts, in, false)
+		d, err := derivedData(opts, in)
 		if err != nil {
 			return nil, err
 		}
@@ -740,7 +735,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		return gpuEngine(r.Engine, tr, r.Free, r.Iterate), nil
 
 	case pair{BackendTensor, AlgorithmAS}:
-		d, err := derivedData(opts, in, true)
+		d, err := derivedData(opts, in)
 		if err != nil {
 			return nil, err
 		}

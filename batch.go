@@ -29,9 +29,10 @@ type PoolOptions struct {
 	// runtime.GOMAXPROCS(0) — one worker per schedulable CPU.
 	Workers int
 	// DisableCache turns off the shared derived-data cache, making every
-	// solve recompute its instance's distance conversion, NN lists and
-	// greedy-NN tour length. Results are identical either way; disable it
-	// only to bound memory when a pool sees an unbounded instance stream.
+	// solve recompute its instance's NN lists and greedy-NN tour length.
+	// Results are identical either way; the cache keeps an n×nn NN list
+	// per distinct instance for the pool's lifetime, so disable it only to
+	// bound memory when a pool sees an unbounded instance stream.
 	DisableCache bool
 	// Metrics, when non-nil, collects the pool's runtime telemetry (queue
 	// depth, busy workers, request and cache counters) and is inherited by

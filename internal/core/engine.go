@@ -114,11 +114,12 @@ type EngineOptions struct {
 	// Must be a power of two between 32 and the device's block limit.
 	DataBlockThreads int
 	// Derived, when non-nil, supplies precomputed instance-derived data
-	// (float32 distances, NN lists, greedy NN tour length) instead of
-	// recomputing it per engine — the shared-cache path of batch solving.
-	// It must match the instance and the effective NN width; the engine
-	// copies the slices into its private device buffers, so the shared
-	// value stays read-only.
+	// (NN lists, greedy NN tour length) instead of recomputing it per
+	// engine — the shared-cache path of batch solving. It must match the
+	// instance and the effective NN width; the engine copies the list into
+	// its private device buffer, so the shared value stays read-only. The
+	// float32 distance buffer is always converted from the instance's
+	// matrix, with or without Derived.
 	Derived *tsp.Derived
 }
 
@@ -201,23 +202,18 @@ func NewEngineWithOptions(dev *cuda.Device, in *tsp.Instance, p aco.Params, opt 
 		e.Free()
 		return nil, fmt.Errorf("core: engine allocation: %w", allocErr)
 	}
+	// The device consumes float32 distances; refuse instances whose edges
+	// exceed the exact-float32 range rather than silently collapsing them
+	// (tsp.ErrF32Precision), on the derived and the standalone path alike.
+	if err := in.ConvertDistF32(e.dist.Data()); err != nil {
+		e.Free()
+		return nil, err
+	}
 	var cnn int64
 	if d := opt.Derived; d != nil {
-		copy(e.dist.Data(), d.DistF32)
 		copy(e.nnList.Data(), d.List)
 		cnn = d.CNN
 	} else {
-		// The device consumes float32 distances; refuse instances whose
-		// edges exceed the exact-float32 range rather than silently
-		// collapsing them (tsp.ErrF32Precision — the Derived path applies
-		// the same check inside ComputeDerived).
-		if err := in.CheckDistF32(); err != nil {
-			e.Free()
-			return nil, err
-		}
-		for i, d := range in.Matrix() {
-			e.dist.Data()[i] = float32(d)
-		}
 		copy(e.nnList.Data(), in.NNList(e.nn))
 		cnn = in.TourLength(in.NearestNeighbourTour(0))
 	}

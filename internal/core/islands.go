@@ -454,7 +454,9 @@ func (is *island) dispose() {
 //
 // The returned result carries the ensemble-best tour and an IslandReport
 // of per-island faults, restarts, migrations and quarantines. Errors other
-// than device faults (bad parameters, cancellation) abort the whole run.
+// than device faults (bad parameters, cancellation) abort the whole run; an
+// instance with a distance above tsp.MaxExactDistF32 fails with
+// tsp.ErrF32Precision before any island steps.
 func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p aco.Params, cfg IslandConfig) (*IslandsResult, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("core: RunIslands needs at least one device")
@@ -466,8 +468,14 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 	n := len(devices)
 	pool := cuda.PoolOf(devices)
 
-	// The instance-derived data (float32 distances, NN lists, C^nn) is
-	// identical across islands; compute it once and share it read-only.
+	// Every island's engine converts the distances to float32; refuse an
+	// instance beyond the exact-float32 range before any island steps, so
+	// the refusal is one typed error rather than a failure per island.
+	if err := in.CheckDistF32(); err != nil {
+		return nil, err
+	}
+	// The instance-derived data (NN lists, C^nn) is identical across
+	// islands; compute it once and share it read-only.
 	derived, err := in.ComputeDerived(p.NN)
 	if err != nil {
 		return nil, err

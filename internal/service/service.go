@@ -257,6 +257,11 @@ type Service struct {
 	now      func() time.Time
 	after    func(time.Duration) <-chan time.Time
 
+	// benches loads each named paper benchmark once, on first use, and
+	// hands every later job the same read-only instance. The map itself
+	// is fixed in New, so lookups need no lock.
+	benches map[string]func() (*antgpu.Instance, error)
+
 	queued   atomic.Int64 // admitted, not yet picked up by a pool worker
 	draining atomic.Bool
 	wg       sync.WaitGroup
@@ -298,6 +303,12 @@ func New(opts Options) *Service {
 		now:      opts.now,
 		after:    opts.after,
 		jobs:     make(map[string]*job),
+		benches:  make(map[string]func() (*antgpu.Instance, error)),
+	}
+	for _, name := range antgpu.Benchmarks() {
+		s.benches[name] = sync.OnceValues(func() (*antgpu.Instance, error) {
+			return antgpu.LoadBenchmark(name)
+		})
 	}
 	if s.maxQueue == 0 {
 		s.maxQueue = 4 * opts.Pool.Workers()
@@ -827,9 +838,13 @@ func (s *Service) buildSolve(req SubmitRequest) (in *antgpu.Instance, opts antgp
 	case req.Benchmark != "" && req.TSPLIB != "":
 		return bad("benchmark and tsplib are mutually exclusive")
 	case req.Benchmark != "":
-		if in, err = antgpu.LoadBenchmark(req.Benchmark); err != nil {
+		load, ok := s.benches[req.Benchmark]
+		if !ok {
 			return bad("unknown benchmark %q (have %s)", req.Benchmark,
 				strings.Join(antgpu.Benchmarks(), ", "))
+		}
+		if in, err = load(); err != nil {
+			return bad("benchmark %q: %v", req.Benchmark, err)
 		}
 	case req.TSPLIB != "":
 		if int64(len(req.TSPLIB)) > s.maxBytes {

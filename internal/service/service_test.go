@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -842,4 +843,62 @@ func TestAutoBackendResultMatchesExplicit(t *testing.T) {
 		t.Fatalf("auto-selected tensor solved to %d, explicit tensor to %d", autoLen, explicitLen)
 	}
 	s.Drain(context.Background())
+}
+
+// TestBenchmarkInstanceSharedAcrossJobs: concurrent submits of one named
+// benchmark share a single loaded instance, built on first use, and solve
+// exactly as a freshly loaded instance does (-race covers the first-use
+// load racing across submitters).
+func TestBenchmarkInstanceSharedAcrossJobs(t *testing.T) {
+	s, _ := newTestService(t, 2, -1, Options{})
+	const clients = 4
+	ins := make([]*antgpu.Instance, clients)
+	finals := make([]JobStatus, clients)
+	req := func(c int) SubmitRequest {
+		return SubmitRequest{Benchmark: "att48", Backend: "cpu", Iterations: 3,
+			Params: SubmitParams{Seed: uint64(c + 1)}, IncludeTour: true}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in, _, _, err := s.buildSolve(req(c))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ins[c] = in
+			st, err := s.Submit(context.Background(), fmt.Sprintf("c%d", c), req(c))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			finals[c] = waitState(t, s, st.ID, JobStatus.Terminal)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for c := 0; c < clients; c++ {
+		if ins[c] != ins[0] {
+			t.Errorf("client %d got its own att48 instance, want the shared one", c)
+		}
+		fresh, err := antgpu.LoadBenchmark("att48")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := antgpu.Solve(fresh, antgpu.SolveOptions{Backend: antgpu.BackendCPU, Iterations: 3,
+			Params: antgpu.Params{Seed: uint64(c + 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := finals[c]
+		if got.State != StateDone || got.Result.BestLen != want.BestLen ||
+			!reflect.DeepEqual(got.Result.BestTour, want.BestTour) {
+			t.Errorf("client %d: job %s ended %s with %+v, want best length %d from a fresh load",
+				c, got.ID, got.State, got.Result, want.BestLen)
+		}
+	}
 }

@@ -46,7 +46,7 @@ func NewACSWithOptions(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived, o Opti
 		return nil, err
 	}
 	e.tau0 = 1 / (float64(in.N()) * float64(e.cnn))
-	e.resetTau(float32(powF64(e.tau0, p.Alpha)), float32(e.tau0))
+	e.resetTau(float32(powOf(p.Alpha)(e.tau0)), float32(e.tau0))
 	a := &ACS{Engine: e, PA: p}
 	a.oneMinusXi = float32(1 - p.Xi)
 	a.xiTau0 = float32(p.Xi * e.tau0)

@@ -102,3 +102,25 @@ func BenchmarkLocalSearchM25(b *testing.B) {
 		e.LocalSearchTours()
 	}
 }
+
+// BenchmarkNewWithDerivedM25 times the engine-large job's engine set-up:
+// a one-worker AS engine on pr1002 with 25 ants, the derived data given as
+// the pool's cache would give it, so the op is the constructor's own n²
+// work (allocating the matrices, η^β and the initial weights).
+func BenchmarkNewWithDerivedM25(b *testing.B) {
+	in := tsp.MustLoadBenchmark("pr1002")
+	p := aco.DefaultParams()
+	p.Ants = 25
+	d, err := in.ComputeDerived(p.NN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		e, err := NewWithOptions(in, p, d, Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Close()
+	}
+}

@@ -108,8 +108,8 @@ func New(in *tsp.Instance, p aco.Params) (*Engine, error) {
 }
 
 // NewWithDerived is New drawing the NN lists and C^nn from precomputed
-// derived data (the shared-cache path); nil recomputes them. The engine
-// does not consume d.DistF32 — lengths stay exact int64 — so it accepts
+// derived data (the shared-cache path); nil recomputes them. Lengths stay
+// exact int64 from the instance's int32 matrix, so the engine accepts
 // instances the float32 device path must refuse.
 func NewWithDerived(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) {
 	return NewWithOptions(in, p, d, Options{})
@@ -164,20 +164,21 @@ func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (
 	e.cnn = cnn
 	e.tau0 = float64(e.m) / float64(cnn)
 
-	// η^β once, in float64, rounded to float32 at the end. The diagonal
-	// stays zero so a city can never be its own roulette winner — the
-	// colony zeroes the same cells in its choice matrix.
+	// η^β once, in float64, rounded to float32 at the end. It depends only
+	// on the distance and every instance matrix is symmetric, so the upper
+	// triangle is computed and mirrored. The diagonal stays zero so a city
+	// can never be its own roulette winner — the colony zeroes the same
+	// cells in its choice matrix.
+	pow := powOf(p.Beta)
 	for i := 0; i < n; i++ {
-		row := e.etaBeta[i*n : (i+1)*n]
 		drow := e.dist[i*n : (i+1)*n]
-		for j := range row {
-			if i == j {
-				continue
-			}
-			row[j] = float32(powF64(1.0/(float64(drow[j])+0.1), p.Beta))
+		for j := i + 1; j < n; j++ {
+			v := float32(pow(1.0 / (float64(drow[j]) + 0.1)))
+			e.etaBeta[i*n+j] = v
+			e.etaBeta[j*n+i] = v
 		}
 	}
-	e.resetTau(float32(powF64(e.tau0, p.Alpha)), float32(e.tau0))
+	e.resetTau(float32(powOf(p.Alpha)(e.tau0)), float32(e.tau0))
 	return e, nil
 }
 
@@ -421,21 +422,22 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	return nil
 }
 
-// powF64 is math.Pow with the exponent fast paths the engines hit (β = 2,
-// α = 1 and the exactness-relevant p = 0).
-func powF64(x, p float64) float64 {
+// powOf returns x ↦ x^p: math.Pow with the exponent fast paths the engines
+// hit (β = 2, α = 1 and the exactness-relevant p = 0), the case chosen once
+// so a loop raising many bases to one exponent does not branch per base.
+func powOf(p float64) func(float64) float64 {
 	switch p {
 	case 0:
-		return 1
+		return func(float64) float64 { return 1 }
 	case 1:
-		return x
+		return func(x float64) float64 { return x }
 	case 2:
-		return x * x
+		return func(x float64) float64 { return x * x }
 	}
-	return math.Pow(x, p)
+	return func(x float64) float64 { return math.Pow(x, p) }
 }
 
-// powF32 is powF64 over float32 operands.
+// powF32 is powOf(p) over a float32 operand.
 func powF32(x float32, p float64) float32 {
 	switch p {
 	case 0:

@@ -61,7 +61,7 @@ func (m *MMAS) setBounds(best int64) {
 // resetTrails re-initialises every trail (and weight) to τmax — also the
 // stagnation recovery move.
 func (m *MMAS) resetTrails() {
-	m.resetTau(float32(powF64(m.TauMax, m.P.Alpha)), float32(m.TauMax))
+	m.resetTau(float32(powOf(m.P.Alpha)(m.TauMax)), float32(m.TauMax))
 	m.iterSinceBest = 0
 }
 

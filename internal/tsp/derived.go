@@ -21,12 +21,14 @@ const MaxExactDistF32 = 1 << 24
 var ErrF32Precision = errors.New("distance exceeds exact float32 range (2^24)")
 
 // Derived holds the read-only data every solver derives from an instance
-// before its first iteration: the distance matrix converted to the float32
-// the device kernels consume, the nearest-neighbour lists, and the greedy
+// before its first iteration: the nearest-neighbour lists and the greedy
 // nearest-neighbour tour length C^nn that sets the initial pheromone level.
 // Computing it is the Θ(n²) fixed cost of starting a solve (at most
-// Θ(n² log nn) for the NN lists); a batch of solves over the same instance
-// shares one Derived (see internal/sched).
+// Θ(n² log nn) for the NN lists), while holding it takes Θ(n·nn) bytes; a
+// batch of solves over the same instance shares one Derived (see
+// internal/sched). The distances themselves stay in the instance: engines
+// that need another form of them (the GPU engine's float32 device buffer)
+// convert Instance.Matrix into their own memory.
 //
 // A Derived is immutable after ComputeDerived returns and safe to share
 // across concurrent solves; consumers must treat the slices as read-only
@@ -38,9 +40,6 @@ type Derived struct {
 
 	// List is the row-major N x NN nearest-neighbour list (Instance.NNList).
 	List []int32
-	// DistF32 is the N*N distance matrix converted to float32, the form the
-	// simulated device kernels upload.
-	DistF32 []float32
 	// CNN is the length of the greedy nearest-neighbour tour from city 0,
 	// used for τ0 = m / C^nn (and the variants' τ0 formulas).
 	CNN int64
@@ -55,17 +54,37 @@ func (in *Instance) EffectiveNN(nn int) int {
 	return nn
 }
 
+// errF32 reports the matrix entry at flat index i, distance v, as beyond
+// the exact-float32 range.
+func (in *Instance) errF32(i int, v int32) error {
+	return fmt.Errorf("tsp: instance %q: d(%d,%d) = %d: %w",
+		in.Name, i/in.n, i%in.n, v, ErrF32Precision)
+}
+
 // CheckDistF32 reports whether the instance's distances all convert to
 // float32 exactly, returning an error wrapping ErrF32Precision naming the
-// first offending edge otherwise. Engines that upload int32 distances into
-// float32 device buffers call this before converting.
+// first offending edge otherwise. The island runtime calls it once before
+// any island builds an engine.
 func (in *Instance) CheckDistF32() error {
-	n := in.n
 	for i, v := range in.matrix {
 		if v > MaxExactDistF32 {
-			return fmt.Errorf("tsp: instance %q: d(%d,%d) = %d: %w",
-				in.Name, i/n, i%n, v, ErrF32Precision)
+			return in.errF32(i, v)
 		}
+	}
+	return nil
+}
+
+// ConvertDistF32 writes the n*n distance matrix into dst as float32, the
+// form the simulated device kernels read, in one pass that also enforces
+// MaxExactDistF32: it stops at the first distance above the limit and
+// returns an error wrapping ErrF32Precision naming that edge, leaving dst
+// partly written.
+func (in *Instance) ConvertDistF32(dst []float32) error {
+	for i, v := range in.matrix {
+		if v > MaxExactDistF32 {
+			return in.errF32(i, v)
+		}
+		dst[i] = float32(v)
 	}
 	return nil
 }
@@ -73,60 +92,43 @@ func (in *Instance) CheckDistF32() error {
 // ComputeDerived computes the shared derived data for the instance at the
 // given nearest-neighbour width. The result depends only on the instance
 // content and nn, so two instances with equal ContentHash produce
-// byte-identical Derived values.
-//
-// Distances above MaxExactDistF32 cannot be converted to DistF32 without
-// losing precision; ComputeDerived detects them during conversion and
-// returns an error wrapping ErrF32Precision instead of silently collapsing
-// edges (such instances remain solvable by the float64 CPU colony, which
-// does not consume Derived.DistF32).
+// byte-identical Derived values. It reads no distance as float32, so it
+// accepts every valid instance and the error is always nil; the float32
+// exactness limit is enforced where a float32 copy is made
+// (ConvertDistF32).
 func (in *Instance) ComputeDerived(nn int) (*Derived, error) {
-	n := in.n
 	nn = in.EffectiveNN(nn)
-	d := &Derived{N: n, NN: nn}
-	d.List = in.NNList(nn)
-	d.DistF32 = make([]float32, n*n)
-	for i, v := range in.matrix {
-		if v > MaxExactDistF32 {
-			return nil, fmt.Errorf("tsp: instance %q: d(%d,%d) = %d: %w",
-				in.Name, i/n, i%n, v, ErrF32Precision)
-		}
-		d.DistF32[i] = float32(v)
+	return &Derived{
+		N:    in.n,
+		NN:   nn,
+		List: in.NNList(nn),
+		CNN:  in.TourLength(in.NearestNeighbourTour(0)),
+	}, nil
+}
+
+// FNV-1a parameters of ContentHash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashHeader starts a content hash with the edge weight type, byte by
+// byte, and the dimension; New and NewExplicit then fold in each
+// upper-triangle distance as one 32-bit word while they fill the matrix.
+func hashHeader(typ EdgeWeightType, n int) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(typ); i++ {
+		h = (h ^ uint64(typ[i])) * fnvPrime64
 	}
-	d.CNN = in.TourLength(in.NearestNeighbourTour(0))
-	return d, nil
+	return (h ^ uint64(uint32(n))) * fnvPrime64
 }
 
 // ContentHash returns a 64-bit FNV-1a hash of the instance's solver-visible
-// content: the edge weight type, the dimension and the full distance
-// matrix. Two instances with equal hashes are (up to 64-bit collisions,
-// which the derived-data cache tolerates by construction — equal content is
-// what it needs, and unequal content with equal hashes only means sharing
-// is keyed conservatively by the caller) interchangeable for solving: the
-// name, comment and raw coordinates do not affect tours or lengths beyond
-// the matrix they produced.
-func (in *Instance) ContentHash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	byte1 := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	word32 := func(v uint32) {
-		byte1(byte(v))
-		byte1(byte(v >> 8))
-		byte1(byte(v >> 16))
-		byte1(byte(v >> 24))
-	}
-	for i := 0; i < len(in.Type); i++ {
-		byte1(in.Type[i])
-	}
-	word32(uint32(in.n))
-	for _, v := range in.matrix {
-		word32(uint32(v))
-	}
-	return h
-}
+// content: the edge weight type, the dimension and the upper triangle of
+// the distance matrix (which fixes the whole symmetric matrix), one
+// multiply per 32-bit distance. It is computed once while New or
+// NewExplicit builds the matrix, so ContentHash itself does O(1) work. Two
+// instances with equal hashes are (up to 64-bit collisions) interchangeable
+// for solving: the name, comment and raw coordinates do not affect tours or
+// lengths beyond the matrix they produced.
+func (in *Instance) ContentHash() uint64 { return in.hash }

@@ -62,6 +62,7 @@ type Instance struct {
 	Coords  []Point // empty for Explicit instances
 	matrix  []int32 // full n*n distance matrix
 	n       int
+	hash    uint64 // ContentHash, computed while the matrix is built
 }
 
 // N returns the number of cities.
@@ -98,14 +99,17 @@ func New(name string, typ EdgeWeightType, coords []Point) (*Instance, error) {
 	}
 	in := &Instance{Name: name, Type: typ, Coords: coords, n: n}
 	in.matrix = make([]int32, n*n)
+	h := hashHeader(typ, n)
 	for i := 0; i < n; i++ {
 		row := in.matrix[i*n:]
 		for j := i + 1; j < n; j++ {
 			d := dist(coords[i], coords[j])
 			row[j] = d
 			in.matrix[j*n+i] = d
+			h = (h ^ uint64(uint32(d))) * fnvPrime64
 		}
 	}
+	in.hash = h
 	return in, nil
 }
 
@@ -123,17 +127,20 @@ func NewExplicit(name string, n int, matrix []int32) (*Instance, error) {
 	}
 	m := make([]int32, n*n)
 	copy(m, matrix)
+	h := hashHeader(Explicit, n)
 	for i := 0; i < n; i++ {
 		m[i*n+i] = 0
 		for j := i + 1; j < n; j++ {
-			if m[i*n+j] < 0 {
+			d := m[i*n+j]
+			if d < 0 {
 				return nil, invalidf("instance %q: negative distance %d between %d and %d",
-					name, m[i*n+j], i, j)
+					name, d, i, j)
 			}
-			m[j*n+i] = m[i*n+j]
+			m[j*n+i] = d
+			h = (h ^ uint64(uint32(d))) * fnvPrime64
 		}
 	}
-	return &Instance{Name: name, Type: Explicit, matrix: m, n: n}, nil
+	return &Instance{Name: name, Type: Explicit, matrix: m, n: n, hash: h}, nil
 }
 
 // distanceFunc returns the TSPLIB distance function for a weight type.
