@@ -159,6 +159,32 @@ func TestSolveACSBothBackends(t *testing.T) {
 	}
 }
 
+// TestSolveACSSteepBeta: at β = 12, τ·η^β underflows float32 to zero on
+// long edges, so late in a tour the GPU ACS kernel sees choice rows that
+// are zero on every unvisited city. It once crowned a visited city there
+// and failed with "city 0 visited twice"; both backends must return valid
+// tours on both instances.
+func TestSolveACSSteepBeta(t *testing.T) {
+	for _, name := range []string{"att48", "kroC100"} {
+		in, err := antgpu.LoadBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []antgpu.Backend{antgpu.BackendCPU, antgpu.BackendGPU} {
+			res, err := antgpu.Solve(in, antgpu.SolveOptions{
+				Algorithm: antgpu.AlgorithmACS, Iterations: 5, Backend: backend,
+				ACS: antgpu.ACSParams{Params: antgpu.Params{Beta: 12}},
+			})
+			if err != nil {
+				t.Fatalf("%s backend %d: %v", name, backend, err)
+			}
+			if err := in.ValidTour(res.BestTour); err != nil {
+				t.Fatalf("%s backend %d: %v", name, backend, err)
+			}
+		}
+	}
+}
+
 func TestSolveMMASBothBackends(t *testing.T) {
 	in, err := antgpu.LoadBenchmark("att48")
 	if err != nil {

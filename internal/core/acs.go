@@ -120,7 +120,7 @@ func (a *ACSEngine) ConstructTours() (*StageResult, error) {
 			tabu[t.ID()] = -1
 			t.Charge(3)
 			if t.ID() == 0 {
-				r := rng.NextF32(t, states, 0)
+				r := t.LCGF32(states, 0)
 				c := int32(r * float32(n))
 				if c >= int32(n) {
 					c = int32(n) - 1
@@ -148,7 +148,7 @@ func (a *ACSEngine) ConstructTours() (*StageResult, error) {
 			// The leader draws q once per step to pick the rule.
 			b.Run(func(t *cuda.Thread) {
 				if t.ID() == 0 {
-					q := rng.NextF32(t, states, 0)
+					q := t.LCGF32(states, 0)
 					mode := int32(0)
 					if q < q0 {
 						mode = 1
@@ -167,11 +167,14 @@ func (a *ACSEngine) ConstructTours() (*StageResult, error) {
 					if j < n {
 						w := t.LdF32(e.choice, cur*n+j)
 						tb := float32((tabu[t.ID()] >> uint(tile)) & 1)
+						// + (tb-1) sinks a visited city to -1, as in the AS
+						// kernel, so a choice row collapsed to zero cannot
+						// crown one; for tb = 1 it adds +0.0.
 						if exploit {
-							val = w * tb
+							val = w*tb + (tb - 1)
 						} else {
-							r := rng.NextF32(t, states, t.ID()) + 1e-6
-							val = w * r * tb
+							r := t.LCGF32(states, t.ID()) + 1e-6
+							val = w*r*tb + (tb - 1)
 						}
 						t.Charge(2*chargeMulAdd + chargeBitTabu + chargeIndex)
 					}

@@ -217,7 +217,7 @@ func NewEngineWithOptions(dev *cuda.Device, in *tsp.Instance, p aco.Params, opt 
 		copy(e.nnList.Data(), in.NNList(e.nn))
 		cnn = in.TourLength(in.NearestNeighbourTour(0))
 	}
-	rng.SeedLibStates(e.libRNG, p.Seed^0xC0FFEE, e.m)
+	rng.SeedLibStates(e.libRNG.Data(), p.Seed^0xC0FFEE, e.m)
 
 	e.tau0 = float64(e.m) / float64(cnn)
 	e.pher.Fill(float32(e.tau0))

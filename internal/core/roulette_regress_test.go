@@ -16,7 +16,9 @@ import (
 // choice row (pheromone evaporated to float32 zero) made the reduction
 // crown a tabu city and produce tours with duplicate cities. This test
 // zeroes the pheromone matrix to force that state on every step and fails
-// on the old code with an invalid-tour error.
+// on the old code with an invalid-tour error. The GPU ACS kernel scores
+// choice·tabu-bit (exploit) or choice·random·tabu-bit (explore) the same
+// way and is checked too.
 func TestDataParallelSelectionNeverEmitsTabuCity(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
 	zero := make([]float64, in.N()*in.N())
@@ -40,6 +42,23 @@ func TestDataParallelSelectionNeverEmitsTabuCity(t *testing.T) {
 				}
 			}
 			e.Free()
+		}
+	}
+	a, err := core.NewACSEngine(cuda.TeslaM2050(), in, aco.DefaultACSParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Free()
+	if err := a.SetPheromone(zero); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ConstructTours(); err != nil {
+		t.Fatalf("ACS: %v", err)
+	}
+	for k := 0; k < a.Ants(); k++ {
+		if err := in.ValidTour(a.Tour(k)); err != nil {
+			t.Errorf("ACS: ant %d emitted a tabu city: %v", k, err)
+			break
 		}
 	}
 }

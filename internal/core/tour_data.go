@@ -119,47 +119,10 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 		for step := 1; step < n; step++ {
 			for tile := 0; tile < tiles; tile++ {
 				tile := tile
-				// Tile phase: value = choice * random * tabu-bit. In-lanes
-				// (j < n) issue the choice load then two shared stores;
-				// out-lanes issue their two shared stores one position
-				// earlier, so the middle position merges in-lane vals[] and
-				// out-lane idxs[] stores into one instruction (the scalar
-				// path's positional retirement does the same merge).
-				b.RunWarps(func(w *cuda.Warp) {
-					jbase := tile*threads + w.Base()
-					inMask := w.MaskTo(n - jbase)
-					outMask := w.Mask() &^ inMask
-					var wv, valsV [32]float32
-					var idxV [32]int32
-					if inMask != 0 {
-						if choiceTex != nil {
-							w.TexF32Masked(choiceTex, cur*n+jbase, inMask, wv[:])
-						} else {
-							w.LdF32Masked(e.choice, cur*n+jbase, inMask, wv[:])
-						}
-					}
-					for l := 0; l < w.Active(); l++ {
-						tid := w.Base() + l
-						if inMask&(1<<uint(l)) != 0 {
-							r := rng.NextF32Raw(states, tid) + 1e-6
-							tb := float32((tabu[tid] >> uint(tile)) & 1)
-							// + (tb-1) sinks visited lanes to -1 so the max
-							// reduction can never crown a tabu city when every
-							// unvisited value underflows to zero; for tb = 1
-							// it adds +0.0 and leaves the value bit-identical.
-							valsV[l] = wv[l]*r*tb + (tb - 1)
-						} else {
-							valsV[l] = -1
-						}
-						idxV[l] = int32(jbase + l)
-					}
-					if inMask != 0 {
-						w.Charge(rng.DeviceLCGCharge + 2*chargeMulAdd + chargeBitTabu + chargeIndex)
-					}
-					w.StShF32Masked(vals, w.Base(), outMask, valsV[:])
-					w.StShF32I32Row(vals, valsV[:], inMask, idxs, idxV[:], outMask, w.Base())
-					w.StShI32Masked(idxs, w.Base(), inMask, idxV[:])
-				})
+				// Tile phase: value = choice * random * tabu-bit, the scalar
+				// phase below as one collective.
+				b.IRouletteTile(e.choice, choiceTex, cur*n, n, tile, states, tabu, vals, idxs,
+					rng.DeviceLCGCharge+2*chargeMulAdd+chargeBitTabu+chargeIndex)
 				b.Sync()
 				// Shared-memory max-reduction for the tile winner.
 				b.ArgMaxSh(vals, idxs, chargeCompare)
@@ -267,7 +230,7 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 			tabu[t.ID()] = -1 // all bits set
 			t.Charge(3)
 			if t.ID() == 0 {
-				r := rng.NextF32(t, states, 0)
+				r := t.LCGF32(states, 0)
 				c := int32(r * float32(n))
 				if c >= int32(n) {
 					c = int32(n) - 1
@@ -312,7 +275,7 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 						} else {
 							w = t.LdF32(e.choice, cur*n+j)
 						}
-						r := rng.NextF32(t, states, t.ID()) + 1e-6
+						r := t.LCGF32(states, t.ID()) + 1e-6
 						tb := float32((tabu[t.ID()] >> uint(tile)) & 1)
 						val = w*r*tb + (tb - 1)
 						t.Charge(2*chargeMulAdd + chargeBitTabu + chargeIndex)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"antgpu/internal/cuda"
-	"antgpu/internal/rng"
 )
 
 // tabuLayout describes where and how the task-based kernels keep the
@@ -207,7 +206,7 @@ func (e *Engine) tourTask(v TourVersion) (*cuda.LaunchResult, error) {
 				t.Charge(chargeIndex)
 				return t.TexF32(randTex, a*n+step)
 			case libRNG:
-				return rng.LibNextF32(t, e.libRNG, a)
+				return t.LibF32(e.libRNG, a)
 			default:
 				t.Charge(chargeIndex)
 				return t.LdF32(e.randoms, a*n+step)

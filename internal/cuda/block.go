@@ -200,9 +200,16 @@ func (b *Block) init(dev *Device, cfg *LaunchConfig) {
 	if hint > maxStreamLen {
 		hint = maxStreamLen
 	}
+	// Streams that must grow are carved from one array, so a fresh Block
+	// (the pool drops some at every GC) costs one allocation here, not one
+	// per lane; a stream that outgrows its capacity reallocates alone.
+	var backing []rec
 	for i := range b.streams {
 		if cap(b.streams[i]) < hint {
-			b.streams[i] = make([]rec, 0, hint)
+			if backing == nil {
+				backing = make([]rec, ws*hint)
+			}
+			b.streams[i] = backing[i*hint : i*hint : (i+1)*hint]
 		} else {
 			b.streams[i] = b.streams[i][:0]
 		}

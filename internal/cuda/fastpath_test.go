@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"antgpu/internal/cuda"
+	"antgpu/internal/rng"
 )
 
 // laneMasks are the masks the masked-op tests sweep: lane prefixes, which
@@ -299,6 +300,195 @@ func TestArgMaxShMatchesTree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// iRouletteFunc is the signature Block.IRouletteTile and its references
+// share.
+type iRouletteFunc func(b *cuda.Block, choice *cuda.F32, tex *cuda.Texture, row, n, tile int,
+	states []uint64, tabu []int32, vals []float32, idxs []int32, charge float64)
+
+// iRouletteWarps is the I-Roulette tile phase written as one RunWarps phase
+// of masked warp ops: the reference Block.IRouletteTile must match meter
+// for meter.
+func iRouletteWarps(b *cuda.Block, choice *cuda.F32, tex *cuda.Texture, row, n, tile int,
+	states []uint64, tabu []int32, vals []float32, idxs []int32, charge float64) {
+	b.RunWarps(func(w *cuda.Warp) {
+		jbase := tile*b.Threads() + w.Base()
+		inMask := w.MaskTo(n - jbase)
+		outMask := w.Mask() &^ inMask
+		var wv, valsV [32]float32
+		var idxV [32]int32
+		if inMask != 0 {
+			if tex != nil {
+				w.TexF32Masked(tex, row+jbase, inMask, wv[:])
+			} else {
+				w.LdF32Masked(choice, row+jbase, inMask, wv[:])
+			}
+		}
+		for l := 0; l < w.Active(); l++ {
+			tid := w.Base() + l
+			if inMask&(1<<uint(l)) != 0 {
+				r := rng.NextF32Raw(states, tid) + 1e-6
+				tb := float32((tabu[tid] >> uint(tile)) & 1)
+				valsV[l] = wv[l]*r*tb + (tb - 1)
+			} else {
+				valsV[l] = -1
+			}
+			idxV[l] = int32(jbase + l)
+		}
+		if inMask != 0 {
+			w.Charge(charge)
+		}
+		w.StShF32Masked(vals, w.Base(), outMask, valsV[:])
+		w.StShF32I32Row(vals, valsV[:], inMask, idxs, idxV[:], outMask, w.Base())
+		w.StShI32Masked(idxs, w.Base(), inMask, idxV[:])
+	})
+}
+
+// iRouletteThreads is the same phase on the scalar per-thread path.
+func iRouletteThreads(b *cuda.Block, choice *cuda.F32, tex *cuda.Texture, row, n, tile int,
+	states []uint64, tabu []int32, vals []float32, idxs []int32, charge float64) {
+	b.Run(func(t *cuda.Thread) {
+		j := tile*b.Threads() + t.ID()
+		val := float32(-1)
+		if j < n {
+			var w float32
+			if tex != nil {
+				w = t.TexF32(tex, row+j)
+			} else {
+				w = t.LdF32(choice, row+j)
+			}
+			r := rng.NextF32Raw(states, t.ID()) + 1e-6
+			tb := float32((tabu[t.ID()] >> uint(tile)) & 1)
+			val = w*r*tb + (tb - 1)
+			t.Charge(charge)
+		}
+		t.StShF32(vals, t.ID(), val)
+		t.StShI32(idxs, t.ID(), int32(j))
+	})
+}
+
+// TestIRouletteTileMatchesPhase compares Block.IRouletteTile with the tile
+// phase it replaces on both paths: identical Meter structs and bit-identical
+// vals, idxs and RNG states after every tile. It covers several tiles, a
+// ragged last warp (48 threads), rows with no out-of-range lanes (n = 64)
+// and warps with a single one (n = 95), random tabu bits (sunk lanes in every tile), random and all-zero choice
+// rows, global and texture fetches, whole and fractional charges, and
+// sampled launches.
+func TestIRouletteTileMatchesPhase(t *testing.T) {
+	phases := []struct {
+		name  string
+		phase iRouletteFunc
+	}{
+		{"IRouletteTile", (*cuda.Block).IRouletteTile},
+		{"RunWarps phase", iRouletteWarps},
+		{"Run phase", iRouletteThreads},
+	}
+	const grid = 5
+	r := rand.New(rand.NewSource(1))
+	texHits, texMisses, sunk, scored := false, false, false, false
+	for _, newDev := range []func() *cuda.Device{cuda.TeslaC1060, cuda.TeslaM2050} {
+		for _, threads := range []int{32, 48, 64, 128} {
+			for _, n := range []int{100, 37, 64, 95} {
+				tiles := (n + threads - 1) / threads
+				inStates := make([]uint64, grid*threads)
+				inTabu := make([]int32, grid*threads)
+				for i := range inStates {
+					inStates[i] = r.Uint64()
+					inTabu[i] = int32(r.Uint32())
+				}
+				for _, pattern := range []string{"random", "zero"} {
+					choice := cuda.MallocF32("choice", grid*n)
+					if pattern == "random" {
+						for i := range choice.Data() {
+							choice.Data()[i] = r.Float32()
+						}
+					}
+					for _, texture := range []bool{false, true} {
+						var tex *cuda.Texture
+						if texture {
+							tex = cuda.BindTexture(choice)
+						}
+						for _, charge := range []float64{12, 0.3} {
+							for _, stride := range []int{1, 2} {
+								var ref cuda.Meter
+								var refV, refI, refS []uint32
+								for pi, ph := range phases {
+									outV := make([]float32, grid*tiles*threads)
+									outI := make([]int32, grid*tiles*threads)
+									outS := make([]uint64, grid*threads)
+									k := func(b *cuda.Block) {
+										blk := b.LinearIdx()
+										vals := b.SharedF32(threads)
+										idxs := b.SharedI32(threads)
+										states := b.RegsU64(threads)
+										tabu := b.RegsI32(threads)
+										copy(states, inStates[blk*threads:])
+										copy(tabu, inTabu[blk*threads:])
+										for tile := 0; tile < tiles; tile++ {
+											for i := range vals {
+												vals[i], idxs[i] = 7, -7 // every slot must be overwritten
+											}
+											ph.phase(b, choice, tex, blk*n, n, tile, states, tabu, vals, idxs, charge)
+											b.Sync()
+											off := (blk*tiles + tile) * threads
+											copy(outV[off:], vals)
+											copy(outI[off:], idxs)
+										}
+										copy(outS[blk*threads:], states)
+									}
+									cfg := cuda.LaunchConfig{Grid: cuda.D1(grid), Block: cuda.D1(threads),
+										SharedBytes: 8 * threads, SampleStride: stride}
+									dev := newDev()
+									res, err := cuda.Launch(dev, cfg, ph.name, k)
+									if err != nil {
+										t.Fatal(err)
+									}
+									gotV, gotI := f32bits(outV), i32bits(outI)
+									gotS := make([]uint32, 0, 2*len(outS))
+									for _, s := range outS {
+										gotS = append(gotS, uint32(s), uint32(s>>32))
+									}
+									if pi == 0 {
+										ref, refV, refI, refS = res.Meter, gotV, gotI, gotS
+										texHits = texHits || ref.TexHits > 0
+										texMisses = texMisses || ref.TexMisses > 0
+										for _, v := range outV {
+											sunk = sunk || v == -1
+											scored = scored || v > 0
+										}
+										continue
+									}
+									where := fmt.Sprintf("%s, %d threads, n %d, %s, texture %v, charge %g, stride %d: %s",
+										dev.Name, threads, n, pattern, texture, charge, stride, ph.name)
+									if res.Meter != ref {
+										t.Errorf("%s: meters differ\nIRouletteTile: %+v\nphase:         %+v", where, ref, res.Meter)
+									}
+									for i := range gotV {
+										if gotV[i] != refV[i] || gotI[i] != refI[i] {
+											t.Errorf("%s: slot %d differs: IRouletteTile (%#x, %d), phase (%#x, %d)",
+												where, i, refV[i], int32(refI[i]), gotV[i], int32(gotI[i]))
+											break
+										}
+									}
+									for i := range gotS {
+										if gotS[i] != refS[i] {
+											t.Errorf("%s: RNG state word %d differs", where, i)
+											break
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !texHits || !texMisses || !sunk || !scored {
+		t.Errorf("vacuous sweep: texture hits %v, misses %v, sunk lanes %v, positive scores %v",
+			texHits, texMisses, sunk, scored)
 	}
 }
 

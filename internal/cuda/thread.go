@@ -1,5 +1,7 @@
 package cuda
 
+import "antgpu/internal/rng"
+
 // Thread is the kernel-side handle to one thread within a Run phase. The
 // pointer passed to the phase closure is only valid for the duration of that
 // call; per-thread state living across phases belongs in plain Go slices
@@ -161,4 +163,37 @@ func (t *Thread) AtomicAddI32(buf *I32, i int, v int32) int32 {
 
 func atomicKey(id bufferID, i int) uint64 {
 	return uint64(id)<<40 | uint64(uint32(i))
+}
+
+// --- Random numbers -----------------------------------------------------------
+
+// LCGF32 draws a uniform float32 from the register-resident device LCG:
+// states[i] is a register, not device memory, so the draw touches no memory
+// and charges rng.DeviceLCGCharge issues.
+func (t *Thread) LCGF32(states []uint64, i int) float32 {
+	v := rng.NextF32Raw(states, i)
+	t.Charge(rng.DeviceLCGCharge)
+	return v
+}
+
+// LibF32 draws a uniform float32 the way a library generator would: the
+// per-thread state (rng.LibStateWords 8-byte words, standing in for
+// XORWOW's 48-byte state) lives in global device memory, so every draw pays
+// metered loads and stores in addition to the longer arithmetic sequence.
+// The buffer must hold rng.LibStateWords entries per stream (see
+// rng.SeedLibStates).
+func (t *Thread) LibF32(states *U64, i int) float32 {
+	base := i * rng.LibStateWords
+	g := rng.FromState(t.LdU64(states, base))
+	for w := 1; w < rng.LibStateWords; w++ {
+		_ = t.LdU64(states, base+w)
+	}
+	v := g.Float32()
+	// Extra scrambling work standing in for XORWOW + distribution setup.
+	t.Charge(rng.DeviceLibCharge)
+	t.StU64(states, base, g.State())
+	for w := 1; w < rng.LibStateWords; w++ {
+		t.StU64(states, base+w, g.State()^uint64(w))
+	}
+	return v
 }

@@ -1,6 +1,11 @@
 package cuda
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+
+	"antgpu/internal/rng"
+)
 
 // Warp is the kernel-side handle to one warp within a RunWarps phase: the
 // vector fast path of the simulator. Where a Run phase executes the closure
@@ -123,16 +128,27 @@ func (b *Block) ArgMaxSh(vals []float32, idxs []int32, charge float64) {
 		m.RunPhases++
 		for base := 0; base < s; base += ws {
 			n := min(s-base, ws)
+			lo, hi := vals[base:][:n], vals[s+base:][:n]
+			ilo, ihi := idxs[base:][:n], idxs[s+base:][:n]
 			m.SharedInstr += 2
 			m.SharedOps += 2 * int64(n)
 			m.ComputeIssues += charge
 			won := 0
-			for t := base; t < base+n; t++ {
-				if vals[t+s] > vals[t] {
-					vals[t] = vals[t+s]
-					idxs[t] = idxs[t+s]
-					won++
+			for t := range lo {
+				// Both sides are loaded first and the winner is selected
+				// through the bits, so the compiler emits conditional moves:
+				// whether a partner wins is a coin flip on random scores,
+				// where a branch would mispredict half the time. A NaN
+				// partner fails the compare, and bits keep a -0.
+				a, c := lo[t], hi[t]
+				v, i := math.Float32bits(a), ilo[t]
+				vc, ic := math.Float32bits(c), ihi[t]
+				w := 0
+				if c > a {
+					v, i, w = vc, ic, 1
 				}
+				lo[t], ilo[t] = math.Float32frombits(v), i
+				won += w
 			}
 			if won > 0 {
 				m.SharedInstr += 3
@@ -141,6 +157,79 @@ func (b *Block) ArgMaxSh(vals []float32, idxs []int32, charge float64) {
 		}
 		m.LaneOps += int64(b.threads)
 		b.Sync()
+	}
+}
+
+// IRouletteTile runs one tile phase of the paper's data-parallel tour
+// construction (the I-Roulette draw) as one collective. Thread t scores
+// city j = tile·Threads() + t of the choice row that starts at choice[row].
+// A city j < n draws the thread's register LCG, r = rng.NextF32Raw(states,
+// t) + 1e-6, takes its tabu bit tb = (tabu[t] >> tile) & 1 and scores
+// vals[t] = choice[row+j]·r·tb + (tb − 1); the last term sinks a visited
+// city to −1, below any unvisited score even when every choice value
+// underflows to zero, and adds +0.0 to an unvisited one. A city j ≥ n
+// scores −1 and draws nothing. Every thread sets idxs[t] = j. When tex is
+// not nil it binds choice and the row is fetched through its cache.
+//
+// It meters exactly what the phase written as one RunWarps phase meters:
+// per warp, one fetch of the in-range lanes' row (texture probes or a
+// global load), charge compute issues if any lane is in range, and three
+// shared stores, each issued only over non-empty lanes: the out-of-range
+// lanes' vals, one instruction merging the in-range lanes' vals with the
+// out-of-range lanes' idxs (the scalar path's positional retirement merges
+// them), and the in-range lanes' idxs; then the warp's live lanes. The
+// fetches and charges come warp by warp in lane order, so the texture
+// cache sees the same probe sequence and a fractional charge sums to the
+// same bits.
+func (b *Block) IRouletteTile(choice *F32, tex *Texture, row, n, tile int, states []uint64, tabu []int32, vals []float32, idxs []int32, charge float64) {
+	ws := b.dev.WarpSize
+	if ws > 32 {
+		panic("cuda: IRouletteTile requires WarpSize <= 32 (lane masks are uint32)")
+	}
+	threads := b.threads
+	first := tile * threads
+	in := min(max(n-first, 0), threads)
+	row += first
+
+	src := choice.data[row : row+in]
+	st, tb := states[:in], tabu[:in]
+	vs, is := vals[:threads], idxs[:threads]
+	shift := uint(tile)
+	for t, w := range src {
+		r := rng.NextF32Raw(st, t) + 1e-6
+		bit := float32((tb[t] >> shift) & 1)
+		vs[t] = w*r*bit + (bit - 1)
+		is[t] = int32(first + t)
+	}
+	for t := in; t < threads; t++ {
+		vs[t] = -1
+		is[t] = int32(first + t)
+	}
+
+	m := b.meter
+	m.RunPhases++
+	var tc *texTags
+	if tex != nil && in > 0 {
+		tc = b.texCache(tex.buf.id)
+	}
+	for base := 0; base < threads; base += ws {
+		active := min(threads-base, ws)
+		k := min(max(in-base, 0), active)
+		if k > 0 {
+			if tc != nil {
+				b.meterTex(tc, row+base, uint32(1)<<uint(k)-1)
+			} else {
+				b.meterGlobalLoad(rowTx(row+base, k, 4, b.segBytes()), k)
+			}
+			m.ComputeIssues += charge
+			m.SharedInstr++ // the in-range lanes' idxs
+		}
+		if k < active {
+			m.SharedInstr++ // the out-of-range lanes' vals
+		}
+		m.SharedInstr++ // the merged store
+		m.SharedOps += 2 * int64(active)
+		m.LaneOps += int64(active)
 	}
 }
 
@@ -541,12 +630,16 @@ func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) 
 	if mask == 0 {
 		return
 	}
-	b := w.b
+	loadLanes(dst, tex.buf.data, base, mask)
+	w.b.meterTex(w.b.texCache(tex.buf.id), base, mask)
+}
+
+// meterTex meters one texture fetch instruction of the lanes in mask
+// (non-zero) at base+l through the tag cache tc.
+func (b *Block) meterTex(tc *texTags, base int, mask uint32) {
 	m := b.meter
 	m.TexInstr++
 	m.TexFetches += int64(bits.OnesCount32(mask))
-	loadLanes(dst, tex.buf.data, base, mask)
-	tc := b.texCache(tex.buf.id)
 	lineBytes := int64(b.dev.TextureLineBytes)
 	missed := false
 	if isPrefix(mask) && lineBytes >= 4 {

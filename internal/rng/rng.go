@@ -4,7 +4,7 @@
 // function — a linear congruential generator — rather than a library RNG.
 // Version (3) of the paper's tour-construction study replaces the NVIDIA
 // CURAND library with exactly such a device function and gains 10–20 %.
-// This package therefore provides two generators with the same interface:
+// This package therefore provides two generators:
 //
 //   - LCG: the register-resident device LCG (cheap: a few arithmetic
 //     instructions, no memory traffic), and
@@ -13,10 +13,13 @@
 //     simulated cost difference between versions (2) and (3) of Table II is
 //     mechanistic rather than asserted.
 //
+// This package holds the arithmetic, the seeding and the device cost
+// constants of both. The draws that meter a simulated thread live in
+// package cuda (Thread.LCGF32, Thread.LibF32 and the tile collective
+// Block.IRouletteTile), which imports this one.
+//
 // All generators are deterministic and fully seeded.
 package rng
-
-import "antgpu/internal/cuda"
 
 // LCG is a 64-bit linear congruential generator with the Knuth MMIX
 // multiplier. The zero value is a valid (if dull) state; use Seed to
@@ -123,21 +126,9 @@ const (
 	LibStateWords   = 6
 )
 
-// NextF32 draws a uniform float32 on the device using the register-resident
-// LCG: states[i] is read and written through ordinary Go slice access (it is
-// a register, not device memory) and the arithmetic is charged to the
-// thread.
-func NextF32(t *cuda.Thread, states []uint64, i int) float32 {
-	g := FromState(states[i])
-	v := g.Float32()
-	states[i] = g.State()
-	t.Charge(DeviceLCGCharge)
-	return v
-}
-
-// NextF32Raw advances states[i] and returns the draw without charging a
-// thread: the warp-vector kernels account DeviceLCGCharge at warp
-// granularity through Warp.Charge instead.
+// NextF32Raw advances states[i] and returns the draw. It charges nothing:
+// the device draws in package cuda and the warp-vector kernels account
+// DeviceLCGCharge themselves.
 func NextF32Raw(states []uint64, i int) float32 {
 	g := FromState(states[i])
 	v := g.Float32()
@@ -145,46 +136,14 @@ func NextF32Raw(states []uint64, i int) float32 {
 	return v
 }
 
-// LibNextF32 draws a uniform float32 the way a library generator would: the
-// per-thread state (LibStateWords 8-byte words, standing in for XORWOW's
-// 48-byte state) lives in global device memory, so every draw pays metered
-// loads and stores in addition to the longer arithmetic sequence. The
-// buffer must hold LibStateWords entries per stream (see SeedLibStates).
-func LibNextF32(t *cuda.Thread, states *cuda.U64, i int) float32 {
-	base := i * LibStateWords
-	g := FromState(t.LdU64(states, base))
-	for w := 1; w < LibStateWords; w++ {
-		_ = t.LdU64(states, base+w)
-	}
-	v := g.Float32()
-	// Extra scrambling work standing in for XORWOW + distribution setup.
-	t.Charge(DeviceLibCharge)
-	t.StU64(states, base, g.State())
-	for w := 1; w < LibStateWords; w++ {
-		t.StU64(states, base+w, g.State()^uint64(w))
-	}
-	return v
-}
-
-// SeedLibStates fills a library-RNG state buffer (LibStateWords words per
+// SeedLibStates fills a library-RNG state array (LibStateWords words per
 // stream) with decorrelated streams for `streams` consumers.
-func SeedLibStates(states *cuda.U64, seed uint64, streams int) {
-	d := states.Data()
+func SeedLibStates(d []uint64, seed uint64, streams int) {
 	for i := 0; i < streams; i++ {
 		g := Seed(seed, uint64(i))
 		for w := 0; w < LibStateWords && i*LibStateWords+w < len(d); w++ {
 			d[i*LibStateWords+w] = g.State() ^ uint64(w)
 		}
-	}
-}
-
-// SeedStates fills a device state buffer with decorrelated per-thread
-// streams (one word per stream).
-func SeedStates(states *cuda.U64, seed uint64) {
-	d := states.Data()
-	for i := range d {
-		g := Seed(seed, uint64(i))
-		d[i] = g.State()
 	}
 }
 

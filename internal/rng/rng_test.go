@@ -123,7 +123,7 @@ func TestDeviceLCGMatchesHost(t *testing.T) {
 	res, err := cuda.Launch(dev, cuda.LaunchConfig{Grid: cuda.D1(1), Block: cuda.D1(threads)}, "rng",
 		func(b *cuda.Block) {
 			b.Run(func(th *cuda.Thread) {
-				v := rng.NextF32(th, states, th.ID())
+				v := th.LCGF32(states, th.ID())
 				th.StF32(out, th.ID(), v)
 			})
 		})
@@ -154,7 +154,7 @@ func TestLibraryRNGIsCostlier(t *testing.T) {
 	lcg, err := cuda.Launch(dev, cfg, "lcg", func(b *cuda.Block) {
 		b.Run(func(th *cuda.Thread) {
 			for k := 0; k < 8; k++ {
-				_ = rng.NextF32(th, regStates, th.ID())
+				_ = th.LCGF32(regStates, th.ID())
 			}
 		})
 	})
@@ -163,11 +163,11 @@ func TestLibraryRNGIsCostlier(t *testing.T) {
 	}
 
 	libStates := cuda.MallocU64("states", threads*rng.LibStateWords)
-	rng.SeedLibStates(libStates, 7, threads)
+	rng.SeedLibStates(libStates.Data(), 7, threads)
 	lib, err := cuda.Launch(dev, cfg, "lib", func(b *cuda.Block) {
 		b.Run(func(th *cuda.Thread) {
 			for k := 0; k < 8; k++ {
-				_ = rng.LibNextF32(th, libStates, th.ID())
+				_ = th.LibF32(libStates, th.ID())
 			}
 		})
 	})
@@ -184,10 +184,10 @@ func TestLibraryRNGIsCostlier(t *testing.T) {
 }
 
 func TestSeedStatesDistinct(t *testing.T) {
-	buf := cuda.MallocU64("s", 256)
-	rng.SeedStates(buf, 99)
+	states := make([]uint64, 256)
+	rng.SeedSlice(states, 99)
 	seen := map[uint64]bool{}
-	for _, v := range buf.Data() {
+	for _, v := range states {
 		if seen[v] {
 			t.Fatal("duplicate initial state across streams")
 		}
