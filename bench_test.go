@@ -160,6 +160,27 @@ func BenchmarkTourKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkACSKernel measures the host wall-clock cost of simulating one
+// GPU ACS tour-construction stage (the choice kernel, then one block per ant
+// on the scalar per-lane path) on the same instance with ACS's 10 ants.
+func BenchmarkACSKernel(b *testing.B) {
+	in := tsp.MustLoadBenchmark("kroC100")
+	a, err := core.NewACSEngine(cuda.TeslaC1060(), in, aco.DefaultACSParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var sim float64
+	for i := 0; i < b.N; i++ {
+		stage, err := a.ConstructTours()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim = stage.Millis()
+	}
+	b.ReportMetric(sim, "simms")
+}
+
 // BenchmarkPheromoneKernel measures one pheromone-update stage per version.
 func BenchmarkPheromoneKernel(b *testing.B) {
 	in := tsp.MustLoadBenchmark("kroC100")

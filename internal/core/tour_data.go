@@ -118,76 +118,27 @@ func (e *Engine) tourDataParallel(v TourVersion) (*cuda.LaunchResult, error) {
 		// --- construction steps ------------------------------------------
 		for step := 1; step < n; step++ {
 			for tile := 0; tile < tiles; tile++ {
-				tile := tile
 				// Tile phase: value = choice * random * tabu-bit, the scalar
 				// phase below as one collective.
 				b.IRouletteTile(e.choice, choiceTex, cur*n, n, tile, states, tabu, vals, idxs,
 					rng.DeviceLCGCharge+2*chargeMulAdd+chargeBitTabu+chargeIndex)
 				b.Sync()
-				// Shared-memory max-reduction for the tile winner.
+				// Shared-memory max-reduction for the tile winner, which
+				// lane 0 keeps.
 				b.ArgMaxSh(vals, idxs, chargeCompare)
-				b.RunWarps(func(w *cuda.Warp) {
-					if w.ID() != 0 {
-						return
-					}
-					vArr := [1]float32{w.LdShF32BcastMasked(vals, 0, 1)}
-					w.StShF32Masked(tileBestV, tile, 1, vArr[:])
-					iArr := [1]int32{w.LdShI32BcastMasked(idxs, 0, 1)}
-					w.StShI32Masked(tileBestI, tile, 1, iArr[:])
-				})
+				b.StoreTileBest(vals, idxs, tileBestV, tileBestI, tile)
 				b.Sync()
 			}
-			// Winner among the tile winners, then bookkeeping. Lane 0's
-			// improving branch issues an extra tileBestI load, so the shared
-			// instruction sequence is data-dependent exactly as in the
-			// scalar path.
-			b.RunWarps(func(w *cuda.Warp) {
-				if w.ID() != 0 {
-					return
-				}
-				bestV := float32(-1)
-				best := int32(-1)
-				for tl := 0; tl < tiles; tl++ {
-					v := w.LdShF32BcastMasked(tileBestV, tl, 1)
-					if v > bestV {
-						bestV = v
-						best = w.LdShI32BcastMasked(tileBestI, tl, 1)
-					}
-				}
-				w.Charge(float64(tiles) * chargeCompare)
-				if best < 0 {
-					b.Failf("data-parallel selection found no city for ant %d at step %d", ant, step)
-				}
-				bArr := [1]int32{best}
-				w.StShI32Masked(nextSh, 0, 1, bArr[:])
-			})
+			// Winner among the tile winners, then bookkeeping, each the
+			// scalar phase below as one collective.
+			if b.TileWinner(tileBestV, tileBestI, nextSh, chargeCompare) < 0 {
+				b.Failf("data-parallel selection found no city for ant %d at step %d", ant, step)
+			}
 			b.Sync()
-			b.RunWarps(func(w *cuda.Warp) {
-				next := int(w.LdShI32Bcast(nextSh, 0))
-				target := next % threads
-				charge := float64(chargeCompare)
-				if target >= w.Base() && target < w.Base()+w.Active() {
-					tabu[target] &^= 1 << uint(next/threads)
-					if c := float64(chargeCompare + chargeBitTabu); c > charge {
-						charge = c
-					}
-				}
-				if w.ID() == 0 {
-					c := float64(chargeCompare + chargeMulAdd)
-					if target == 0 {
-						c += chargeBitTabu
-					}
-					if c > charge {
-						charge = c
-					}
-					d := w.LdF32BcastMasked(e.dist, cur*n+next, 1)
-					lenAcc += d
-					cur = next
-					nArr := [1]int32{int32(next)}
-					w.StI32Masked(e.tours, ant*e.tourPad+step, 1, nArr[:])
-				}
-				w.Charge(charge)
-			})
+			next, d := b.VisitCity(nextSh, tabu, e.dist, cur*n, e.tours, ant*e.tourPad+step,
+				chargeCompare, chargeBitTabu, chargeMulAdd)
+			lenAcc += d
+			cur = next
 			b.Sync()
 		}
 

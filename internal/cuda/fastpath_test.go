@@ -523,3 +523,293 @@ func TestPhasesDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// stepTail is the end of one data-parallel construction step, after the
+// tile argmax, written one way: keep each tile's winner, pick the step's
+// city among the tile winners, and book it.
+type stepTail struct {
+	name   string
+	store  func(b *cuda.Block, vals []float32, idxs []int32, bestV []float32, bestI []int32, tile int)
+	winner func(b *cuda.Block, bestV []float32, bestI []int32, next []int32, charge float64) int32
+	visit  func(b *cuda.Block, next, tabu []int32, dist *cuda.F32, row int, tours *cuda.I32, pos int,
+		charge, bitCharge, laneCharge float64) (int, float32)
+}
+
+// storeTileBestWarps, tileWinnerWarps and visitCityWarps are the RunWarps
+// phases that Block.StoreTileBest, Block.TileWinner and Block.VisitCity
+// replace, as the vector data-parallel kernel wrote them: the references
+// the collectives must match meter for meter.
+func storeTileBestWarps(b *cuda.Block, vals []float32, idxs []int32, bestV []float32, bestI []int32, tile int) {
+	b.RunWarps(func(w *cuda.Warp) {
+		if w.ID() != 0 {
+			return
+		}
+		v := [1]float32{w.LdShF32BcastMasked(vals, 0, 1)}
+		w.StShF32Masked(bestV, tile, 1, v[:])
+		i := [1]int32{w.LdShI32BcastMasked(idxs, 0, 1)}
+		w.StShI32Masked(bestI, tile, 1, i[:])
+	})
+}
+
+func tileWinnerWarps(b *cuda.Block, bestV []float32, bestI []int32, next []int32, charge float64) int32 {
+	best := int32(-1)
+	b.RunWarps(func(w *cuda.Warp) {
+		if w.ID() != 0 {
+			return
+		}
+		v := float32(-1)
+		for tl := range bestV {
+			if c := w.LdShF32BcastMasked(bestV, tl, 1); c > v {
+				v = c
+				best = w.LdShI32BcastMasked(bestI, tl, 1)
+			}
+		}
+		w.Charge(float64(len(bestV)) * charge)
+		if best < 0 {
+			failNoCity(b)
+		}
+		i := [1]int32{best}
+		w.StShI32Masked(next, 0, 1, i[:])
+	})
+	return best
+}
+
+func visitCityWarps(b *cuda.Block, next, tabu []int32, dist *cuda.F32, row int, tours *cuda.I32, pos int,
+	charge, bitCharge, laneCharge float64) (int, float32) {
+	threads := b.Threads()
+	var city int
+	var d float32
+	b.RunWarps(func(w *cuda.Warp) {
+		c := int(w.LdShI32Bcast(next, 0))
+		owner := c % threads
+		issues := charge
+		if owner >= w.Base() && owner < w.Base()+w.Active() {
+			tabu[owner] &^= 1 << uint(c/threads)
+			if x := charge + bitCharge; x > issues {
+				issues = x
+			}
+		}
+		if w.ID() == 0 {
+			x := charge + laneCharge
+			if owner == 0 {
+				x += bitCharge
+			}
+			if x > issues {
+				issues = x
+			}
+			d = w.LdF32BcastMasked(dist, row+c, 1)
+			city = c
+			i := [1]int32{int32(c)}
+			w.StI32Masked(tours, pos, 1, i[:])
+		}
+		w.Charge(issues)
+	})
+	return city, d
+}
+
+// storeTileBestThreads, tileWinnerThreads and visitCityThreads are the same
+// phases on the scalar per-thread path, as the scalar kernel writes them.
+func storeTileBestThreads(b *cuda.Block, vals []float32, idxs []int32, bestV []float32, bestI []int32, tile int) {
+	b.Run(func(t *cuda.Thread) {
+		if t.ID() == 0 {
+			t.StShF32(bestV, tile, t.LdShF32(vals, 0))
+			t.StShI32(bestI, tile, t.LdShI32(idxs, 0))
+		}
+	})
+}
+
+func tileWinnerThreads(b *cuda.Block, bestV []float32, bestI []int32, next []int32, charge float64) int32 {
+	best := int32(-1)
+	b.Run(func(t *cuda.Thread) {
+		if t.ID() != 0 {
+			return
+		}
+		v := float32(-1)
+		for tl := range bestV {
+			c := t.LdShF32(bestV, tl)
+			t.Charge(charge)
+			if c > v {
+				v = c
+				best = t.LdShI32(bestI, tl)
+			}
+		}
+		if best < 0 {
+			failNoCity(b)
+		}
+		t.StShI32(next, 0, best)
+	})
+	return best
+}
+
+func visitCityThreads(b *cuda.Block, next, tabu []int32, dist *cuda.F32, row int, tours *cuda.I32, pos int,
+	charge, bitCharge, laneCharge float64) (int, float32) {
+	threads := b.Threads()
+	var city int
+	var d float32
+	b.Run(func(t *cuda.Thread) {
+		c := int(t.LdShI32(next, 0))
+		if c%threads == t.ID() {
+			tabu[t.ID()] &^= 1 << uint(c/threads)
+			t.Charge(bitCharge)
+		}
+		t.Charge(charge)
+		if t.ID() == 0 {
+			d = t.LdF32(dist, row+c)
+			city = c
+			t.StI32(tours, pos, int32(c))
+			t.Charge(laneCharge)
+		}
+	})
+	return city, d
+}
+
+// failNoCity fails the launch the way the data-parallel kernel does when no
+// tile has a winner.
+func failNoCity(b *cuda.Block) { b.Failf("selection found no city in block %d", b.LinearIdx()) }
+
+// TestStepTailMatchesPhases compares the step-tail collectives
+// (Block.StoreTileBest, Block.TileWinner and Block.VisitCity) with the
+// RunWarps phases they replace and, for whole charges, with the scalar Run
+// phases: identical Meter structs and bit-identical tile bests, winner
+// slot, tabu words, tour entry, returned city and distance read. It covers
+// 1 to 4 tiles with the winner in the first tile, in a later one (each
+// improving tile adds an index load), among tied tiles and after sunk or NaN
+// tiles; the winner's lane at lane 0 (whose path then adds the tabu charge),
+// elsewhere in warp 0 and in a later warp; 32 to 128 threads and a ragged
+// last warp (48); whole and fractional charges; and both devices. When no
+// tile has a winner, every version fails the launch with the same error.
+func TestStepTailMatchesPhases(t *testing.T) {
+	tails := []stepTail{
+		{"collectives", (*cuda.Block).StoreTileBest, (*cuda.Block).TileWinner, (*cuda.Block).VisitCity},
+		{"RunWarps phases", storeTileBestWarps, tileWinnerWarps, visitCityWarps},
+		{"Run phases", storeTileBestThreads, tileWinnerThreads, visitCityThreads},
+	}
+	nan := float32(math.NaN())
+	patterns := []struct {
+		name  string
+		bests [4]float32 // the tile winners' scores, tile by tile
+	}{
+		{"first", [4]float32{0.9, 0.5, 0.7, 0.2}},
+		{"later", [4]float32{0.1, 0.3, 0.6, 0.8}},
+		{"ties", [4]float32{0.4, 0.4, 0.4, 0.4}},
+		{"later-ties", [4]float32{0.2, 0.6, 0.6, 0.3}},
+		{"sunk", [4]float32{-1, 0.5, -1, 0.7}},
+		{"nan", [4]float32{nan, 0.3, nan, 0.5}},
+		{"none", [4]float32{-1, -1, -1, -1}},
+	}
+	charges := []struct{ cmp, bit, lane float64 }{{1, 4, 1}, {0.1, 0.7, 0.3}}
+	const row, pos = 3, 2
+	r := rand.New(rand.NewSource(1))
+	dist := cuda.MallocF32("dist", row+4*128)
+	for i := range dist.Data() {
+		dist.Data()[i] = r.Float32() * 100
+	}
+	failed, laterWins, laneZero, laterWarp := false, false, false, false
+	for _, newDev := range []func() *cuda.Device{cuda.TeslaC1060, cuda.TeslaM2050} {
+		for _, threads := range []int{32, 48, 64, 128} {
+			inTabu := make([]int32, threads)
+			for i := range inTabu {
+				inTabu[i] = int32(r.Uint32())
+			}
+			for tiles := 1; tiles <= 4; tiles++ {
+				for _, pat := range patterns {
+					for _, lane := range []int{0, 5, threads/2 + 3, threads - 1} {
+						// Tile tl's winner is city tl·threads + its lane; the
+						// step's winner sits at lane, the others elsewhere.
+						var tileI [4]int32
+						for tl := range tileI {
+							tileI[tl] = int32(tl*threads + (lane+7*(tl+1))%threads)
+						}
+						win := -1
+						for tl, v := range pat.bests[:tiles] {
+							if v > -1 && (win < 0 || v > pat.bests[win]) {
+								win = tl
+							}
+						}
+						if win >= 0 {
+							tileI[win] = int32(win*threads + lane)
+						}
+						for _, ch := range charges {
+							whole := ch.cmp == math.Trunc(ch.cmp)
+							var ref cuda.Meter
+							var refOut []uint32
+							var refErr error
+							for ti, tail := range tails {
+								if !whole && tail.name == "Run phases" {
+									// A scalar lane sums its charges in
+									// another order, which only whole
+									// charges survive bit for bit.
+									continue
+								}
+								tours := cuda.MallocI32("tours", 4)
+								var out []uint32
+								k := func(b *cuda.Block) {
+									vals := b.SharedF32(threads)
+									idxs := b.SharedI32(threads)
+									bestV := b.SharedF32(tiles)
+									bestI := b.SharedI32(tiles)
+									next := b.SharedI32(1)
+									tabu := b.RegsI32(threads)
+									copy(tabu, inTabu)
+									for tl := 0; tl < tiles; tl++ {
+										vals[0], idxs[0] = pat.bests[tl], tileI[tl]
+										tail.store(b, vals, idxs, bestV, bestI, tl)
+										b.Sync()
+									}
+									if tail.winner(b, bestV, bestI, next, ch.cmp) < 0 {
+										failNoCity(b)
+									}
+									b.Sync()
+									city, d := tail.visit(b, next, tabu, dist, row, tours, pos, ch.cmp, ch.bit, ch.lane)
+									b.Sync()
+									out = append(f32bits(bestV), i32bits(bestI)...)
+									out = append(out, i32bits(tabu)...)
+									out = append(out, uint32(next[0]), uint32(city), math.Float32bits(d))
+									out = append(out, i32bits(tours.Data())...)
+								}
+								cfg := cuda.LaunchConfig{Grid: cuda.D1(1), Block: cuda.D1(threads), SharedBytes: 4 * (2*threads + 2*tiles + 1)}
+								dev := newDev()
+								res, err := cuda.Launch(dev, cfg, tail.name, k)
+								where := fmt.Sprintf("%s, %d threads, %d tiles, %s, lane %d, charges %v: %s",
+									dev.Name, threads, tiles, pat.name, lane, ch, tail.name)
+								if (err != nil) != (win < 0) {
+									t.Fatalf("%s: launch error %v, want one only when no tile has a winner", where, err)
+								}
+								if ti == 0 {
+									ref, refOut, refErr = cuda.Meter{}, out, err
+									if res != nil {
+										ref = res.Meter
+									}
+									failed = failed || err != nil
+									laterWins = laterWins || win > 0
+									laneZero = laneZero || (win >= 0 && lane == 0)
+									laterWarp = laterWarp || (win >= 0 && lane >= 32)
+									continue
+								}
+								if err != nil {
+									if err.Error() != refErr.Error() {
+										t.Errorf("%s: launch error %q, collectives %q", where, err, refErr)
+									}
+									continue
+								}
+								if res.Meter != ref {
+									t.Errorf("%s: meters differ\ncollectives: %+v\nphases:      %+v", where, ref, res.Meter)
+								}
+								for i := range out {
+									if out[i] != refOut[i] {
+										t.Errorf("%s: output word %d differs: collectives %#x, phases %#x", where, i, refOut[i], out[i])
+										break
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !failed || !laterWins || !laneZero || !laterWarp {
+		t.Errorf("vacuous sweep: failures %v, later-tile winners %v, lane-0 winners %v, later-warp winners %v",
+			failed, laterWins, laneZero, laterWarp)
+	}
+}

@@ -59,3 +59,30 @@ func (t *texTags) probe(line int64) bool {
 	t.tags[slot] = line
 	return false
 }
+
+// probeRow probes, in ascending order, every line that a row of bytes
+// touches: the row starts in line and ends end bytes after that line's
+// start (end > 0). It counts the hits and misses. It probes what probe
+// would, line by line, but divides once per row instead of once per line:
+// the first line's slot is line % len(tags), and the slot then steps with
+// the line and wraps by compare-and-reset (the cache has 256 or 384 slots,
+// so a mask cannot stand in for the modulo).
+func (t *texTags) probeRow(line, end, lineBytes int64) (hits, misses int64) {
+	tags := t.tags
+	slot := int(line % int64(len(tags)))
+	for {
+		if tags[slot] == line {
+			hits++
+		} else {
+			tags[slot] = line
+			misses++
+		}
+		if end -= lineBytes; end <= 0 {
+			return hits, misses
+		}
+		line++
+		if slot++; slot == len(tags) {
+			slot = 0
+		}
+	}
+}

@@ -128,28 +128,10 @@ func (b *Block) ArgMaxSh(vals []float32, idxs []int32, charge float64) {
 		m.RunPhases++
 		for base := 0; base < s; base += ws {
 			n := min(s-base, ws)
-			lo, hi := vals[base:][:n], vals[s+base:][:n]
-			ilo, ihi := idxs[base:][:n], idxs[s+base:][:n]
+			won := argMaxLevel(vals[base:base+n], vals[s+base:s+base+n], idxs[base:base+n], idxs[s+base:s+base+n])
 			m.SharedInstr += 2
 			m.SharedOps += 2 * int64(n)
 			m.ComputeIssues += charge
-			won := 0
-			for t := range lo {
-				// Both sides are loaded first and the winner is selected
-				// through the bits, so the compiler emits conditional moves:
-				// whether a partner wins is a coin flip on random scores,
-				// where a branch would mispredict half the time. A NaN
-				// partner fails the compare, and bits keep a -0.
-				a, c := lo[t], hi[t]
-				v, i := math.Float32bits(a), ilo[t]
-				vc, ic := math.Float32bits(c), ihi[t]
-				w := 0
-				if c > a {
-					v, i, w = vc, ic, 1
-				}
-				lo[t], ilo[t] = math.Float32frombits(v), i
-				won += w
-			}
 			if won > 0 {
 				m.SharedInstr += 3
 				m.SharedOps += 3 * int64(won)
@@ -158,6 +140,32 @@ func (b *Block) ArgMaxSh(vals []float32, idxs []int32, charge float64) {
 		m.LaneOps += int64(b.threads)
 		b.Sync()
 	}
+}
+
+// argMaxLevel is one warp's compare loop at one level of ArgMaxSh: slot t
+// of lo takes hi[t] and ihi[t] when hi[t] is strictly greater. It returns
+// the number of slots that took their partner. Both sides are loaded first
+// and the winner is selected through the bits, so the compiler emits
+// conditional moves: whether a partner wins is a coin flip on random scores,
+// where a branch would mispredict half the time. A NaN partner fails the
+// compare, and bits keep a −0. Cut to one length and free of the
+// collective's other values, the loop runs without bounds checks or
+// reloads from the frame.
+func argMaxLevel(lo, hi []float32, ilo, ihi []int32) int {
+	hi, ilo, ihi = hi[:len(lo)], ilo[:len(lo)], ihi[:len(lo)]
+	won := 0
+	for t, a := range lo {
+		c := hi[t]
+		v, i := math.Float32bits(a), ilo[t]
+		vc, ic := math.Float32bits(c), ihi[t]
+		w := 0
+		if c > a {
+			v, i, w = vc, ic, 1
+		}
+		lo[t], ilo[t] = math.Float32frombits(v), i
+		won += w
+	}
+	return won
 }
 
 // IRouletteTile runs one tile phase of the paper's data-parallel tour
@@ -191,20 +199,7 @@ func (b *Block) IRouletteTile(choice *F32, tex *Texture, row, n, tile int, state
 	in := min(max(n-first, 0), threads)
 	row += first
 
-	src := choice.data[row : row+in]
-	st, tb := states[:in], tabu[:in]
-	vs, is := vals[:threads], idxs[:threads]
-	shift := uint(tile)
-	for t, w := range src {
-		r := rng.NextF32Raw(st, t) + 1e-6
-		bit := float32((tb[t] >> shift) & 1)
-		vs[t] = w*r*bit + (bit - 1)
-		is[t] = int32(first + t)
-	}
-	for t := in; t < threads; t++ {
-		vs[t] = -1
-		is[t] = int32(first + t)
-	}
+	drawTile(vals[:threads], idxs[:threads], choice.data[row:row+in], states, tabu, tile, int32(first))
 
 	m := b.meter
 	m.RunPhases++
@@ -230,6 +225,131 @@ func (b *Block) IRouletteTile(choice *F32, tex *Texture, row, n, tile int, state
 		m.SharedInstr++ // the merged store
 		m.SharedOps += 2 * int64(active)
 		m.LaneOps += int64(active)
+	}
+}
+
+// StoreTileBest is the phase that follows ArgMaxSh in a step of the
+// data-parallel tour construction: lane 0 of warp 0 copies the tile's
+// winner, vals[0] and idxs[0], to bestV[tile] and bestI[tile].
+//
+// It meters exactly what that phase written as one RunWarps phase meters:
+// warp 0's four one-lane shared instructions (two loads, two stores) and
+// every warp's live lanes.
+func (b *Block) StoreTileBest(vals []float32, idxs []int32, bestV []float32, bestI []int32, tile int) {
+	bestV[tile], bestI[tile] = vals[0], idxs[0]
+	m := b.meter
+	m.RunPhases++
+	m.SharedInstr += 4
+	m.SharedOps += 4
+	m.LaneOps += int64(b.threads)
+}
+
+// TileWinner picks a construction step's city among the tile winners: lane
+// 0 of warp 0 scans bestV in tile order, keeps the first tile whose value is
+// strictly greater than the best so far (starting from −1, so a NaN or a
+// sunk tile never wins), reads that tile's city from bestI, and stores the
+// winner to next[0]. It returns the winner, or −1 when no tile beat −1,
+// which leaves the ant without a city: the caller must then fail the launch.
+//
+// It meters exactly what that phase written as one RunWarps phase meters:
+// warp 0's one-lane shared load per tile, plus the index load each time a
+// tile improves on the best so far, len(bestV)·charge compute issues, the
+// one-lane shared store of the winner, and every warp's live lanes.
+func (b *Block) TileWinner(bestV []float32, bestI []int32, next []int32, charge float64) int32 {
+	bestI = bestI[:len(bestV)]
+	v, best := float32(-1), int32(-1)
+	loads := len(bestV)
+	for t, c := range bestV {
+		if c > v {
+			v, best = c, bestI[t]
+			loads++
+		}
+	}
+	next[0] = best
+	m := b.meter
+	m.RunPhases++
+	m.SharedInstr += float64(loads + 1)
+	m.SharedOps += int64(loads + 1)
+	m.ComputeIssues += float64(len(bestV)) * charge
+	m.LaneOps += int64(b.threads)
+	return best
+}
+
+// VisitCity is the bookkeeping phase of a data-parallel construction step.
+// Every thread reads the step's city c = next[0]; thread c mod Threads(),
+// which scores c, clears bit c / Threads() of its tabu word; lane 0 of warp
+// 0 reads the edge length dist[row+c] and stores c to tours[pos]. It
+// returns c and the edge length.
+//
+// It meters exactly what that phase written as one RunWarps phase meters,
+// warp by warp: a shared broadcast load over the live lanes; in warp 0 a
+// one-lane global load and a one-lane global store; the compute issues of
+// the warp's slowest lane, where every lane costs charge, the lane that
+// clears its tabu bit charge + bitCharge, and lane 0 of warp 0 charge +
+// laneCharge (+ bitCharge if it clears the bit); then the live lanes. The
+// compute issues are added warp by warp, as in that phase, so a fractional
+// charge sums to the same bits.
+func (b *Block) VisitCity(next, tabu []int32, dist *F32, row int, tours *I32, pos int, charge, bitCharge, laneCharge float64) (int, float32) {
+	ws, threads := b.dev.WarpSize, b.threads
+	c := int(next[0])
+	owner := c % threads
+	tabu[owner] &^= 1 << uint(c/threads)
+	d := dist.data[row+c]
+	tours.data[pos] = int32(c)
+
+	m := b.meter
+	m.RunPhases++
+	for base := 0; base < threads; base += ws {
+		active := min(threads-base, ws)
+		m.SharedInstr++
+		m.SharedOps += int64(active)
+		issues := charge
+		if owner >= base && owner < base+active {
+			if x := charge + bitCharge; x > issues {
+				issues = x
+			}
+		}
+		if base == 0 {
+			x := charge + laneCharge
+			if owner == 0 {
+				x += bitCharge
+			}
+			if x > issues {
+				issues = x
+			}
+			b.meterGlobalLoad(1, 1)
+			b.meterGlobalStore(1, 1)
+		}
+		m.ComputeIssues += issues
+		m.LaneOps += int64(active)
+	}
+	return c, d
+}
+
+// drawTile is IRouletteTile's draw: lane t < len(src) scores src[t] with
+// its LCG draw and bit tile of its tabu word, the other lanes of vals score
+// −1, and lane t of idxs holds first + t. The out-of-range lanes come first,
+// and the draw loop indexes only slices cut to its length and shifts by a
+// masked count (a block has at most 32 tiles), so it has no bounds checks or
+// shift guard and nothing else is live across it: its pointers, shift and
+// lane counter stay in registers instead of being reloaded from the stack
+// on every lane.
+func drawTile(vals []float32, idxs []int32, src []float32, states []uint64, tabu []int32, tile int, first int32) {
+	out, iout := vals[len(src):], idxs[len(src):len(vals)]
+	for t := range out {
+		out[t] = -1
+		iout[t] = first + int32(len(src)+t)
+	}
+	st, tb := states[:len(src)], tabu[:len(src)]
+	vs, is := vals[:len(src)], idxs[:len(src)]
+	shift := uint(tile) & 31
+	for t, w := range src {
+		g := rng.FromState(st[t])
+		r := g.Float32() + 1e-6
+		st[t] = g.State()
+		bit := float32((tb[t] >> shift) & 1)
+		vs[t] = w*r*bit + (bit - 1)
+		is[t] = first + int32(t)
 	}
 }
 
@@ -641,27 +761,30 @@ func (b *Block) meterTex(tc *texTags, base int, mask uint32) {
 	m.TexInstr++
 	m.TexFetches += int64(bits.OnesCount32(mask))
 	lineBytes := int64(b.dev.TextureLineBytes)
-	missed := false
 	if isPrefix(mask) && lineBytes >= 4 {
 		// Consecutive elements of a line at least one element wide touch
-		// every line from the first lane's to the last lane's.
-		last := (int64(base) + int64(bits.Len32(mask)) - 1) * 4 / lineBytes
-		for line := int64(base) * 4 / lineBytes; line <= last; line++ {
-			if b.probeTex(tc, line) {
-				missed = true
-			}
+		// every line from the first lane's to the last lane's, which ends
+		// 4·lanes bytes after the first lane's element starts.
+		start := int64(base) * 4
+		line := start / lineBytes
+		hits, misses := tc.probeRow(line, start-line*lineBytes+4*int64(bits.Len32(mask)), lineBytes)
+		m.TexHits += hits
+		m.TexMisses += misses
+		if misses > 0 {
+			m.TexMissInstr++
 		}
-	} else {
-		prev := int64(-1)
-		for mk := mask; mk != 0; mk &= mk - 1 {
-			line := int64(base+bits.TrailingZeros32(mk)) * 4 / lineBytes
-			if line == prev {
-				continue
-			}
-			prev = line
-			if b.probeTex(tc, line) {
-				missed = true
-			}
+		return
+	}
+	missed := false
+	prev := int64(-1)
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		line := int64(base+bits.TrailingZeros32(mk)) * 4 / lineBytes
+		if line == prev {
+			continue
+		}
+		prev = line
+		if b.probeTex(tc, line) {
+			missed = true
 		}
 	}
 	if missed {
