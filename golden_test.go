@@ -3,7 +3,10 @@ package antgpu_test
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
@@ -15,7 +18,8 @@ import (
 	"antgpu/internal/aco"
 )
 
-// goldenPath is the committed result table TestGolden checks against.
+// goldenPath is the committed result table TestGolden, TestGoldenFaults
+// and TestGoldenIslands check against.
 const goldenPath = "testdata/golden.txt"
 
 // goldenIterations is the iteration budget of every golden cell.
@@ -78,14 +82,43 @@ func goldenCells() []goldenCell {
 	return cells
 }
 
+// eventHash is an FNV-64a hash of an OnIteration stream.
+type eventHash struct {
+	h       hash.Hash64
+	emitted int
+}
+
+func newEventHash() *eventHash { return &eventHash{h: fnv.New64a()} }
+
+func (e *eventHash) observe(ev antgpu.IterationEvent) {
+	e.emitted++
+	fmt.Fprintf(e.h, "%d %x %x %d %x %x %x\n", ev.Iteration,
+		math.Float64bits(ev.Best), math.Float64bits(ev.Mean), ev.BestSoFar,
+		math.Float64bits(ev.Gap), math.Float64bits(ev.Entropy), math.Float64bits(ev.Lambda))
+}
+
+// String renders the hash, or "-" when the solve emitted no events.
+func (e *eventHash) String() string {
+	if e.emitted == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%016x", e.h.Sum64())
+}
+
+// tourHash is an FNV-64a hash of a tour.
+func tourHash(tour []int32) uint64 {
+	h := fnv.New64a()
+	binary.Write(h, binary.LittleEndian, tour)
+	return h.Sum64()
+}
+
 // goldenLine solves one cell and renders its table line: the cell key,
 // the best length, an FNV-64a hash of the best tour, the bits of
 // SimulatedSeconds (cpu and gpu only; the tensor backend reports
 // wall-clock time) and an FNV-64a hash of the OnIteration stream ("-" when
 // the solve emitted no events).
 func goldenLine(in *antgpu.Instance, c goldenCell) (string, error) {
-	events := fnv.New64a()
-	emitted := 0
+	events := newEventHash()
 	res, err := antgpu.Solve(in, antgpu.SolveOptions{
 		Algorithm:   c.alg,
 		Backend:     c.backend,
@@ -93,33 +126,22 @@ func goldenLine(in *antgpu.Instance, c goldenCell) (string, error) {
 		Params:      antgpu.Params{Seed: c.seed},
 		Variant:     c.variant,
 		LocalSearch: c.ls,
-		OnIteration: func(ev antgpu.IterationEvent) {
-			emitted++
-			fmt.Fprintf(events, "%d %x %x %d %x %x %x\n", ev.Iteration,
-				math.Float64bits(ev.Best), math.Float64bits(ev.Mean), ev.BestSoFar,
-				math.Float64bits(ev.Gap), math.Float64bits(ev.Entropy), math.Float64bits(ev.Lambda))
-		},
+		OnIteration: events.observe,
 	})
 	if err != nil {
-		return "", err
-	}
-	tour := fnv.New64a()
-	if err := binary.Write(tour, binary.LittleEndian, res.BestTour); err != nil {
 		return "", err
 	}
 	secs := "-"
 	if c.backend != antgpu.BackendTensor {
 		secs = fmt.Sprintf("%016x", math.Float64bits(res.SimulatedSeconds))
 	}
-	ev := "-"
-	if emitted > 0 {
-		ev = fmt.Sprintf("%016x", events.Sum64())
-	}
-	return fmt.Sprintf("%s %d %016x %s %s", c.key(), res.BestLen, tour.Sum64(), secs, ev), nil
+	return fmt.Sprintf("%s %d %016x %s %s", c.key(), res.BestLen, tourHash(res.BestTour), secs, events), nil
 }
 
-// readGolden loads the committed table, keyed by cell.
-func readGolden(t *testing.T) map[string]string {
+// readGolden loads the committed table rows of one kind, keyed by their
+// first keyLen fields: the sweep's cells for kind "", or the rows whose
+// first field is kind ("fault" or "islands").
+func readGolden(t *testing.T, kind string, keyLen int) map[string]string {
 	t.Helper()
 	f, err := os.Open(goldenPath)
 	if err != nil {
@@ -128,16 +150,20 @@ func readGolden(t *testing.T) map[string]string {
 	defer f.Close()
 	want := map[string]string{}
 	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) != 9 {
+		if first := fields[0]; first != kind && (kind != "" || first == "fault" || first == "islands") {
+			continue
+		}
+		if kind == "" && len(fields) != 9 || len(fields) <= keyLen {
 			t.Fatalf("%s: malformed line %q", goldenPath, line)
 		}
-		want[strings.Join(fields[:5], " ")] = line
+		want[strings.Join(fields[:keyLen], " ")] = line
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -157,7 +183,7 @@ func TestGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden table is pinned on amd64; other ports may fuse multiply-adds")
 	}
-	want := readGolden(t)
+	want := readGolden(t, "", 5)
 	cells := goldenCells()
 	if len(want) != len(cells) {
 		t.Errorf("%s has %d cells, the sweep has %d", goldenPath, len(want), len(cells))
@@ -190,5 +216,230 @@ func TestGolden(t *testing.T) {
 				t.Errorf("result changed\n got: %s\nwant: %s", got, w)
 			}
 		})
+	}
+}
+
+// goldenFaultIterations is the iteration budget of every fault cell.
+const goldenFaultIterations = 6
+
+// goldenFaultCell is one fault-tolerant gpu AS solve (seed 1, default
+// kernels): a fault plan, the recovery options it runs under, and a check
+// that the solve still takes the recovery path the cell is named for.
+type goldenFaultCell struct {
+	name     string
+	faults   *antgpu.FaultPlan
+	recovery *antgpu.RecoveryOptions
+	path     func(*antgpu.RecoveryReport, error) bool
+}
+
+func goldenFaultCells() []goldenFaultCell {
+	recovered := func(r *antgpu.RecoveryReport, err error) bool { return err == nil && !r.Degraded }
+	return []goldenFaultCell{
+		{"no-faults", nil, &antgpu.RecoveryOptions{},
+			func(r *antgpu.RecoveryReport, err error) bool { return recovered(r, err) && r.Faults == 0 }},
+		{"launch-retry", &antgpu.FaultPlan{Seed: 27, LaunchRate: 0.05}, nil,
+			func(r *antgpu.RecoveryReport, err error) bool {
+				return recovered(r, err) && r.Retries > 0 && r.Resets == 0
+			}},
+		{"ecc-reset", &antgpu.FaultPlan{Seed: 18, ECCRate: 0.03}, nil,
+			func(r *antgpu.RecoveryReport, err error) bool { return recovered(r, err) && r.Resets > 0 }},
+		{"oom-rebuild", &antgpu.FaultPlan{Seed: 11, OOMRate: 0.02}, nil,
+			func(r *antgpu.RecoveryReport, err error) bool { return recovered(r, err) && r.Retries > 0 }},
+		{"sticky-reset", &antgpu.FaultPlan{Seed: 20, LaunchRate: 0.04, StickyRate: 0.5}, nil,
+			func(r *antgpu.RecoveryReport, err error) bool { return recovered(r, err) && r.Resets > 0 }},
+		{"die-failover", &antgpu.FaultPlan{DieAtLaunch: 12}, &antgpu.RecoveryOptions{MaxConsecutiveFaults: 2},
+			func(r *antgpu.RecoveryReport, err error) bool {
+				return err == nil && r.Degraded && r.FailoverIteration > 0 && r.FailoverIteration < goldenFaultIterations
+			}},
+		{"rate1-failover", &antgpu.FaultPlan{Seed: 3, LaunchRate: 1}, nil,
+			func(r *antgpu.RecoveryReport, err error) bool {
+				return err == nil && r.Degraded && r.FailoverIteration == 0
+			}},
+		{"no-failover", &antgpu.FaultPlan{Seed: 3, LaunchRate: 1},
+			&antgpu.RecoveryOptions{MaxConsecutiveFaults: 2, DisableFailover: true},
+			func(_ *antgpu.RecoveryReport, err error) bool { return errors.Is(err, antgpu.ErrLaunchFailed) }},
+	}
+}
+
+// goldenFaultLine solves one fault cell and renders its table line: the
+// key ("fault", instance, cell), then the best length, the tour hash, the
+// bits of SimulatedSeconds, the OnIteration hash and the RecoveryReport as
+// JSON — or, for a failed solve, "-" for the first three and the error
+// text in place of the report.
+func goldenFaultLine(in *antgpu.Instance, c goldenFaultCell) (string, *antgpu.RecoveryReport, error) {
+	events := newEventHash()
+	res, err := antgpu.Solve(in, antgpu.SolveOptions{
+		Backend:     antgpu.BackendGPU,
+		Iterations:  goldenFaultIterations,
+		Params:      antgpu.Params{Seed: 1},
+		Faults:      c.faults,
+		Recovery:    c.recovery,
+		OnIteration: events.observe,
+	})
+	key := fmt.Sprintf("fault %s %s", in.Name, c.name)
+	if err != nil {
+		return fmt.Sprintf("%s - - - %s error: %v", key, events, err), nil, err
+	}
+	rep, jerr := json.Marshal(res.Recovery)
+	if jerr != nil {
+		return "", nil, jerr
+	}
+	return fmt.Sprintf("%s %d %016x %016x %s %s", key, res.BestLen, tourHash(res.BestTour),
+		math.Float64bits(res.SimulatedSeconds), events, rep), res.Recovery, nil
+}
+
+// TestGoldenFaults pins the fault-tolerant gpu AS runtime on att48 and
+// kroC100: retry in place, a rebuild after an allocation failure, reset
+// and replay after ECC and sticky faults,
+// CPU failover mid-run and at iteration 0, the runtime with no faults, and
+// the error of a solve whose failover is disabled. Each cell also checks
+// that it still takes its recovery path, so a fault-plan change that makes
+// a cell vacuous fails here rather than passing silently.
+func TestGoldenFaults(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden table is pinned on amd64; other ports may fuse multiply-adds")
+	}
+	want := readGolden(t, "fault", 3)
+	cells := goldenFaultCells()
+	if len(want) != 2*len(cells) {
+		t.Errorf("%s has %d fault cells, the sweep has %d", goldenPath, len(want), 2*len(cells))
+	}
+	for _, name := range []string{"att48", "kroC100"} {
+		in, err := antgpu.LoadBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			c := c
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				t.Parallel()
+				got, rep, err := goldenFaultLine(in, c)
+				if got == "" {
+					t.Fatal(err)
+				}
+				if !c.path(rep, err) {
+					t.Errorf("cell no longer takes its recovery path: %s", got)
+				}
+				checkGoldenLine(t, want, 3, got)
+			})
+		}
+	}
+}
+
+// goldenIslandCell is one SolveIslands run on att48 (4 islands, 12
+// iterations, migration every 3, stagnation restarts after 4, seed 1): the
+// cell's fault options and a check that the run still takes the path the
+// cell is named for.
+type goldenIslandCell struct {
+	name string
+	opts antgpu.IslandOptions
+	path func(*antgpu.IslandsResult, error) bool
+}
+
+func goldenIslandCells() []goldenIslandCell {
+	faults := func(r *antgpu.IslandsResult) (n int) {
+		for _, s := range r.Report.Islands {
+			n += s.Faults
+		}
+		return n
+	}
+	return []goldenIslandCell{
+		{"clean", antgpu.IslandOptions{}, func(r *antgpu.IslandsResult, err error) bool {
+			return err == nil && faults(r) == 0 && r.Report.ActiveIslands == 4
+		}},
+		{"transient", antgpu.IslandOptions{Faults: &antgpu.FaultPlan{Seed: 20, LaunchRate: 0.02, ECCRate: 0.01}},
+			func(r *antgpu.IslandsResult, err error) bool {
+				return err == nil && faults(r) > 0 && r.Report.Quarantined() == 0
+			}},
+		{"quarantine", antgpu.IslandOptions{IslandFaults: []*antgpu.FaultPlan{nil, nil, {DieAtLaunch: 30}}},
+			func(r *antgpu.IslandsResult, err error) bool {
+				return err == nil && r.Report.Islands[2].Quarantined && r.Report.ActiveIslands == 3
+			}},
+		{"respawn", antgpu.IslandOptions{
+			IslandFaults: []*antgpu.FaultPlan{nil, {DieAtLaunch: 20}, nil, {DieAtLaunch: 40}},
+			Respawn:      true,
+		}, func(r *antgpu.IslandsResult, err error) bool {
+			return err == nil && r.Report.Islands[1].Respawns == 1 && r.Report.Islands[3].Respawns == 1 &&
+				r.Report.ActiveIslands == 4
+		}},
+		{"min-islands", antgpu.IslandOptions{
+			IslandFaults: []*antgpu.FaultPlan{nil, {DieAtLaunch: 20}, nil, {DieAtLaunch: 40}},
+			MinIslands:   3,
+		}, func(_ *antgpu.IslandsResult, err error) bool {
+			return err != nil && strings.Contains(err.Error(), "MinIslands")
+		}},
+	}
+}
+
+// goldenIslandLine runs one island cell and renders its table line: the
+// key ("islands", instance, cell), then the best length, the tour hash,
+// the best island, the bits of SimulatedSeconds and the IslandReport as
+// JSON — or, for a failed run, "-" for the first four and the error text
+// in place of the report. Island logs are not pinned: the island
+// goroutines interleave their events differently from run to run.
+func goldenIslandLine(in *antgpu.Instance, c goldenIslandCell) (string, *antgpu.IslandsResult, error) {
+	opts := c.opts
+	opts.Islands = 4
+	opts.Iterations = 12
+	opts.Params = antgpu.Params{Seed: 1}
+	opts.MigrationEvery = 3
+	opts.StagnationIters = 4
+	res, err := antgpu.SolveIslands(in, opts)
+	key := fmt.Sprintf("islands %s %s", in.Name, c.name)
+	if err != nil {
+		return fmt.Sprintf("%s - - - - error: %v", key, err), nil, err
+	}
+	rep, jerr := json.Marshal(res.Report)
+	if jerr != nil {
+		return "", nil, jerr
+	}
+	return fmt.Sprintf("%s %d %016x %d %016x %s", key, res.BestLen, tourHash(res.BestTour), res.BestIsland,
+		math.Float64bits(res.SimulatedSeconds), rep), res, nil
+}
+
+// TestGoldenIslands pins the island runtime on att48: a clean fleet,
+// transient faults ridden out by retries, one island killed and
+// quarantined, two killed and respawned, and a run that loses more
+// islands than MinIslands allows.
+func TestGoldenIslands(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden table is pinned on amd64; other ports may fuse multiply-adds")
+	}
+	want := readGolden(t, "islands", 3)
+	cells := goldenIslandCells()
+	if len(want) != len(cells) {
+		t.Errorf("%s has %d island cells, the sweep has %d", goldenPath, len(want), len(cells))
+	}
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			got, res, err := goldenIslandLine(in, c)
+			if got == "" {
+				t.Fatal(err)
+			}
+			if !c.path(res, err) {
+				t.Errorf("cell no longer takes its path: %s", got)
+			}
+			checkGoldenLine(t, want, 3, got)
+		})
+	}
+}
+
+// checkGoldenLine compares a computed fault or island line with the
+// committed one of the same key, whole.
+func checkGoldenLine(t *testing.T, want map[string]string, keyLen int, got string) {
+	t.Helper()
+	key := strings.Join(strings.Fields(got)[:keyLen], " ")
+	w, ok := want[key]
+	if !ok {
+		t.Fatalf("no golden line; computed:\n%s", got)
+	}
+	if got != w {
+		t.Errorf("result changed\n got: %s\nwant: %s", got, w)
 	}
 }
