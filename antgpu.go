@@ -443,9 +443,9 @@ func derivedData(opts SolveOptions, in *Instance) (*tsp.Derived, error) {
 
 // SolveContext is Solve with cancellation: the context is checked between
 // iterations and its error returned promptly. No panic escapes — internal
-// failures come back as errors. Every (backend, algorithm) pair runs
-// through the one loop below (DESIGN §19); only the fault-tolerant GPU AS
-// path keeps the recovery runtime's own loop.
+// failures come back as errors. Every (backend, algorithm) pair, the
+// fault-tolerant GPU AS solve included, runs through the one loop below
+// (DESIGN §19).
 func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Result, err error) {
 	// Registered before the recover handler so it runs after it (defers are
 	// LIFO) and sees the final res/err even on a recovered panic.
@@ -498,21 +498,6 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 		}()
 	}
 	tr := newTracer(ctx, opts)
-	if opts.Backend == BackendGPU && opts.Algorithm == AlgorithmAS && !opts.LocalSearch &&
-		(opts.Faults != nil || opts.Recovery != nil) {
-		var ro RecoveryOptions
-		if opts.Recovery != nil {
-			ro = *opts.Recovery
-		}
-		tv, pv := gpuVersions(opts, in)
-		tour, l, secs, rep, err := core.RunRecovered(ctx, gpuDevice(ctx, opts), in, opts.Params,
-			tv, pv, opts.Iterations, ro, tr, solveConv(opts, in), opts.Logger)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: secs, Trace: tr, Recovery: rep}, nil
-	}
-
 	eng, err := newEngine(ctx, in, opts, tr)
 	if err != nil {
 		return nil, err
@@ -536,7 +521,7 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 	if err := in.ValidTour(tour); err != nil {
 		return nil, fmt.Errorf("antgpu: %v on the %v backend: %w", opts.Algorithm, opts.Backend, err)
 	}
-	return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: eng.seconds(), Trace: tr}, nil
+	return &Result{BestTour: tour, BestLen: l, SimulatedSeconds: eng.seconds(), Trace: tr, Recovery: eng.recovery}, nil
 }
 
 // gpuVersions resolves the GPU Ant System kernels: the requested versions,
@@ -562,13 +547,16 @@ func gpuVersions(opts SolveOptions, in *Instance) (TourVersion, PherVersion) {
 // so far (simulated on gpu, modelled on cpu, wall-clock on tensor), record
 // publishes the latest iteration to a convergence recorder, and close
 // releases the engine. cpuEngine, gpuEngine and tensorEngine build it over
-// the base engine that every algorithm of a backend embeds.
+// the base engine that every algorithm of a backend embeds; the
+// fault-tolerant GPU AS solve builds it over a core.Recoverer, whose
+// report recovery points to (nil on every other path).
 type engine struct {
-	step    func() error
-	best    func() ([]int32, int64)
-	seconds func() float64
-	record  func(*metrics.Convergence)
-	close   func()
+	step     func() error
+	best     func() ([]int32, int64)
+	seconds  func() float64
+	record   func(*metrics.Convergence)
+	close    func()
+	recovery *RecoveryReport
 }
 
 // cpuEngine adapts a CPU colony. Its stage meters are reset after set-up,
@@ -690,11 +678,26 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if err != nil {
 			return nil, err
 		}
+		tv, pv := gpuVersions(opts, in)
+		if !opts.LocalSearch && (opts.Faults != nil || opts.Recovery != nil) {
+			var ro RecoveryOptions
+			if opts.Recovery != nil {
+				ro = *opts.Recovery
+			}
+			r := core.NewRecoverer(gpuDevice(ctx, opts), in, opts.Params, d, tv, pv, opts.Iterations, ro, tr, opts.Logger)
+			return &engine{
+				step:     func() error { return r.Step(ctx) },
+				best:     r.Best,
+				seconds:  r.Seconds,
+				record:   func(conv *metrics.Convergence) { r.Record(ctx, conv) },
+				close:    r.Close,
+				recovery: r.Report(),
+			}, nil
+		}
 		e, err := core.NewEngineWithOptions(gpuDevice(ctx, opts), in, opts.Params, core.EngineOptions{Derived: d})
 		if err != nil {
 			return nil, err
 		}
-		tv, pv := gpuVersions(opts, in)
 		iterate := func() (*core.IterationResult, error) { return e.Iterate(tv, pv) }
 		if opts.LocalSearch {
 			iterate = func() (*core.IterationResult, error) { return e.IterateWithLocalSearch(tv, pv) }

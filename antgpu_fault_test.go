@@ -3,6 +3,7 @@ package antgpu_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -89,6 +90,44 @@ func TestSolveFailover(t *testing.T) {
 	}
 	if !sawFailover {
 		t.Fatal("failover not visible in Result.Trace")
+	}
+}
+
+// TestCacheServesFaultTolerantSolves: a pooled fault-tolerant gpu AS solve
+// takes its NN lists from the derived-data cache like every other gpu AS
+// solve — the first of two requests on one instance misses, the second
+// hits — and both return the standalone solve's result and report.
+func TestCacheServesFaultTolerantSolves(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := antgpu.SolveOptions{
+		Iterations: 6,
+		Backend:    antgpu.BackendGPU,
+		Faults:     &antgpu.FaultPlan{Seed: 20, ECCRate: 0.05, LaunchRate: 0.02},
+	}
+	want, err := antgpu.Solve(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Recovery.Faults == 0 {
+		t.Fatal("plan injected no fault; the test is vacuous")
+	}
+	pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
+	for i := 0; i < 2; i++ {
+		got, err := pool.Submit(context.Background(), antgpu.SolveRequest{Instance: in, Options: opts}, nil)
+		if err != nil {
+			t.Fatalf("pool solve %d: %v", i, err)
+		}
+		if got.BestLen != want.BestLen || !reflect.DeepEqual(got.BestTour, want.BestTour) ||
+			got.SimulatedSeconds != want.SimulatedSeconds || *got.Recovery != *want.Recovery {
+			t.Errorf("pool solve %d: %d, %v s (%s), want the standalone %d, %v s (%s)", i,
+				got.BestLen, got.SimulatedSeconds, got.Recovery, want.BestLen, want.SimulatedSeconds, want.Recovery)
+		}
+	}
+	if hits, misses := pool.CacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("cache %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 }
 

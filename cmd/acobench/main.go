@@ -22,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +29,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"antgpu"
 	"antgpu/internal/aco"
 	"antgpu/internal/bench"
 	"antgpu/internal/core"
@@ -462,36 +462,33 @@ func runInject(stdout io.Writer, spec string) error {
 	if err != nil {
 		return err
 	}
-	p := aco.DefaultParams()
-	p.Seed = 1
 	const iters = 10
 	fmt.Fprintf(stdout, "fault injection: %s, Tesla M2050, AS (v6 + atomic-shared), %d iterations\n\n", spec, iters)
 	for _, name := range []string{"att48", "kroC100", "a280"} {
-		in, err := tsp.LoadBenchmark(name)
+		in, err := antgpu.LoadBenchmark(name)
 		if err != nil {
 			return err
 		}
-		clean := cuda.TeslaM2050()
-		_, wantLen, _, _, err := core.RunRecovered(context.Background(), clean, in, p,
-			core.TourNNSharedTexture, core.PherAtomicShared, iters, core.RecoveryOptions{}, nil, nil, nil)
+		opts := antgpu.SolveOptions{Iterations: iters, Backend: antgpu.BackendGPU, Params: antgpu.Params{Seed: 1},
+			Tour: antgpu.TourNNSharedTexture, Pher: antgpu.PherAtomicShared, Recovery: &antgpu.RecoveryOptions{}}
+		clean, err := antgpu.Solve(in, opts)
 		if err != nil {
 			return fmt.Errorf("fault-free run on %s: %w", name, err)
 		}
-		dev := cuda.TeslaM2050()
-		dev.Faults = plan.Clone()
-		_, gotLen, secs, rep, err := core.RunRecovered(context.Background(), dev, in, p,
-			core.TourNNSharedTexture, core.PherAtomicShared, iters, core.RecoveryOptions{}, nil, nil, nil)
+		opts.Faults = plan
+		res, err := antgpu.Solve(in, opts)
 		if err != nil {
 			return fmt.Errorf("injected run on %s: %w", name, err)
 		}
+		rep := res.Recovery
 		verdict := "IDENTICAL to fault-free"
 		switch {
 		case rep.Degraded:
-			verdict = fmt.Sprintf("completed on CPU (fault-free best %d)", wantLen)
-		case gotLen != wantLen:
-			verdict = fmt.Sprintf("MISMATCH: fault-free best %d", wantLen)
+			verdict = fmt.Sprintf("completed on CPU (fault-free best %d)", clean.BestLen)
+		case res.BestLen != clean.BestLen:
+			verdict = fmt.Sprintf("MISMATCH: fault-free best %d", clean.BestLen)
 		}
-		fmt.Fprintf(stdout, "%-8s best %8d  %9.3f ms  %s\n         %s\n", name, gotLen, secs*1e3, verdict, rep)
+		fmt.Fprintf(stdout, "%-8s best %8d  %9.3f ms  %s\n         %s\n", name, res.BestLen, res.SimulatedSeconds*1e3, verdict, rep)
 	}
 	return nil
 }

@@ -267,30 +267,20 @@ type IslandsResult struct {
 	Report  *IslandReport
 }
 
-// island is the runtime state of one colony.
+// island is the runtime state of one colony: its recovery ladder and the
+// island policy around it.
 type island struct {
-	id      int
-	dev     *cuda.Device
-	in      *tsp.Instance
-	p       aco.Params
-	tv      TourVersion
-	pv      PherVersion
-	rec     RecoveryOptions
-	derived *tsp.Derived
+	id int
+	rc *Recoverer
+	tr *trace.Collector
 
-	eng *Engine
-	cp  *Checkpoint
-	tr  *trace.Collector
-
-	// lg/ictx: the run logger and the run context with this island's index
+	// lg/ctx: the run logger and the run context with this island's index
 	// folded into the correlation, so every event the island emits carries
 	// (request, job, island).
-	lg   *obslog.Logger
-	ictx context.Context
+	lg  *obslog.Logger
+	ctx context.Context
 
 	state        IslandState
-	consecutive  int // consecutive failed attempts at the current iteration
-	secs         float64
 	bestLen      int64
 	bestTour     []int32
 	sinceImprove int
@@ -308,142 +298,43 @@ type island struct {
 	respawnC metrics.Counter
 }
 
-func (is *island) traceFault(name string, secs float64) {
-	if is.tr != nil {
-		is.tr.Fault(name, secs)
-	}
-}
-
-// onFault classifies err after a failed attempt, mirroring RunRecovered:
-// nil means retry (backoff charged, device reset and engine dropped when
-// the context is unusable); non-nil means the island's retry budget is
-// exhausted (or err is not a fault) and the caller escalates.
-func (is *island) onFault(err error) error {
-	if !isFault(err) {
+// step runs one colony iteration through the island's recovery ladder,
+// then tracks the island's best-so-far and restarts its trails on
+// stagnation. It is the only island code that runs concurrently with other
+// islands, and it touches nothing outside the island's own state.
+func (is *island) step() error {
+	faults := is.rc.Report().Faults
+	err := is.rc.Step(is.ctx)
+	is.faultC.Add(float64(is.rc.Report().Faults - faults))
+	if err != nil {
 		return err
 	}
-	is.stats.Faults++
-	is.faultC.Inc()
-	is.consecutive++
-	is.traceFault("fault:"+faultName(err), 0)
-	if is.lg.Enabled(slog.LevelInfo) {
-		is.lg.Event(obslog.WithAttempt(is.ictx, is.consecutive), obslog.EvFault,
-			slog.String("kind", faultName(err)), slog.Int("iter", is.stats.Iterations),
-			slog.String("err", err.Error()))
+	e := is.rc.Engine()
+	if tour, best := e.Best(); best < is.bestLen {
+		is.bestLen = best
+		is.bestTour = append([]int32(nil), tour...)
+		is.sinceImprove = 0
+	} else {
+		is.sinceImprove++
 	}
-	if is.consecutive > is.rec.MaxConsecutiveFaults {
-		return err
-	}
-	is.stats.Retries++
-	backoff := is.rec.BackoffMS * math.Pow(2, float64(is.consecutive-1)) / 1e3
-	is.secs += backoff
-	is.stats.BackoffSeconds += backoff
-	is.traceFault("recovery:backoff", backoff)
-	if is.lg.Enabled(slog.LevelInfo) {
-		is.lg.Event(obslog.WithAttempt(is.ictx, is.consecutive), obslog.EvRetry,
-			slog.Int("iter", is.stats.Iterations), slog.Float64("backoff_s", backoff))
-	}
-	if errors.Is(err, cuda.ErrECC) || is.dev.Healthy() != nil {
-		is.dev.Reset()
-		is.stats.Resets++
-		is.traceFault("recovery:device-reset", 0)
-		if is.lg.Enabled(slog.LevelInfo) {
-			is.lg.Event(obslog.WithAttempt(is.ictx, is.consecutive), obslog.EvReset,
-				slog.Int("iter", is.stats.Iterations))
+	if is.stagnate > 0 && is.sinceImprove >= is.stagnate {
+		// Stagnation restart: re-initialise the trails to tau0 and let
+		// construction re-diversify; the island keeps its best-so-far
+		// and its RNG streams keep advancing.
+		e.ResetPheromone()
+		is.rc.Checkpoint()
+		is.sinceImprove = 0
+		is.stats.Restarts++
+		is.restartC.Inc()
+		if is.tr != nil {
+			is.tr.Span("island:restart", 0)
 		}
-		// The reset cleared the device's allocation accounting; the old
-		// engine's buffers are stale device state — drop them without Free
-		// so the fresh accounting epoch is not corrupted.
-		is.eng = nil
-	} else if is.eng != nil {
-		if is.cp != nil {
-			if rerr := is.eng.Restore(is.cp); rerr != nil {
-				return rerr
-			}
-		} else {
-			// Fault before the first completed iteration: rebuild from
-			// scratch (the initial state is deterministic).
-			is.eng.Free()
-			is.eng = nil
+		if is.lg.Enabled(slog.LevelInfo) {
+			is.lg.Event(is.ctx, obslog.EvRestart,
+				slog.Int("iter", is.rc.Iterations()), slog.Int64("best_len", is.bestLen))
 		}
 	}
 	return nil
-}
-
-// step runs one colony iteration to completion, retrying through faults
-// until it succeeds or the island's retry budget is exhausted. It is the
-// only island code that runs concurrently with other islands, and it
-// touches nothing outside the island's own state.
-func (is *island) step(ctx context.Context) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if is.eng == nil {
-			e, err := NewEngineWithOptions(is.dev, is.in, is.p, EngineOptions{Derived: is.derived})
-			if err != nil {
-				if fatal := is.onFault(err); fatal != nil {
-					return fatal
-				}
-				continue
-			}
-			if is.tr != nil {
-				e.SetTracer(is.tr)
-			}
-			is.eng = e
-			if is.cp != nil {
-				is.traceFault("recovery:replay", 0)
-				if err := e.Restore(is.cp); err != nil {
-					return err
-				}
-			}
-		}
-		res, err := is.eng.Iterate(is.tv, is.pv)
-		if err != nil {
-			if fatal := is.onFault(err); fatal != nil {
-				return fatal
-			}
-			continue
-		}
-		is.consecutive = 0
-		is.secs += res.Construct.Seconds() + res.Update.Seconds()
-		is.stats.Iterations++
-		if _, best := is.eng.Best(); best < is.bestLen {
-			is.bestLen = best
-			tour, _ := is.eng.Best()
-			is.bestTour = append([]int32(nil), tour...)
-			is.sinceImprove = 0
-		} else {
-			is.sinceImprove++
-		}
-		if is.stagnate > 0 && is.sinceImprove >= is.stagnate {
-			// Stagnation restart: re-initialise the trails to tau0 and let
-			// construction re-diversify; the island keeps its best-so-far
-			// and its RNG streams keep advancing.
-			is.eng.ResetPheromone()
-			is.sinceImprove = 0
-			is.stats.Restarts++
-			is.restartC.Inc()
-			if is.tr != nil {
-				is.tr.Span("island:restart", 0)
-			}
-			if is.lg.Enabled(slog.LevelInfo) {
-				is.lg.Event(is.ictx, obslog.EvRestart,
-					slog.Int("iter", is.stats.Iterations), slog.Int64("best_len", is.bestLen))
-			}
-		}
-		is.cp = is.eng.Checkpoint()
-		return nil
-	}
-}
-
-// dispose drops the island's engine around a quarantine or respawn. The
-// device is Reset first (its context may be poisoned and its accounting
-// polluted by the dead engine), so the buffers are stale device state and
-// are dropped without Free.
-func (is *island) dispose() {
-	is.dev.Reset()
-	is.eng = nil
 }
 
 // RunIslands runs one colony per device with periodic ring migration,
@@ -481,18 +372,17 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 		return nil, err
 	}
 
+	// An island out of retries is quarantined or respawned, never
+	// degraded to the CPU colony.
+	rec := cfg.Recovery
+	rec.DisableFailover = true
 	islands := make([]*island, n)
 	for i := range islands {
 		ip := IslandParams(p, i, cfg.Jitter)
 		is := &island{
 			id:       i,
-			dev:      pool.Get(i),
-			in:       in,
-			p:        ip,
-			tv:       cfg.Tour,
-			pv:       cfg.Pher,
-			rec:      cfg.Recovery,
-			derived:  derived,
+			lg:       cfg.Logger,
+			ctx:      obslog.WithIsland(ctx, i),
 			bestLen:  math.MaxInt64,
 			stagnate: cfg.StagnationIters,
 		}
@@ -500,10 +390,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 			is.tr = trace.NewCollector()
 			is.tr.Begin(fmt.Sprintf("island-%d", i))
 		}
-		if cfg.Logger != nil {
-			is.lg = cfg.Logger
-			is.ictx = obslog.WithIsland(ctx, i)
-		}
+		is.rc = NewRecoverer(pool.Get(i), in, ip, derived, cfg.Tour, cfg.Pher, cfg.Iterations, rec, is.tr, is.lg)
 		if m := cfg.Metrics; m != nil {
 			id := strconv.Itoa(i)
 			is.stateG = m.Gauge("antgpu_island_state",
@@ -532,10 +419,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 
 	cleanup := func() {
 		for _, is := range islands {
-			if is.eng != nil {
-				is.eng.Free()
-				is.eng = nil
-			}
+			is.rc.Close()
 		}
 	}
 	finishTraces := func() {
@@ -586,7 +470,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 						errs[is.id] = fmt.Errorf("panic: %v", r)
 					}
 				}()
-				errs[is.id] = is.step(ctx)
+				errs[is.id] = is.step()
 			}(is)
 		}
 		wg.Wait()
@@ -604,33 +488,32 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 			if !isFault(err) {
 				return fail(fmt.Errorf("core: island %d: %w", is.id, err))
 			}
-			is.dispose()
 			if cfg.Respawn && is.stats.Respawns < cfg.MaxRespawns {
 				// Respawn: a fresh, healthy device (no fault plan — the
 				// replacement board is presumed good) takes the slot; the
 				// island resumes from its last checkpoint next iteration.
-				is.dev = pool.Respawn(is.id, false)
-				is.consecutive = 0
+				is.rc.Abandon(pool.Respawn(is.id, false))
 				is.stats.Respawns++
 				is.state = IslandRespawned
 				is.respawnC.Inc()
 				is.stateG.Set(float64(IslandRespawned))
-				is.traceFault("island:respawn", 0)
+				is.rc.traceFault("island:respawn", 0)
 				if is.lg.Enabled(slog.LevelInfo) {
-					is.lg.Event(is.ictx, obslog.EvRespawn,
+					is.lg.Event(is.ctx, obslog.EvRespawn,
 						slog.Int("fleet_iter", it+1), slog.Int("respawns", is.stats.Respawns))
 				}
 			} else {
+				is.rc.Abandon(nil)
 				is.state = IslandQuarantined
 				is.stats.Quarantined = true
 				is.stats.QuarantineIteration = it + 1
 				is.quarC.Inc()
 				is.stateG.Set(float64(IslandQuarantined))
-				is.traceFault("island:quarantine", 0)
+				is.rc.traceFault("island:quarantine", 0)
 				active--
 				activeG.Set(float64(active))
 				if is.lg.Enabled(slog.LevelInfo) {
-					is.lg.Event(is.ictx, obslog.EvQuarantine,
+					is.lg.Event(is.ctx, obslog.EvQuarantine,
 						slog.Int("fleet_iter", it+1), slog.Int("active", active))
 				}
 			}
@@ -666,10 +549,12 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 
 	secs := 0.0
 	for _, is := range islands {
-		if is.secs > secs {
-			secs = is.secs
-		}
-		is.stats.Seconds = is.secs
+		rep := is.rc.Report()
+		is.stats.Iterations = is.rc.Iterations()
+		is.stats.Seconds = is.rc.Seconds()
+		is.stats.Faults, is.stats.Retries, is.stats.Resets = rep.Faults, rep.Retries, rep.Resets
+		is.stats.BackoffSeconds = rep.BackoffSeconds
+		secs = max(secs, is.stats.Seconds)
 		is.stats.State = is.state.String()
 		if is.bestLen < math.MaxInt64 {
 			is.stats.BestLen = is.bestLen
@@ -704,7 +589,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 func migrateRing(islands []*island, weight float64) {
 	var active []*island
 	for _, is := range islands {
-		if is.state != IslandQuarantined && is.eng != nil {
+		if is.state != IslandQuarantined && is.rc.Engine() != nil {
 			active = append(active, is)
 		}
 	}
@@ -729,31 +614,32 @@ func migrateRing(islands []*island, weight float64) {
 			recv.stats.MigrationsRejected++
 			recv.migRejC.Inc()
 			if recv.lg.Enabled(slog.LevelDebug) {
-				recv.lg.Debug(recv.ictx, obslog.EvMigration,
+				recv.lg.Debug(recv.ctx, obslog.EvMigration,
 					slog.String("outcome", "rejected"), slog.Int64("offered_len", off.l),
 					slog.Int64("best_len", recv.bestLen))
 			}
 			continue
 		}
+		e := recv.rc.Engine()
 		w := weight
 		if w <= 0 {
-			w = float64(recv.eng.Ants())
+			w = float64(e.Ants())
 		}
-		recv.eng.AdoptBest(off.tour, off.l)
-		recv.eng.DepositTour(off.tour, off.l, w)
+		e.AdoptBest(off.tour, off.l)
+		e.DepositTour(off.tour, off.l, w)
 		recv.bestLen = off.l
 		recv.bestTour = append([]int32(nil), off.tour...)
 		recv.sinceImprove = 0
 		// Re-checkpoint: the adoption mutated pheromone and best state, and
 		// a later fault retry must replay from this exact state.
-		recv.cp = recv.eng.Checkpoint()
+		recv.rc.Checkpoint()
 		recv.stats.MigrationsAccepted++
 		recv.migAccC.Inc()
 		if recv.tr != nil {
 			recv.tr.Span("island:migration-accept", 0)
 		}
 		if recv.lg.Enabled(slog.LevelInfo) {
-			recv.lg.Event(recv.ictx, obslog.EvMigration,
+			recv.lg.Event(recv.ctx, obslog.EvMigration,
 				slog.String("outcome", "accepted"), slog.Int64("adopted_len", off.l))
 		}
 	}

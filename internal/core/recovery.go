@@ -157,196 +157,181 @@ func faultName(err error) string {
 	}
 }
 
-// RunRecovered executes iters Ant System iterations on the device with
-// checkpoint/retry/failover fault tolerance and returns the best tour, its
-// length, the simulated seconds (kernel time plus backoff), and a report of
-// the recovery activity. With no faults injected it runs the same
-// iterations, with the same results, as an uninterrupted Engine.Iterate
-// loop, plus a per-iteration checkpoint copy. conv, when non-nil, receives
-// the convergence metrics of every committed iteration, from whichever
-// engine committed it, so recording survives device resets and the CPU
-// failover. lg, when non-nil, receives one structured event per fault,
-// retry, reset, failover and (at debug level) checkpoint, keyed by ctx's
-// correlation.
-func RunRecovered(ctx context.Context, dev *cuda.Device, in *tsp.Instance, p aco.Params,
-	tv TourVersion, pv PherVersion, iters int, opts RecoveryOptions,
-	tr *trace.Collector, conv *metrics.Convergence, lg *obslog.Logger) ([]int32, int64, float64, *RecoveryReport, error) {
+// Recoverer runs the GPU Ant System one committed iteration at a time
+// through the three responses above. It builds the engine on its device
+// (from the shared derived data when given one), checkpoints every
+// committed iteration, charges kernel time and retry backoff to its
+// simulated clock and counts the ladder's activity in a RecoveryReport.
+// The facade's fault-tolerant solve steps one Recoverer; RunIslands steps
+// one per island and replaces the failover with quarantine and respawn.
+type Recoverer struct {
+	dev   *cuda.Device
+	in    *tsp.Instance
+	p     aco.Params
+	d     *tsp.Derived
+	tv    TourVersion
+	pv    PherVersion
+	iters int // the solve's iteration budget, reported by the failover event
+	opts  RecoveryOptions
+	tr    *trace.Collector
+	lg    *obslog.Logger
 
-	opts = opts.withDefaults()
-	rep := &RecoveryReport{}
-	secs := 0.0
-	consecutive := 0
-
-	traceFault := func(name string, d float64) {
-		if tr != nil {
-			tr.Fault(name, d)
-		}
-	}
-
-	// onFault classifies err after a failed attempt: it returns nil when
-	// the runtime should retry (backoff charged, device reset if needed),
-	// an error when the fault budget is exhausted or err is not a fault.
-	// needRebuild reports whether the engine must be reconstructed.
-	onFault := func(done int, err error) (needRebuild bool, fatal error) {
-		if !isFault(err) {
-			return false, err
-		}
-		rep.Faults++
-		consecutive++
-		traceFault("fault:"+faultName(err), 0)
-		if lg.Enabled(slog.LevelInfo) {
-			lg.Event(obslog.WithAttempt(ctx, consecutive), obslog.EvFault,
-				slog.String("kind", faultName(err)), slog.Int("iter", done),
-				slog.String("err", err.Error()))
-		}
-		if consecutive > opts.MaxConsecutiveFaults {
-			return false, err
-		}
-		rep.Retries++
-		backoff := opts.BackoffMS * math.Pow(2, float64(consecutive-1)) / 1e3
-		secs += backoff
-		rep.BackoffSeconds += backoff
-		traceFault("recovery:backoff", backoff)
-		if lg.Enabled(slog.LevelInfo) {
-			lg.Event(obslog.WithAttempt(ctx, consecutive), obslog.EvRetry,
-				slog.Int("iter", done), slog.Float64("backoff_s", backoff))
-		}
-		// ECC may have corrupted buffers that are never rewritten (dist,
-		// nnList), and a sticky fault poisons the context: both need a
-		// reset and a rebuilt engine. Launch and watchdog faults only
-		// touched per-iteration buffers; the in-place restore suffices.
-		if errors.Is(err, cuda.ErrECC) || dev.Healthy() != nil {
-			dev.Reset()
-			rep.Resets++
-			traceFault("recovery:device-reset", 0)
-			if lg.Enabled(slog.LevelInfo) {
-				lg.Event(obslog.WithAttempt(ctx, consecutive), obslog.EvReset,
-					slog.Int("iter", done))
-			}
-			return true, nil
-		}
-		return false, nil
-	}
-
-	build := func() (*Engine, error) {
-		e, err := NewEngine(dev, in, p)
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			e.SetTracer(tr)
-		}
-		return e, nil
-	}
-
-	var e *Engine
-	var cp *Checkpoint
-	done := 0 // iterations completed
-	for done < iters {
-		if err := ctx.Err(); err != nil {
-			if e != nil {
-				e.Free()
-			}
-			return nil, 0, 0, rep, err
-		}
-		if e == nil {
-			var err error
-			if e, err = build(); err != nil {
-				rebuild, fatal := onFault(done, err)
-				if fatal != nil {
-					if opts.DisableFailover || !isFault(err) {
-						return nil, 0, 0, rep, fatal
-					}
-					return failoverCPU(ctx, in, p, cp, iters, done, secs, rep, tr, conv, lg)
-				}
-				_ = rebuild // already have no engine
-				continue
-			}
-			if cp != nil {
-				traceFault("recovery:replay", 0)
-				if err := e.Restore(cp); err != nil {
-					e.Free()
-					return nil, 0, 0, rep, err
-				}
-			}
-		}
-		res, err := e.Iterate(tv, pv)
-		if err == nil {
-			e.RecordConvergence(conv)
-			done++
-			consecutive = 0
-			secs += res.Construct.Seconds() + res.Update.Seconds()
-			cp = e.Checkpoint()
-			if lg.Enabled(slog.LevelDebug) {
-				lg.Debug(ctx, obslog.EvCheckpoint, slog.Int("iter", done),
-					slog.Int64("best_len", cp.BestLen))
-			}
-			continue
-		}
-		rebuild, fatal := onFault(done, err)
-		if fatal != nil {
-			if opts.DisableFailover || !isFault(err) {
-				e.Free()
-				return nil, 0, 0, rep, fatal
-			}
-			e.Free()
-			return failoverCPU(ctx, in, p, cp, iters, done, secs, rep, tr, conv, lg)
-		}
-		if rebuild {
-			// The reset cleared the device's allocation accounting; the old
-			// engine's buffers are stale device state — drop them without
-			// Free so the fresh accounting epoch is not corrupted.
-			e = nil
-		} else if cp != nil {
-			if err := e.Restore(cp); err != nil {
-				e.Free()
-				return nil, 0, 0, rep, err
-			}
-		} else {
-			// Fault before the first completed iteration and no snapshot
-			// yet: rebuild from scratch (initial state is deterministic).
-			e.Free()
-			e = nil
-		}
-	}
-
-	tour, l := e.Best()
-	if tour == nil {
-		e.Free()
-		return nil, 0, 0, rep, fmt.Errorf("core: recovered run produced no tour")
-	}
-	if err := in.ValidTour(tour); err != nil {
-		e.Free()
-		return nil, 0, 0, rep, fmt.Errorf("core: recovered run: %w", err)
-	}
-	e.Free()
-	return tour, l, secs, rep, nil
+	eng         *Engine
+	cp          *Checkpoint
+	cpu         *aco.Colony // the failover colony, once degraded
+	consecutive int         // consecutive failed attempts at the next iteration
+	done        int         // committed iterations
+	secs        float64
+	rep         RecoveryReport
 }
 
-// failoverCPU finishes the remaining iterations on the sequential CPU
-// colony, seeded from the last checkpoint's pheromone state and best tour.
-// The CPU colony uses float64 trails and its own RNG streams, so the result
+// NewRecoverer returns a Recoverer for an iters-iteration solve of in on
+// dev. The engine is built by the first Step. d, when non-nil, is the
+// instance's shared derived data; tr and lg, when non-nil, receive the
+// kernels, spans and fault events.
+func NewRecoverer(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Derived,
+	tv TourVersion, pv PherVersion, iters int, opts RecoveryOptions,
+	tr *trace.Collector, lg *obslog.Logger) *Recoverer {
+	return &Recoverer{dev: dev, in: in, p: p, d: d, tv: tv, pv: pv, iters: iters,
+		opts: opts.withDefaults(), tr: tr, lg: lg}
+}
+
+// Step runs the next iteration to completion and checkpoints it. A fault
+// past the retry budget degrades the solve to the CPU colony, which runs
+// the iteration and every later one, or, with DisableFailover, returns as
+// the error. Errors that are not faults, cancellation among them, return
+// at once. Events carry ctx's correlation.
+func (r *Recoverer) Step(ctx context.Context) error {
+	if r.cpu != nil {
+		r.cpu.Iterate(aco.NNListConstruction)
+		return nil
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		err := r.attempt()
+		if err == nil {
+			r.consecutive = 0
+			r.done++
+			r.cp = r.eng.Checkpoint()
+			return nil
+		}
+		if err = r.onFault(ctx, err); err != nil {
+			if r.opts.DisableFailover || !isFault(err) {
+				return err
+			}
+			return r.failover(ctx)
+		}
+	}
+}
+
+// attempt tries the next iteration once, first building the engine and
+// replaying the checkpoint onto it when there is no engine.
+func (r *Recoverer) attempt() error {
+	if r.eng == nil {
+		e, err := NewEngineWithOptions(r.dev, r.in, r.p, EngineOptions{Derived: r.d})
+		if err != nil {
+			return err
+		}
+		if r.tr != nil {
+			e.SetTracer(r.tr)
+		}
+		r.eng = e
+		if r.cp != nil {
+			r.traceFault("recovery:replay", 0)
+			if err := e.Restore(r.cp); err != nil {
+				return err
+			}
+		}
+	}
+	res, err := r.eng.Iterate(r.tv, r.pv)
+	if err != nil {
+		return err
+	}
+	r.secs += res.Construct.Seconds() + res.Update.Seconds()
+	return nil
+}
+
+// onFault counts a failed attempt and readies the retry: it charges the
+// backoff, then either resets the device and drops the engine or restores
+// the checkpoint in place. It returns err itself when err is not a fault
+// or the retry budget is spent.
+func (r *Recoverer) onFault(ctx context.Context, err error) error {
+	if !isFault(err) {
+		return err
+	}
+	r.rep.Faults++
+	r.consecutive++
+	r.traceFault("fault:"+faultName(err), 0)
+	if r.lg.Enabled(slog.LevelInfo) {
+		r.lg.Event(obslog.WithAttempt(ctx, r.consecutive), obslog.EvFault,
+			slog.String("kind", faultName(err)), slog.Int("iter", r.done),
+			slog.String("err", err.Error()))
+	}
+	if r.consecutive > r.opts.MaxConsecutiveFaults {
+		return err
+	}
+	r.rep.Retries++
+	backoff := r.opts.BackoffMS * math.Pow(2, float64(r.consecutive-1)) / 1e3
+	r.secs += backoff
+	r.rep.BackoffSeconds += backoff
+	r.traceFault("recovery:backoff", backoff)
+	if r.lg.Enabled(slog.LevelInfo) {
+		r.lg.Event(obslog.WithAttempt(ctx, r.consecutive), obslog.EvRetry,
+			slog.Int("iter", r.done), slog.Float64("backoff_s", backoff))
+	}
+	switch {
+	case errors.Is(err, cuda.ErrECC) || r.dev.Healthy() != nil:
+		// ECC may have corrupted buffers that are never rewritten (dist,
+		// nnList), and a sticky fault poisons the context: both need a
+		// reset and a rebuilt engine. The reset cleared the device's
+		// allocation accounting, so the old engine's buffers are stale
+		// device state, dropped without Free.
+		r.dev.Reset()
+		r.eng = nil
+		r.rep.Resets++
+		r.traceFault("recovery:device-reset", 0)
+		if r.lg.Enabled(slog.LevelInfo) {
+			r.lg.Event(obslog.WithAttempt(ctx, r.consecutive), obslog.EvReset,
+				slog.Int("iter", r.done))
+		}
+	case r.eng == nil:
+	case r.cp != nil:
+		// Launch and watchdog faults only touched per-iteration buffers.
+		return r.eng.Restore(r.cp)
+	default:
+		// Fault before the first committed iteration: rebuild from scratch
+		// (the initial state is deterministic).
+		r.eng.Free()
+		r.eng = nil
+	}
+	return nil
+}
+
+// failover hands the last checkpoint's pheromone state and best tour to
+// the sequential CPU colony and runs the pending iteration there. The CPU
+// colony uses float64 trails and its own RNG streams, so the result
 // diverges from the fault-free GPU run — graceful degradation trades the
 // determinism guarantee for completing the solve at all.
-func failoverCPU(ctx context.Context, in *tsp.Instance, p aco.Params, cp *Checkpoint,
-	iters, done int, secs float64, rep *RecoveryReport,
-	tr *trace.Collector, conv *metrics.Convergence, lg *obslog.Logger) ([]int32, int64, float64, *RecoveryReport, error) {
-
-	rep.Degraded = true
-	rep.FailoverIteration = done
-	if tr != nil {
-		tr.Fault("recovery:failover-cpu", 0)
+func (r *Recoverer) failover(ctx context.Context) error {
+	if r.eng != nil {
+		r.eng.Free()
+		r.eng = nil
 	}
-	if lg.Enabled(slog.LevelInfo) {
-		lg.Event(ctx, obslog.EvFailover, slog.Int("gpu_iters", done),
-			slog.Int("remaining", iters-done))
+	r.rep.Degraded = true
+	r.rep.FailoverIteration = r.done
+	r.traceFault("recovery:failover-cpu", 0)
+	if r.lg.Enabled(slog.LevelInfo) {
+		r.lg.Event(ctx, obslog.EvFailover, slog.Int("gpu_iters", r.done),
+			slog.Int("remaining", r.iters-r.done))
 	}
-	c, err := aco.New(in, p)
+	c, err := aco.NewWithDerived(r.in, r.p, r.d)
 	if err != nil {
-		return nil, 0, 0, rep, err
+		return err
 	}
-	c.Tracer = tr
-	if cp != nil {
+	c.Tracer = r.tr
+	if cp := r.cp; cp != nil {
 		for i, v := range cp.Pher {
 			c.Pher[i] = float64(v)
 		}
@@ -357,22 +342,81 @@ func failoverCPU(ctx context.Context, in *tsp.Instance, p aco.Params, cp *Checkp
 		}
 	}
 	c.ResetMeters()
-	for ; done < iters; done++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, rep, err
-		}
-		c.Iterate(aco.NNListConstruction)
-		c.RecordConvergence(conv)
+	r.cpu = c
+	return r.Step(ctx)
+}
+
+func (r *Recoverer) traceFault(name string, secs float64) {
+	if r.tr != nil {
+		r.tr.Fault(name, secs)
 	}
-	tour, l := c.BestTour, c.BestLen
-	if tour == nil {
-		return nil, 0, 0, rep, fmt.Errorf("core: CPU failover produced no tour")
+}
+
+// Engine returns the GPU engine of the last committed iteration, or nil
+// when a reset or a lost device dropped it (and after a failover).
+func (r *Recoverer) Engine() *Engine { return r.eng }
+
+// Checkpoint re-snapshots the committed state after a host-side change
+// to it (a trail restart, an adopted migrant), so a later retry replays
+// from the changed state.
+func (r *Recoverer) Checkpoint() { r.cp = r.eng.Checkpoint() }
+
+// Abandon gives up the device after it was lost: it resets the device
+// and drops the engine without Free, since the context may be poisoned
+// and its accounting polluted by the dead engine. A non-nil dev takes the
+// device's place with a fresh retry budget; the next Step rebuilds there
+// and replays the last checkpoint.
+func (r *Recoverer) Abandon(dev *cuda.Device) {
+	r.dev.Reset()
+	r.eng, r.consecutive = nil, 0
+	if dev != nil {
+		r.dev = dev
 	}
-	if err := in.ValidTour(tour); err != nil {
-		return nil, 0, 0, rep, fmt.Errorf("core: CPU failover: %w", err)
+}
+
+// Best returns the best-so-far tour and length.
+func (r *Recoverer) Best() ([]int32, int64) {
+	if r.cpu != nil {
+		return r.cpu.BestTour, r.cpu.BestLen
+	}
+	return r.eng.Best()
+}
+
+// Iterations returns the number of committed GPU iterations.
+func (r *Recoverer) Iterations() int { return r.done }
+
+// Seconds returns the simulated seconds so far: kernel time and retry
+// backoff, plus the CPU model's time for the iterations after a failover.
+func (r *Recoverer) Seconds() float64 {
+	if r.cpu == nil {
+		return r.secs
 	}
 	cpu := aco.DefaultCPU()
-	secs += cpu.Seconds(&c.ConstructMeter) + cpu.Seconds(&c.PheromoneMeter) +
-		cpu.Seconds(&c.ChoiceMeter)
-	return tour, l, secs, rep, nil
+	return r.secs + (cpu.Seconds(&r.cpu.ConstructMeter) + cpu.Seconds(&r.cpu.PheromoneMeter) +
+		cpu.Seconds(&r.cpu.ChoiceMeter))
+}
+
+// Report returns the ladder's activity so far.
+func (r *Recoverer) Report() *RecoveryReport { return &r.rep }
+
+// Record publishes the last committed iteration to conv, from whichever
+// engine committed it, and logs its checkpoint at debug level. The solve
+// loop calls it after every Step.
+func (r *Recoverer) Record(ctx context.Context, conv *metrics.Convergence) {
+	if r.cpu != nil {
+		r.cpu.RecordConvergence(conv)
+		return
+	}
+	r.eng.RecordConvergence(conv)
+	if r.lg.Enabled(slog.LevelDebug) {
+		r.lg.Debug(ctx, obslog.EvCheckpoint, slog.Int("iter", r.done),
+			slog.Int64("best_len", r.cp.BestLen))
+	}
+}
+
+// Close frees the engine's device buffers.
+func (r *Recoverer) Close() {
+	if r.eng != nil {
+		r.eng.Free()
+	}
 }

@@ -15,11 +15,27 @@ import (
 
 const recoverIters = 6
 
+// runRecovered steps a Recoverer through iters iterations of the v6 +
+// atomic-shared GPU Ant System on dev, the way the facade's run loop does,
+// and returns the best tour and length, the simulated seconds and the
+// recovery report.
+func runRecovered(ctx context.Context, dev *cuda.Device, in *tsp.Instance, p aco.Params, iters int,
+	opts core.RecoveryOptions, tr *trace.Collector) ([]int32, int64, float64, *core.RecoveryReport, error) {
+	r := core.NewRecoverer(dev, in, p, nil, core.TourNNSharedTexture, core.PherAtomicShared, iters, opts, tr, nil)
+	defer r.Close()
+	for i := 0; i < iters; i++ {
+		if err := r.Step(ctx); err != nil {
+			return nil, 0, 0, r.Report(), err
+		}
+	}
+	tour, l := r.Best()
+	return tour, l, r.Seconds(), r.Report(), nil
+}
+
 func faultFreeRun(t *testing.T, in *tsp.Instance, p aco.Params, iters int) ([]int32, int64) {
 	t.Helper()
 	dev := cuda.TeslaM2050()
-	tour, l, _, _, err := core.RunRecovered(context.Background(), dev, in, p,
-		core.TourNNSharedTexture, core.PherAtomicShared, iters, core.RecoveryOptions{}, nil, nil, nil)
+	tour, l, _, _, err := runRecovered(context.Background(), dev, in, p, iters, core.RecoveryOptions{}, nil)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
@@ -54,9 +70,7 @@ func TestRecoveredMatchesFaultFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := cuda.TeslaM2050()
 			dev.Faults = tc.plan.Clone()
-			tour, l, _, rep, err := core.RunRecovered(context.Background(), dev, in, p,
-				core.TourNNSharedTexture, core.PherAtomicShared, recoverIters,
-				core.RecoveryOptions{}, nil, nil, nil)
+			tour, l, _, rep, err := runRecovered(context.Background(), dev, in, p, recoverIters, core.RecoveryOptions{}, nil)
 			if err != nil {
 				t.Fatalf("recovered run: %v (report: %s)", err, rep)
 			}
@@ -95,9 +109,7 @@ func TestRecoveredDeterminism(t *testing.T) {
 	run := func() result {
 		dev := cuda.TeslaM2050()
 		dev.Faults = plan.Clone()
-		tour, l, secs, rep, err := core.RunRecovered(context.Background(), dev, in, p,
-			core.TourNNSharedTexture, core.PherAtomicShared, recoverIters,
-			core.RecoveryOptions{}, nil, nil, nil)
+		tour, l, secs, rep, err := runRecovered(context.Background(), dev, in, p, recoverIters, core.RecoveryOptions{}, nil)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -127,9 +139,7 @@ func TestFailoverToCPU(t *testing.T) {
 	dev.Faults = &cuda.FaultPlan{Seed: 21, LaunchRate: 1}
 
 	tr := trace.NewCollector()
-	tour, l, secs, rep, err := core.RunRecovered(context.Background(), dev, in, p,
-		core.TourNNSharedTexture, core.PherAtomicShared, recoverIters,
-		core.RecoveryOptions{MaxConsecutiveFaults: 3}, tr, nil, nil)
+	tour, l, secs, rep, err := runRecovered(context.Background(), dev, in, p, recoverIters, core.RecoveryOptions{MaxConsecutiveFaults: 3}, tr)
 	if err != nil {
 		t.Fatalf("failover run: %v", err)
 	}
@@ -176,9 +186,7 @@ func TestWatchdogBudgetFailover(t *testing.T) {
 	dev := cuda.TeslaM2050()
 	dev.Faults = &cuda.FaultPlan{Seed: 1, WatchdogMS: 1e-12}
 
-	_, _, _, rep, err := core.RunRecovered(context.Background(), dev, in, p,
-		core.TourNNSharedTexture, core.PherAtomicShared, 2,
-		core.RecoveryOptions{MaxConsecutiveFaults: 2}, nil, nil, nil)
+	_, _, _, rep, err := runRecovered(context.Background(), dev, in, p, 2, core.RecoveryOptions{MaxConsecutiveFaults: 2}, nil)
 	if err != nil {
 		t.Fatalf("watchdog budget run: %v", err)
 	}
@@ -195,9 +203,7 @@ func TestDisableFailover(t *testing.T) {
 	dev := cuda.TeslaM2050()
 	dev.Faults = &cuda.FaultPlan{Seed: 21, LaunchRate: 1}
 
-	_, _, _, _, err := core.RunRecovered(context.Background(), dev, in, p,
-		core.TourNNSharedTexture, core.PherAtomicShared, 2,
-		core.RecoveryOptions{MaxConsecutiveFaults: 2, DisableFailover: true}, nil, nil, nil)
+	_, _, _, _, err := runRecovered(context.Background(), dev, in, p, 2, core.RecoveryOptions{MaxConsecutiveFaults: 2, DisableFailover: true}, nil)
 	if !errors.Is(err, cuda.ErrLaunchFailed) {
 		t.Fatalf("got %v, want ErrLaunchFailed", err)
 	}
@@ -211,9 +217,7 @@ func TestRecoveredCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dev := cuda.TeslaM2050()
-	_, _, _, _, err := core.RunRecovered(ctx, dev, in, p,
-		core.TourNNSharedTexture, core.PherAtomicShared, recoverIters,
-		core.RecoveryOptions{}, nil, nil, nil)
+	_, _, _, _, err := runRecovered(ctx, dev, in, p, recoverIters, core.RecoveryOptions{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -271,8 +275,7 @@ func TestRecoverySoak(t *testing.T) {
 	for _, rate := range []float64{0.01, 0.02, 0.05} {
 		dev := cuda.TeslaM2050()
 		dev.Faults = &cuda.FaultPlan{Seed: 31, LaunchRate: rate, WatchdogRate: rate / 2, ECCRate: rate / 2}
-		tour, l, _, rep, err := core.RunRecovered(context.Background(), dev, in, p,
-			core.TourNNSharedTexture, core.PherAtomicShared, 4, core.RecoveryOptions{}, nil, nil, nil)
+		tour, l, _, rep, err := runRecovered(context.Background(), dev, in, p, 4, core.RecoveryOptions{}, nil)
 		if err != nil {
 			t.Fatalf("rate %.2f: %v (report: %s)", rate, err, rep)
 		}
