@@ -490,16 +490,9 @@ func storeLanes[T float32 | int32](dst []T, base int, src []T, mask uint32) {
 
 // --- global memory: rows ----------------------------------------------------
 
-// LdF32Row loads buf[base+l] into dst[l] for every live lane l: one global
-// load instruction, transactions counted in closed form. Models each lane
-// executing t.LdF32(buf, base+t.Lane()).
-func (w *Warp) LdF32Row(buf *F32, base int, dst []float32) {
-	b := w.b
-	b.meterGlobalLoad(rowTx(base, w.active, 4, b.segBytes()), w.active)
-	copy(dst[:w.active], buf.data[base:base+w.active])
-}
-
-// LdF32Masked is LdF32Row restricted to the lanes in mask.
+// LdF32Masked loads buf[base+l] into dst[l] for the lanes l in mask: one
+// global load instruction, transactions counted in closed form. Models
+// each lane executing t.LdF32(buf, base+t.Lane()).
 func (w *Warp) LdF32Masked(buf *F32, base int, mask uint32, dst []float32) {
 	if mask == 0 {
 		return
@@ -509,14 +502,7 @@ func (w *Warp) LdF32Masked(buf *F32, base int, mask uint32, dst []float32) {
 	loadLanes(dst, buf.data, base, mask)
 }
 
-// StF32Row stores src[l] to buf[base+l] for every live lane.
-func (w *Warp) StF32Row(buf *F32, base int, src []float32) {
-	b := w.b
-	b.meterGlobalStore(rowTx(base, w.active, 4, b.segBytes()), w.active)
-	copy(buf.data[base:base+w.active], src[:w.active])
-}
-
-// StF32Masked is StF32Row restricted to the lanes in mask.
+// StF32Masked stores src[l] to buf[base+l] for the lanes l in mask.
 func (w *Warp) StF32Masked(buf *F32, base int, mask uint32, src []float32) {
 	if mask == 0 {
 		return
@@ -543,14 +529,7 @@ func (w *Warp) LdI32Masked(buf *I32, base int, mask uint32, dst []int32) {
 	loadLanes(dst, buf.data, base, mask)
 }
 
-// StI32Row stores src[l] to buf[base+l] for every live lane.
-func (w *Warp) StI32Row(buf *I32, base int, src []int32) {
-	b := w.b
-	b.meterGlobalStore(rowTx(base, w.active, 4, b.segBytes()), w.active)
-	copy(buf.data[base:base+w.active], src[:w.active])
-}
-
-// StI32Masked is StI32Row restricted to the lanes in mask.
+// StI32Masked stores src[l] to buf[base+l] for the lanes l in mask.
 func (w *Warp) StI32Masked(buf *I32, base int, mask uint32, src []int32) {
 	if mask == 0 {
 		return
@@ -561,20 +540,6 @@ func (w *Warp) StI32Masked(buf *I32, base int, mask uint32, src []int32) {
 }
 
 // --- global memory: strides, broadcasts, gathers ----------------------------
-
-// LdF32Strided loads buf[base+l*stride] into dst[l] for the lanes in mask:
-// the uncoalesced column access of the paper's version (3) pheromone kernel.
-func (w *Warp) LdF32Strided(buf *F32, base, stride int, mask uint32, dst []float32) {
-	if mask == 0 {
-		return
-	}
-	b := w.b
-	b.meterGlobalLoad(stridedTx(base, stride, mask, 4, b.segBytes()), bits.OnesCount32(mask))
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		l := bits.TrailingZeros32(mk)
-		dst[l] = buf.data[base+l*stride]
-	}
-}
 
 // LdI32Strided loads buf[base+l*stride] into dst[l] for the lanes in mask.
 func (w *Warp) LdI32Strided(buf *I32, base, stride int, mask uint32, dst []int32) {
@@ -589,14 +554,8 @@ func (w *Warp) LdI32Strided(buf *I32, base, stride int, mask uint32, dst []int32
 	}
 }
 
-// LdF32Bcast models every live lane loading the same element: one
-// instruction, one transaction (a single segment), Active per-lane ops.
-func (w *Warp) LdF32Bcast(buf *F32, idx int) float32 {
-	w.b.meterGlobalLoad(1, w.active)
-	return buf.data[idx]
-}
-
-// LdF32BcastMasked is LdF32Bcast restricted to the lanes in mask. With
+// LdF32BcastMasked models the lanes in mask loading the same element: one
+// instruction, one transaction (a single segment), one op per lane. With
 // mask 0 it issues nothing and returns 0.
 func (w *Warp) LdF32BcastMasked(buf *F32, idx int, mask uint32) float32 {
 	if mask == 0 {
@@ -606,13 +565,7 @@ func (w *Warp) LdF32BcastMasked(buf *F32, idx int, mask uint32) float32 {
 	return buf.data[idx]
 }
 
-// LdI32Bcast models every live lane loading the same element.
-func (w *Warp) LdI32Bcast(buf *I32, idx int) int32 {
-	w.b.meterGlobalLoad(1, w.active)
-	return buf.data[idx]
-}
-
-// LdI32BcastMasked is LdI32Bcast restricted to the lanes in mask.
+// LdI32BcastMasked models the lanes in mask loading the same element.
 func (w *Warp) LdI32BcastMasked(buf *I32, idx int, mask uint32) int32 {
 	if mask == 0 {
 		return 0
@@ -679,28 +632,6 @@ func (w *Warp) StI32Scatter(buf *I32, idxs []int32, mask uint32, src []int32) {
 
 // --- atomics ----------------------------------------------------------------
 
-// AtomicAddF32Row adds src[l] to buf[base+l] for every live lane: the
-// conflict-free contiguous case (distinct addresses, zero serialisation).
-// Atomics are read-modify-write transactions, so the segment count charges
-// both load and store transactions, as the scalar retirement does.
-func (w *Warp) AtomicAddF32Row(buf *F32, base int, src []float32) {
-	b := w.b
-	m := b.meter
-	m.AtomicInstr++
-	m.AtomicOps += int64(w.active)
-	tx := rowTx(base, w.active, 4, b.segBytes())
-	m.GlobalLoadTx += int64(tx)
-	m.GlobalStoreTx += int64(tx)
-	for l := 0; l < w.active; l++ {
-		i := base + l
-		mu := buf.lock.of(i)
-		mu.Lock()
-		buf.data[i] += src[l]
-		mu.Unlock()
-		b.noteAtomic(atomicKey(buf.id, i))
-	}
-}
-
 // AtomicAddF32Scatter adds vals[l] to buf[idxs[l]] for the lanes in mask:
 // the scatter pheromone deposit. Conflicting lanes (same index) serialise —
 // the extra is ops minus distinct addresses, matching atomicConflicts — and
@@ -737,15 +668,10 @@ func (w *Warp) AtomicAddF32Scatter(buf *F32, idxs []int32, mask uint32, vals []f
 
 // --- texture ----------------------------------------------------------------
 
-// TexF32Row fetches tex[base+l] into dst[l] for every live lane through the
-// per-block texture tag cache.
-func (w *Warp) TexF32Row(tex *Texture, base int, dst []float32) {
-	w.TexF32Masked(tex, base, w.mask, dst)
-}
-
-// TexF32Masked is TexF32Row restricted to the lanes in mask. Distinct lines
-// probe the tag cache in ascending lane order, exactly the scalar
-// retirement's probe sequence, so hits and misses are identical.
+// TexF32Masked fetches tex[base+l] into dst[l] for the lanes l in mask
+// through the per-block texture tag cache. Distinct lines probe the tag
+// cache in ascending lane order, exactly the scalar retirement's probe
+// sequence, so hits and misses are identical.
 func (w *Warp) TexF32Masked(tex *Texture, base int, mask uint32, dst []float32) {
 	if mask == 0 {
 		return
@@ -798,13 +724,7 @@ func (b *Block) meterTex(tc *texTags, base int, mask uint32) {
 // indices touch each bank at most once, so none of these ops can bank
 // conflict; they mirror the scalar bankConflictDegree <= 1 outcome exactly.
 
-// LdShF32Row loads s[base+l] into dst[l] for every live lane.
-func (w *Warp) LdShF32Row(s []float32, base int, dst []float32) {
-	w.b.meterShared(w.active)
-	copy(dst[:w.active], s[base:base+w.active])
-}
-
-// LdShF32Masked is LdShF32Row restricted to the lanes in mask.
+// LdShF32Masked loads s[base+l] into dst[l] for the lanes l in mask.
 func (w *Warp) LdShF32Masked(s []float32, base int, mask uint32, dst []float32) {
 	if mask == 0 {
 		return
@@ -813,13 +733,7 @@ func (w *Warp) LdShF32Masked(s []float32, base int, mask uint32, dst []float32) 
 	loadLanes(dst, s, base, mask)
 }
 
-// StShF32Row stores src[l] to s[base+l] for every live lane.
-func (w *Warp) StShF32Row(s []float32, base int, src []float32) {
-	w.b.meterShared(w.active)
-	copy(s[base:base+w.active], src[:w.active])
-}
-
-// StShF32Masked is StShF32Row restricted to the lanes in mask.
+// StShF32Masked stores src[l] to s[base+l] for the lanes l in mask.
 func (w *Warp) StShF32Masked(s []float32, base int, mask uint32, src []float32) {
 	if mask == 0 {
 		return
@@ -828,13 +742,7 @@ func (w *Warp) StShF32Masked(s []float32, base int, mask uint32, src []float32) 
 	storeLanes(s, base, src, mask)
 }
 
-// LdShI32Row loads s[base+l] into dst[l] for every live lane.
-func (w *Warp) LdShI32Row(s []int32, base int, dst []int32) {
-	w.b.meterShared(w.active)
-	copy(dst[:w.active], s[base:base+w.active])
-}
-
-// LdShI32Masked is LdShI32Row restricted to the lanes in mask.
+// LdShI32Masked loads s[base+l] into dst[l] for the lanes l in mask.
 func (w *Warp) LdShI32Masked(s []int32, base int, mask uint32, dst []int32) {
 	if mask == 0 {
 		return
@@ -858,15 +766,9 @@ func (w *Warp) StShI32Masked(s []int32, base int, mask uint32, src []int32) {
 	storeLanes(s, base, src, mask)
 }
 
-// LdShF32Bcast models every live lane reading the same shared element: a
-// hardware broadcast, one instruction, no conflicts.
-func (w *Warp) LdShF32Bcast(s []float32, idx int) float32 {
-	w.b.meterShared(w.active)
-	return s[idx]
-}
-
-// LdShF32BcastMasked is LdShF32Bcast restricted to the lanes in mask. With
-// mask 0 it issues nothing and returns 0.
+// LdShF32BcastMasked models the lanes in mask reading the same shared
+// element: a hardware broadcast, one instruction, no conflicts. With mask
+// 0 it issues nothing and returns 0.
 func (w *Warp) LdShF32BcastMasked(s []float32, idx int, mask uint32) float32 {
 	if mask == 0 {
 		return 0

@@ -50,12 +50,12 @@ func rowKernels() (scalar, vector cuda.Kernel, cfg cuda.LaunchConfig, src, dst *
 		b.RunWarps(func(w *cuda.Warp) {
 			gbase := b.LinearIdx()*b.Threads() + w.Base()
 			var v [32]float32
-			w.LdF32Row(src, gbase, v[:])
+			w.LdF32Masked(src, gbase, w.Mask(), v[:])
 			w.Charge(1)
 			for l := 0; l < 32; l++ {
 				v[l] *= 2
 			}
-			w.StF32Row(dst, gbase, v[:])
+			w.StF32Masked(dst, gbase, w.Mask(), v[:])
 		})
 	}
 	return

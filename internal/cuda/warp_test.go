@@ -163,9 +163,11 @@ func TestVectorEquivStridedGather(t *testing.T) {
 	grid := count / block
 	assertEquiv(t, func(vector bool) equivRun {
 		src := cuda.MallocF32("src", 3*count)
+		cols := cuda.MallocI32("cols", 3*count)
 		dst := cuda.MallocF32("dst", count)
 		for i := range src.Data() {
 			src.Data()[i] = float32(i % 97)
+			cols.Data()[i] = int32(i % 89)
 		}
 		cfg := cuda.LaunchConfig{Grid: cuda.D1(grid), Block: cuda.D1(block)}
 		var k cuda.Kernel
@@ -174,15 +176,15 @@ func TestVectorEquivStridedGather(t *testing.T) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var a, g [32]float32
-					var idxs [32]int32
-					w.LdF32Strided(src, gbase*3, 3, w.Mask(), a[:])
+					var c, idxs [32]int32
+					w.LdI32Strided(cols, gbase*3, 3, w.Mask(), c[:])
 					for l := 0; l < w.Active(); l++ {
 						idxs[l] = int32(((gbase + l) * 7) % small)
 					}
 					w.LdF32Gather(src, idxs[:], w.Mask(), g[:])
 					w.Charge(2)
 					for l := 0; l < w.Active(); l++ {
-						a[l] += g[l]
+						a[l] = float32(c[l]) + g[l]
 					}
 					w.StF32Masked(dst, gbase, w.Mask(), a[:])
 				})
@@ -191,7 +193,7 @@ func TestVectorEquivStridedGather(t *testing.T) {
 			k = func(b *cuda.Block) {
 				b.Run(func(th *cuda.Thread) {
 					gid := th.GlobalID()
-					a := th.LdF32(src, gid*3)
+					a := float32(th.LdI32(cols, gid*3))
 					g := th.LdF32(src, (gid*7)%small)
 					th.Charge(2)
 					th.StF32(dst, gid, a+g)
@@ -202,7 +204,8 @@ func TestVectorEquivStridedGather(t *testing.T) {
 	})
 }
 
-// TestVectorEquivBroadcast covers the all-lanes-one-address load.
+// TestVectorEquivBroadcast covers the all-lanes-one-address load, through
+// the masked broadcast with every live lane in the mask.
 func TestVectorEquivBroadcast(t *testing.T) {
 	const n, block = 256, 64
 	assertEquiv(t, func(vector bool) equivRun {
@@ -215,12 +218,12 @@ func TestVectorEquivBroadcast(t *testing.T) {
 			k = func(b *cuda.Block) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
-					v := w.LdF32Bcast(src, 5)
+					v := w.LdF32BcastMasked(src, 5, w.Mask())
 					var out [32]float32
 					for l := 0; l < w.Active(); l++ {
 						out[l] = v + float32(gbase+l)
 					}
-					w.StF32Row(dst, gbase, out[:])
+					w.StF32Masked(dst, gbase, w.Mask(), out[:])
 				})
 			}
 		} else {
@@ -235,13 +238,12 @@ func TestVectorEquivBroadcast(t *testing.T) {
 	})
 }
 
-// TestVectorEquivAtomics covers the conflict-free atomic row and the
-// conflicted atomic scatter, including the cross-block distinct-address
-// histogram that feeds AtomicDistinctAddr.
+// TestVectorEquivAtomics covers the conflicted atomic scatter, including
+// the cross-block distinct-address histogram that feeds
+// AtomicDistinctAddr.
 func TestVectorEquivAtomics(t *testing.T) {
 	const count, block = 256, 64
 	assertEquiv(t, func(vector bool) equivRun {
-		rowDst := cuda.MallocF32("row", count)
 		hist := cuda.MallocF32("hist", 7)
 		cfg := cuda.LaunchConfig{Grid: cuda.D1(count / block), Block: cuda.D1(block)}
 		var k cuda.Kernel
@@ -249,29 +251,23 @@ func TestVectorEquivAtomics(t *testing.T) {
 			k = func(b *cuda.Block) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
-					var half, ones [32]float32
+					var ones [32]float32
 					var idxs [32]int32
 					for l := 0; l < w.Active(); l++ {
-						half[l] = 0.5
 						ones[l] = 1
 						idxs[l] = int32((gbase + l) % 7)
 					}
-					w.AtomicAddF32Row(rowDst, gbase, half[:])
 					w.AtomicAddF32Scatter(hist, idxs[:], w.Mask(), ones[:])
 				})
 			}
 		} else {
 			k = func(b *cuda.Block) {
 				b.Run(func(th *cuda.Thread) {
-					gid := th.GlobalID()
-					th.AtomicAddF32(rowDst, gid, 0.5)
-					th.AtomicAddF32(hist, gid%7, 1)
+					th.AtomicAddF32(hist, th.GlobalID()%7, 1)
 				})
 			}
 		}
-		return equivRun{cfg: cfg, k: k, dump: func() []uint32 {
-			return append(f32bits(rowDst.Data()), f32bits(hist.Data())...)
-		}}
+		return equivRun{cfg: cfg, k: k, dump: func() []uint32 { return f32bits(hist.Data()) }}
 	})
 }
 
@@ -293,12 +289,12 @@ func TestVectorEquivTexture(t *testing.T) {
 				b.RunWarps(func(w *cuda.Warp) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var a, c [32]float32
-					w.TexF32Row(tex, gbase, a[:])
+					w.TexF32Masked(tex, gbase, w.Mask(), a[:])
 					w.TexF32Masked(tex, gbase, w.Mask(), c[:])
 					for l := 0; l < w.Active(); l++ {
 						a[l] += c[l]
 					}
-					w.StF32Row(dst, gbase, a[:])
+					w.StF32Masked(dst, gbase, w.Mask(), a[:])
 				})
 			}
 		} else {
@@ -348,14 +344,14 @@ func TestVectorEquivSharedMergedStore(t *testing.T) {
 					gbase := b.LinearIdx()*b.Threads() + w.Base()
 					var v [32]float32
 					var iv [32]int32
-					w.LdShF32Row(sf, w.Base(), v[:])
-					w.LdShI32Row(si, w.Base(), iv[:])
-					first := w.LdShF32Bcast(sf, 0)
+					w.LdShF32Masked(sf, w.Base(), w.Mask(), v[:])
+					w.LdShI32Masked(si, w.Base(), w.Mask(), iv[:])
+					first := w.LdShF32BcastMasked(sf, 0, w.Mask())
 					var out [32]float32
 					for l := 0; l < w.Active(); l++ {
 						out[l] = v[l] + float32(iv[l]) + first
 					}
-					w.StF32Row(dst, gbase, out[:])
+					w.StF32Masked(dst, gbase, w.Mask(), out[:])
 				})
 			}
 		} else {
