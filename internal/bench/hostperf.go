@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"time"
 
 	"antgpu/internal/aco"
@@ -41,7 +42,7 @@ type HostPerfKernel struct {
 	// LaneOps is the simulated lane operations per launch — identical
 	// between the two paths by the meter-equivalence contract.
 	LaneOps int64 `json:"lane_ops_per_launch"`
-	// Ns/lane-op of host wall-clock under each path.
+	// Ns/lane-op of host wall-clock under each path, of the median launch.
 	ScalarNsPerLaneOp float64 `json:"scalar_ns_per_lane_op"`
 	VectorNsPerLaneOp float64 `json:"vector_ns_per_lane_op"`
 	// Host heap allocations per launch under each path.
@@ -109,10 +110,11 @@ func hostPerfSpecs() []hostPerfSpec {
 	return specs
 }
 
-// measureHost times `repeats` launches of one stage on the given engine and
-// returns the simulated lane operations per launch, host ns per lane
-// operation, and heap allocations per launch. One warm-up launch populates
-// pools and yields the lane-op count.
+// measureHost times `repeats` launches of one stage on the given engine, one
+// by one, and returns the simulated lane operations per launch, the median
+// launch's host ns per lane operation (so one stalled launch cannot move
+// the row), and heap allocations per launch over all repeats. One warm-up
+// launch populates pools and yields the lane-op count.
 func measureHost(e *core.Engine, repeats int, run func(*core.Engine) ([]*cuda.LaunchResult, error)) (laneOps int64, nsPerOp, allocs float64, err error) {
 	ks, err := run(e)
 	if err != nil {
@@ -124,20 +126,32 @@ func measureHost(e *core.Engine, repeats int, run func(*core.Engine) ([]*cuda.La
 	if laneOps == 0 {
 		return 0, 0, 0, fmt.Errorf("stage metered zero lane operations")
 	}
+	ns := make([]float64, repeats)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < repeats; i++ {
+	for i := range ns {
+		start := time.Now()
 		if _, err := run(e); err != nil {
 			return 0, 0, 0, err
 		}
+		ns[i] = float64(time.Since(start).Nanoseconds())
 	}
-	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
-	nsPerOp = float64(elapsed.Nanoseconds()) / float64(repeats) / float64(laneOps)
+	nsPerOp = median(ns) / float64(laneOps)
 	allocs = float64(after.Mallocs-before.Mallocs) / float64(repeats)
 	return laneOps, nsPerOp, allocs, nil
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values when the count is even. It sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // HostPerf benchmarks the host cost of every ported kernel under the scalar

@@ -66,3 +66,22 @@ func TestHostPerfSmall(t *testing.T) {
 		t.Errorf("Format output missing header:\n%s", buf.String())
 	}
 }
+
+// TestMedian: the middle value of an odd count, the mean of the two middle
+// values of an even count, whatever the input order.
+func TestMedian(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{7}, 7},
+		{[]float64{3, 1, 2}, 2},
+		{[]float64{5, 100, 1, 4, 2}, 4},
+		{[]float64{4, 1}, 2.5},
+		{[]float64{9, 1, 1e6, 3}, 6},
+	} {
+		if got := median(append([]float64(nil), tc.xs...)); got != tc.want {
+			t.Errorf("median(%v) = %g, want %g", tc.xs, got, tc.want)
+		}
+	}
+}
