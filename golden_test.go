@@ -108,7 +108,7 @@ func (e *eventHash) String() string {
 // tourHash is an FNV-64a hash of a tour.
 func tourHash(tour []int32) uint64 {
 	h := fnv.New64a()
-	binary.Write(h, binary.LittleEndian, tour)
+	_ = binary.Write(h, binary.LittleEndian, tour) // a hash never fails a write
 	return h.Sum64()
 }
 
