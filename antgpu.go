@@ -423,22 +423,22 @@ func gpuDevice(ctx context.Context, opts SolveOptions) *Device {
 	return dev
 }
 
-// derivedData validates the AS parameters, then fetches the shared
-// instance-derived data from the batch cache, or nil for a standalone
-// solve (engines then compute their own). Validation comes first: an
-// invalid NN reaching the shared cache would count a miss for a key it
-// never fills and panic deriving the lists. The derived data holds no
-// float32 distances, so it serves every backend; the GPU engine enforces
-// the exact-float32 range itself (tsp.ErrF32Precision) when it converts
-// the matrix.
-func derivedData(opts SolveOptions, in *Instance) (*tsp.Derived, error) {
-	if err := opts.Params.Validate(in.N()); err != nil {
+// derivedData validates the engine's colony parameters p (opts.Params, or
+// the ACS/MMAS set's own), then fetches the shared instance-derived data at
+// p's NN width from the batch cache, or nil for a standalone solve (engines
+// then compute their own). Validation comes first: an invalid NN reaching
+// the shared cache would count a miss for a key it never fills and panic
+// deriving the lists. The derived data holds no float32 distances, so it
+// serves every backend; the GPU engine enforces the exact-float32 range
+// itself (tsp.ErrF32Precision) when it converts the matrix.
+func derivedData(opts SolveOptions, in *Instance, p Params) (*tsp.Derived, error) {
+	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
 	if opts.cache == nil {
 		return nil, nil
 	}
-	return opts.cache.Derived(in, opts.Params.NN)
+	return opts.cache.Derived(in, p.NN)
 }
 
 // SolveContext is Solve with cancellation: the context is checked between
@@ -632,7 +632,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 	mmas := opts.MMAS.WithDefaults(opts.Params.Seed)
 	switch (pair{opts.Backend, opts.Algorithm}) {
 	case pair{BackendCPU, AlgorithmAS}:
-		d, err := derivedData(opts, in)
+		d, err := derivedData(opts, in, opts.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -674,7 +674,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		return cpuEngine(r.Colony, tr, func() { r.Iterate(v) }), nil
 
 	case pair{BackendGPU, AlgorithmAS}:
-		d, err := derivedData(opts, in)
+		d, err := derivedData(opts, in, opts.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -738,7 +738,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		return gpuEngine(r.Engine, tr, r.Free, r.Iterate), nil
 
 	case pair{BackendTensor, AlgorithmAS}:
-		d, err := derivedData(opts, in)
+		d, err := derivedData(opts, in, opts.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -755,7 +755,11 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if acs.Workers == 0 {
 			acs.Workers = opts.Params.Workers
 		}
-		a, err := tensor.NewACS(in, acs)
+		d, err := derivedData(opts, in, acs.Params)
+		if err != nil {
+			return nil, err
+		}
+		a, err := tensor.NewACSWithDerived(in, acs, d)
 		if err != nil {
 			return nil, err
 		}
@@ -764,7 +768,11 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if mmas.Workers == 0 {
 			mmas.Workers = opts.Params.Workers
 		}
-		m, err := tensor.NewMMAS(in, mmas)
+		d, err := derivedData(opts, in, mmas.Params)
+		if err != nil {
+			return nil, err
+		}
+		m, err := tensor.NewMMASWithDerived(in, mmas, d)
 		if err != nil {
 			return nil, err
 		}

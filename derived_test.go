@@ -77,6 +77,38 @@ func TestF32PrecisionHostBackendsShareCache(t *testing.T) {
 	}
 }
 
+// TestCacheServesTensorACSAndMMAS: pooled tensor ACS and MMAS solves take
+// their NN lists and C^nn from the pool's derived-data cache, one miss and
+// then one hit for two requests, and match the standalone solve.
+func TestCacheServesTensorACSAndMMAS(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []antgpu.Algorithm{antgpu.AlgorithmACS, antgpu.AlgorithmMMAS} {
+		opts := antgpu.SolveOptions{Backend: antgpu.BackendTensor, Algorithm: alg, Iterations: 4,
+			Params: antgpu.Params{Seed: 5, Workers: 1}}
+		want, err := antgpu.Solve(in, opts)
+		if err != nil {
+			t.Fatalf("%v standalone: %v", alg, err)
+		}
+		pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
+		for i := 0; i < 2; i++ {
+			got, err := pool.Submit(context.Background(), antgpu.SolveRequest{Instance: in, Options: opts}, nil)
+			if err != nil {
+				t.Fatalf("%v pool solve %d: %v", alg, i, err)
+			}
+			if got.BestLen != want.BestLen || !reflect.DeepEqual(got.BestTour, want.BestTour) {
+				t.Errorf("%v pool solve %d: length %d, want the standalone %d with the same tour",
+					alg, i, got.BestLen, want.BestLen)
+			}
+		}
+		if hits, misses := pool.CacheStats(); hits != 1 || misses != 1 {
+			t.Errorf("%v: cache %d hits / %d misses, want 1 / 1", alg, hits, misses)
+		}
+	}
+}
+
 // liveHeap returns the bytes of live heap objects after a full collection.
 func liveHeap() int64 {
 	runtime.GC()

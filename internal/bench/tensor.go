@@ -245,9 +245,11 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 	rows := make([]TensorRow, 0, len(cfg.Workers))
 	w1Wall := time.Duration(0)
 	for _, w := range cfg.Workers {
-		if _, err := tensor.NewWithOptions(in, p, nil, tensor.Options{Workers: w}); err != nil {
+		e, err := tensor.NewWithOptions(in, p, nil, tensor.Options{Workers: w})
+		if err != nil {
 			return nil, fmt.Errorf("%s: tensor: %w", label, err)
 		}
+		e.Close()
 		tenWall, tenBest := minWall(func() (time.Duration, int64) {
 			e, _ := tensor.NewWithOptions(in, p, nil, tensor.Options{Workers: w})
 			defer e.Close()

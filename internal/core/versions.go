@@ -141,9 +141,3 @@ func (v PherVersion) String() string {
 		return fmt.Sprintf("PherVersion(%d)", int(v))
 	}
 }
-
-// ScatterGather reports whether the version uses the scatter-to-gather
-// transformation (one thread per matrix cell).
-func (v PherVersion) ScatterGather() bool {
-	return v == PherReduction || v == PherScatterGatherTiled || v == PherScatterGather
-}

@@ -276,12 +276,6 @@ func (d *Device) IssueCyclesPerWarpInstr() float64 {
 	return float64(d.WarpSize) / float64(d.CoresPerSM)
 }
 
-// BytesPerCycle returns the chip-wide DRAM bandwidth expressed in bytes per
-// shader-clock cycle.
-func (d *Device) BytesPerCycle() float64 {
-	return d.BandwidthBytesPS / d.ClockHz
-}
-
 func (d *Device) String() string {
 	return fmt.Sprintf("%s (%d SMs x %d cores @ %.0f MHz, %.0f GB/s)",
 		d.Name, d.SMs, d.CoresPerSM, d.ClockHz/1e6, d.BandwidthBytesPS/1e9)

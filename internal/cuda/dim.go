@@ -141,9 +141,6 @@ func (c *LaunchConfig) Threads() int { return c.Block.Count() }
 // Blocks returns the number of blocks in the grid.
 func (c *LaunchConfig) Blocks() int { return c.Grid.Count() }
 
-// TotalThreads returns the total number of threads in the launch.
-func (c *LaunchConfig) TotalThreads() int { return c.Blocks() * c.Threads() }
-
 // regs returns the effective per-thread register count.
 func (c *LaunchConfig) regs() int {
 	if c.RegsPerThread > 0 {

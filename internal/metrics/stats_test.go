@@ -182,7 +182,8 @@ func pr1002Tau(tb testing.TB) []float32 {
 	for i := 0; i < 2; i++ {
 		e.IterateWithLocalSearch(aco.FullProbabilistic)
 	}
-	return e.Tau()
+	// A copy: Close hands the engine's τ to the next engine of this size.
+	return append([]float32(nil), e.Tau()...)
 }
 
 var statSink float64

@@ -41,7 +41,7 @@ func NewACSWithOptions(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived, o Opti
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := NewWithOptions(in, p.Params, d, o)
+	e, err := newEngine(in, p.Params, d, o)
 	if err != nil {
 		return nil, err
 	}

@@ -106,7 +106,9 @@ func BenchmarkLocalSearchM25(b *testing.B) {
 // BenchmarkNewWithDerivedM25 times the engine-large job's engine set-up:
 // a one-worker AS engine on pr1002 with 25 ants, the derived data given as
 // the pool's cache would give it, so the op is the constructor's own n²
-// work (allocating the matrices, η^β and the initial weights).
+// work. Every op after the first builds on the previous op's closed
+// matrices, with the same instance and β, so it keeps η^β and only
+// refills τ and the initial weights.
 func BenchmarkNewWithDerivedM25(b *testing.B) {
 	in := tsp.MustLoadBenchmark("pr1002")
 	p := aco.DefaultParams()
@@ -122,5 +124,38 @@ func BenchmarkNewWithDerivedM25(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.Close()
+	}
+}
+
+// BenchmarkNewWithDerivedDistinct500 times the upload-distinct job's
+// engine set-up: a one-worker AS engine with 25 ants on each of eight
+// distinct 500-city instances in turn, the derived data given. Each op
+// builds on the previous op's closed matrices, which hold another
+// instance's η^β, so it recomputes η^β as well as refilling τ and the
+// weights.
+func BenchmarkNewWithDerivedDistinct500(b *testing.B) {
+	p := aco.DefaultParams()
+	p.Ants = 25
+	ins := make([]*tsp.Instance, 8)
+	ds := make([]*tsp.Derived, len(ins))
+	for i := range ins {
+		in, err := tsp.Generate(tsp.GenSpec{Name: "upload", N: 500, Type: tsp.Euc2D, Seed: uint64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ds[i], err = in.ComputeDerived(p.NN); err != nil {
+			b.Fatal(err)
+		}
+		ins[i] = in
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		e, err := NewWithOptions(ins[i], p, ds[i], Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Close()
+		i = (i + 1) % len(ins)
 	}
 }

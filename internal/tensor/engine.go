@@ -15,6 +15,15 @@
 //     uniform factor (1-ρ)^α (exact algebra: ((1-ρ)τ)^α = (1-ρ)^α·τ^α)
 //     and recompute only the entries invalidated by deposits.
 //
+//   - Recycled matrices. τ, η^β, the weights and Δ are the engine's four
+//     n×n matrices (16 MB at n = 1002). Close hands them to the next
+//     engine of the same n through an idle list that holds them weakly,
+//     so a garbage collection reclaims a set no engine took. The next
+//     engine refills τ and the weights, clears Δ, and keeps η^β when the
+//     set was built from the same instance content hash and β — a
+//     server solving one instance job after job then allocates and
+//     raises to β nothing n² at set-up (see matrices.go).
+//
 //   - Fused evaporate+deposit. Deposits scatter into a dense Δ buffer;
 //     one flat sweep then computes τ ← (1-ρ)τ + Δ, refreshes the weight,
 //     and re-zeroes Δ — a single traversal of each matrix in index order,
@@ -91,6 +100,9 @@ type Engine struct {
 	delta   []float32 // n×n dense deposit buffer, zero between updates
 	touched []int32   // weight entries invalidated by deposits (α ≠ 1 only)
 
+	// mats owns tau, etaBeta, weight and delta until Close recycles it.
+	mats *matrices
+
 	// Multicore state: the resolved worker count, the persistent pool, and
 	// one private scratch set per worker — ant-sharded kernels index their
 	// scratch by worker id, never sharing a mask, city list or 2-opt
@@ -119,6 +131,18 @@ func NewWithDerived(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, er
 // worker-count override for callers that size the pool per request (the
 // service layer) instead of through Params.Workers.
 func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engine, error) {
+	e, err := newEngine(in, p, d, o)
+	if err != nil {
+		return nil, err
+	}
+	e.resetTau(float32(powOf(p.Alpha)(e.tau0)), float32(e.tau0))
+	return e, nil
+}
+
+// newEngine builds every part of the engine but the trails: τ and the
+// weights hold whatever the recycled matrix set last held until the
+// algorithm's constructor calls resetTau with its own τ0.
+func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engine, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
@@ -134,14 +158,10 @@ func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (
 		return nil, fmt.Errorf("tensor: derived data shape (n=%d, nn=%d) does not match engine (n=%d, nn=%d)",
 			d.N, d.NN, n, e.nn)
 	}
-	e.tau = make([]float32, n*n)
-	e.etaBeta = make([]float32, n*n)
-	e.weight = make([]float32, n*n)
 	e.dist = in.Matrix()
 	e.Tours = make([]int32, e.m*n)
 	e.Lengths = make([]int64, e.m)
 	e.BestLen = math.MaxInt64
-	e.delta = make([]float32, n*n)
 	e.pool = newWorkerPool(e.workers)
 	e.cs = make([]constructScratch, e.workers)
 	for w := range e.cs {
@@ -164,22 +184,46 @@ func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (
 	e.cnn = cnn
 	e.tau0 = float64(e.m) / float64(cnn)
 
-	// η^β once, in float64, rounded to float32 at the end. It depends only
-	// on the distance and every instance matrix is symmetric, so the upper
-	// triangle is computed and mirrored. The diagonal stays zero so a city
-	// can never be its own roulette winner — the colony zeroes the same
-	// cells in its choice matrix.
-	pow := powOf(p.Beta)
-	for i := 0; i < n; i++ {
-		drow := e.dist[i*n : (i+1)*n]
-		for j := i + 1; j < n; j++ {
-			v := float32(pow(1.0 / (float64(drow[j]) + 0.1)))
-			e.etaBeta[i*n+j] = v
-			e.etaBeta[j*n+i] = v
+	hash := in.ContentHash()
+	e.mats = takeMatrices(n, hash, p.Beta)
+	e.tau, e.etaBeta, e.weight, e.delta = e.mats.tau, e.mats.etaBeta, e.mats.weight, e.mats.delta
+	if !e.mats.holds(hash, p.Beta) {
+		// η^β in float64, rounded to float32 at the end. It depends only
+		// on the distance and every instance matrix is symmetric, so the
+		// upper triangle is computed and mirrored. The diagonal stays zero
+		// (no set ever writes it) so a city can never be its own roulette
+		// winner — the colony zeroes the same cells in its choice matrix.
+		pow := powOf(p.Beta)
+		for i := 0; i < n; i++ {
+			drow := e.dist[i*n : (i+1)*n]
+			for j := i + 1; j < n; j++ {
+				v := float32(pow(1.0 / (float64(drow[j]) + 0.1)))
+				e.etaBeta[i*n+j] = v
+				e.etaBeta[j*n+i] = v
+			}
 		}
+		e.mats.hash, e.mats.beta = hash, p.Beta
 	}
-	e.resetTau(float32(powOf(p.Alpha)(e.tau0)), float32(e.tau0))
 	return e, nil
+}
+
+// Close releases the engine's worker goroutines and hands its n×n matrices
+// to the next engine of the same size, which then skips their allocation
+// and, on the same instance content and β, the η^β computation. Call it
+// once the solve is done: an engine dropped without Close still has its
+// goroutines torn down when it becomes unreachable (runtime.AddCleanup),
+// but its matrices are garbage. Close leaves the matrix fields nil, so any
+// later use of the engine panics instead of reading another solve's
+// trails; BestTour, BestLen, Tours and Lengths stay readable. A second
+// Close does nothing.
+func (e *Engine) Close() {
+	e.pool.close()
+	if e.mats == nil {
+		return
+	}
+	putMatrices(e.mats)
+	e.mats = nil
+	e.tau, e.etaBeta, e.weight, e.delta = nil, nil, nil, nil
 }
 
 // resetTau sets every trail to tau and every weight to tauAlpha·η^β in one

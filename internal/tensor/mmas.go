@@ -42,7 +42,7 @@ func NewMMASWithOptions(in *tsp.Instance, p aco.MMASParams, d *tsp.Derived, o Op
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := NewWithOptions(in, p.Params, d, o)
+	e, err := newEngine(in, p.Params, d, o)
 	if err != nil {
 		return nil, err
 	}

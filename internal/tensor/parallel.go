@@ -148,12 +148,6 @@ func (p *workerPool) close() {
 	p.once.Do(func() { close(p.stop) })
 }
 
-// Close releases the engine's worker goroutines. Optional: an engine
-// dropped without Close is torn down when it becomes unreachable
-// (runtime.AddCleanup); Close just makes the teardown deterministic for
-// callers that churn through many engines.
-func (e *Engine) Close() { e.pool.close() }
-
 // Workers returns the engine's resolved worker count.
 func (e *Engine) Workers() int { return e.workers }
 
