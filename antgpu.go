@@ -425,20 +425,21 @@ func gpuDevice(ctx context.Context, opts SolveOptions) *Device {
 
 // derivedData validates the engine's colony parameters p (opts.Params, or
 // the ACS/MMAS set's own), then fetches the shared instance-derived data at
-// p's NN width from the batch cache, or nil for a standalone solve (engines
-// then compute their own). Validation comes first: an invalid NN reaching
-// the shared cache would count a miss for a key it never fills and panic
-// deriving the lists. The derived data holds no float32 distances, so it
-// serves every backend; the GPU engine enforces the exact-float32 range
-// itself (tsp.ErrF32Precision) when it converts the matrix.
-func derivedData(opts SolveOptions, in *Instance, p Params) (*tsp.Derived, error) {
+// p's NN width from the batch cache c, or nil for a standalone solve
+// (engines then compute their own). Validation comes first: an invalid NN
+// reaching the shared cache would count a miss for a key it never fills
+// and panic deriving the lists. The derived data holds no float32
+// distances, so it serves every backend; the GPU engine enforces the
+// exact-float32 range itself (tsp.ErrF32Precision) when it converts the
+// matrix.
+func derivedData(c *sched.Cache, in *Instance, p Params) (*tsp.Derived, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	if opts.cache == nil {
+	if c == nil {
 		return nil, nil
 	}
-	return opts.cache.Derived(in, p.NN)
+	return c.Derived(in, p.NN)
 }
 
 // SolveContext is Solve with cancellation: the context is checked between
@@ -632,7 +633,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 	mmas := opts.MMAS.WithDefaults(opts.Params.Seed)
 	switch (pair{opts.Backend, opts.Algorithm}) {
 	case pair{BackendCPU, AlgorithmAS}:
-		d, err := derivedData(opts, in, opts.Params)
+		d, err := derivedData(opts.cache, in, opts.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -674,7 +675,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		return cpuEngine(r.Colony, tr, func() { r.Iterate(v) }), nil
 
 	case pair{BackendGPU, AlgorithmAS}:
-		d, err := derivedData(opts, in, opts.Params)
+		d, err := derivedData(opts.cache, in, opts.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -738,7 +739,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		return gpuEngine(r.Engine, tr, r.Free, r.Iterate), nil
 
 	case pair{BackendTensor, AlgorithmAS}:
-		d, err := derivedData(opts, in, opts.Params)
+		d, err := derivedData(opts.cache, in, opts.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -755,7 +756,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if acs.Workers == 0 {
 			acs.Workers = opts.Params.Workers
 		}
-		d, err := derivedData(opts, in, acs.Params)
+		d, err := derivedData(opts.cache, in, acs.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -768,7 +769,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if mmas.Workers == 0 {
 			mmas.Workers = opts.Params.Workers
 		}
-		d, err := derivedData(opts, in, mmas.Params)
+		d, err := derivedData(opts.cache, in, mmas.Params)
 		if err != nil {
 			return nil, err
 		}
