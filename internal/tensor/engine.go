@@ -269,7 +269,8 @@ func (e *Engine) N() int { return e.n }
 func (e *Engine) Tau0() float64 { return e.tau0 }
 
 // Tau exposes the pheromone matrix read-only (tests and convergence
-// instrumentation).
+// instrumentation). Close hands the matrix to the next engine of this
+// size, so a caller that keeps τ past Close must copy it first.
 func (e *Engine) Tau() []float32 { return e.tau }
 
 // span records a finished phase on the tracer with wall-clock seconds.
