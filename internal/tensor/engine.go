@@ -212,10 +212,10 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engi
 // and, on the same instance content and β, the η^β computation. Call it
 // once the solve is done: an engine dropped without Close still has its
 // goroutines torn down when it becomes unreachable (runtime.AddCleanup),
-// but its matrices are garbage. Close leaves the matrix fields nil, so any
-// later use of the engine panics instead of reading another solve's
-// trails; BestTour, BestLen, Tours and Lengths stay readable. A second
-// Close does nothing.
+// but its matrices are garbage. Close leaves the matrix fields nil, so a
+// closed engine can never read or write the matrices of the solve that
+// takes them next; BestTour, BestLen, Tours and Lengths stay readable. A
+// second Close does nothing.
 func (e *Engine) Close() {
 	e.pool.close()
 	if e.mats == nil {
