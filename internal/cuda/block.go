@@ -91,10 +91,6 @@ type Block struct {
 	// by the launch loop before the block runs.
 	stats *statTable
 
-	// serial is set by the launch loop when one goroutine runs every block
-	// of the launch, so atomics need no host lock.
-	serial bool
-
 	// maxStream is the high-water per-lane stream length over this block
 	// object's lifetime; putBlock feeds it back to the device so the next
 	// launch sizes fresh streams to fit without regrowth.

@@ -93,7 +93,6 @@ func Launch(dev *Device, cfg LaunchConfig, name string, k Kernel) (*LaunchResult
 		blk := getBlock(dev, &cfg)
 		defer putBlock(blk)
 		blk.stats = a.addrs
-		blk.serial = workers == 1
 		for i := w * stride; i < blocks; i += stride * workers {
 			blk.reset(i)
 			if err := runBlock(blk, k); err != nil {

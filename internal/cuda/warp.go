@@ -636,8 +636,7 @@ func (w *Warp) StI32Scatter(buf *I32, idxs []int32, mask uint32, src []int32) {
 // the scatter pheromone deposit. Conflicting lanes (same index) serialise —
 // the extra is ops minus distinct addresses, matching atomicConflicts — and
 // apply in ascending lane order so float sums stay bit-identical to the
-// scalar lane loop. A launch that runs every block on one goroutine adds
-// without the address lock: no other block can touch the buffer meanwhile.
+// scalar lane loop.
 func (w *Warp) AtomicAddF32Scatter(buf *F32, idxs []int32, mask uint32, vals []float32) {
 	if mask == 0 {
 		return
@@ -658,14 +657,10 @@ func (w *Warp) AtomicAddF32Scatter(buf *F32, idxs []int32, mask uint32, vals []f
 		if set.insert(int64(i)) {
 			distinct++
 		}
-		if b.serial {
-			buf.data[i] += vals[l]
-		} else {
-			mu := buf.lock.of(i)
-			mu.Lock()
-			buf.data[i] += vals[l]
-			mu.Unlock()
-		}
+		mu := buf.lock.of(i)
+		mu.Lock()
+		buf.data[i] += vals[l]
+		mu.Unlock()
 		b.noteAtomic(atomicKey(buf.id, i))
 	}
 	m.AtomicSerialExtra += float64(ops - distinct)

@@ -107,8 +107,8 @@ func BenchmarkLocalSearchM25(b *testing.B) {
 // a one-worker AS engine on pr1002 with 25 ants, the derived data given as
 // the pool's cache would give it, so the op is the constructor's own n²
 // work. Every op after the first builds on the previous op's closed
-// matrices, with the same instance and β, so it keeps η^β and only
-// refills τ and the initial weights.
+// matrices, so it allocates none and only refills them (η^β, τ and the
+// initial weights).
 func BenchmarkNewWithDerivedM25(b *testing.B) {
 	in := tsp.MustLoadBenchmark("pr1002")
 	p := aco.DefaultParams()
@@ -130,9 +130,7 @@ func BenchmarkNewWithDerivedM25(b *testing.B) {
 // BenchmarkNewWithDerivedDistinct500 times the upload-distinct job's
 // engine set-up: a one-worker AS engine with 25 ants on each of eight
 // distinct 500-city instances in turn, the derived data given. Each op
-// builds on the previous op's closed matrices, which hold another
-// instance's η^β, so it recomputes η^β as well as refilling τ and the
-// weights.
+// builds on the previous op's closed matrices, left by another instance.
 func BenchmarkNewWithDerivedDistinct500(b *testing.B) {
 	p := aco.DefaultParams()
 	p.Ants = 25

@@ -19,10 +19,9 @@
 //     n×n matrices (16 MB at n = 1002). Close hands them to the next
 //     engine of the same n through an idle list that holds them weakly,
 //     so a garbage collection reclaims a set no engine took. The next
-//     engine refills τ and the weights, clears Δ, and keeps η^β when the
-//     set was built from the same instance content hash and β — a
-//     server solving one instance job after job then allocates and
-//     raises to β nothing n² at set-up (see matrices.go).
+//     engine rebuilds η^β, refills τ and the weights and clears Δ, so a
+//     server solving one size job after job allocates no n² memory at
+//     set-up (see matrices.go).
 //
 //   - Fused evaporate+deposit. Deposits scatter into a dense Δ buffer;
 //     one flat sweep then computes τ ← (1-ρ)τ + Δ, refreshes the weight,
@@ -184,38 +183,34 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engi
 	e.cnn = cnn
 	e.tau0 = float64(e.m) / float64(cnn)
 
-	hash := in.ContentHash()
-	e.mats = takeMatrices(n, hash, p.Beta)
+	e.mats = takeMatrices(n)
 	e.tau, e.etaBeta, e.weight, e.delta = e.mats.tau, e.mats.etaBeta, e.mats.weight, e.mats.delta
-	if !e.mats.holds(hash, p.Beta) {
-		// η^β in float64, rounded to float32 at the end. It depends only
-		// on the distance and every instance matrix is symmetric, so the
-		// upper triangle is computed and mirrored. The diagonal stays zero
-		// (no set ever writes it) so a city can never be its own roulette
-		// winner — the colony zeroes the same cells in its choice matrix.
-		pow := powOf(p.Beta)
-		for i := 0; i < n; i++ {
-			drow := e.dist[i*n : (i+1)*n]
-			for j := i + 1; j < n; j++ {
-				v := float32(pow(1.0 / (float64(drow[j]) + 0.1)))
-				e.etaBeta[i*n+j] = v
-				e.etaBeta[j*n+i] = v
-			}
+
+	// η^β once, in float64, rounded to float32 at the end. It depends only
+	// on the distance and every instance matrix is symmetric, so the upper
+	// triangle is computed and mirrored. The diagonal stays zero (no set
+	// ever writes it) so a city can never be its own roulette winner — the
+	// colony zeroes the same cells in its choice matrix.
+	pow := powOf(p.Beta)
+	for i := 0; i < n; i++ {
+		drow := e.dist[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			v := float32(pow(1.0 / (float64(drow[j]) + 0.1)))
+			e.etaBeta[i*n+j] = v
+			e.etaBeta[j*n+i] = v
 		}
-		e.mats.hash, e.mats.beta = hash, p.Beta
 	}
 	return e, nil
 }
 
 // Close releases the engine's worker goroutines and hands its n×n matrices
 // to the next engine of the same size, which then skips their allocation
-// and, on the same instance content and β, the η^β computation. Call it
-// once the solve is done: an engine dropped without Close still has its
-// goroutines torn down when it becomes unreachable (runtime.AddCleanup),
-// but its matrices are garbage. Close leaves the matrix fields nil, so a
-// closed engine can never read or write the matrices of the solve that
-// takes them next; BestTour, BestLen, Tours and Lengths stay readable. A
-// second Close does nothing.
+// and zeroing. Call it once the solve is done: an engine dropped without
+// Close still has its goroutines torn down when it becomes unreachable
+// (runtime.AddCleanup), but its matrices are garbage. Close leaves the
+// matrix fields nil, so a closed engine can never read or write the
+// matrices of the solve that takes them next; BestTour, BestLen, Tours and
+// Lengths stay readable. A second Close does nothing.
 func (e *Engine) Close() {
 	e.pool.close()
 	if e.mats == nil {

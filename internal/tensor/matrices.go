@@ -8,21 +8,11 @@ import (
 
 // matrices is one engine's four n×n float32 matrices: τ, η^β, the roulette
 // weights and the deposit buffer Δ. Closed engines hand their set to the
-// next engine of the same n, which refills τ and the weights and clears Δ.
-// η^β depends only on the distances and β, so the set records the instance
-// content (tsp.Instance.ContentHash) and β it was built from; an engine on
-// the same key keeps it instead of recomputing n²/2 powers.
+// next engine of the same n, which rebuilds η^β, refills τ and the weights
+// and clears Δ.
 type matrices struct {
 	n                           int
 	tau, etaBeta, weight, delta []float32
-	hash                        uint64 // content hash η^β was built from; 0 = none
-	beta                        float64
-}
-
-// holds reports whether the set's η^β was built from the given instance
-// content and β. A zero hash never matches.
-func (s *matrices) holds(hash uint64, beta float64) bool {
-	return hash != 0 && s.hash == hash && s.beta == beta
 }
 
 // idle lists the sets of closed engines. It holds them through weak
@@ -34,27 +24,20 @@ var idle struct {
 	sets []weak.Pointer[matrices]
 }
 
-// takeMatrices returns an idle n×n set, preferring one whose η^β was built
-// from (hash, beta), with Δ cleared (an update that panicked between its
-// scatter and its sweep leaves Δ dirty). It allocates a zeroed set when no
-// idle set of that n is left. τ and the weights hold stale values either
-// way, and η^β too unless holds(hash, beta).
-func takeMatrices(n int, hash uint64, beta float64) *matrices {
+// takeMatrices returns the most recently closed engine's idle n×n set (the
+// one likeliest still in cache) with Δ cleared: an update that panicked
+// between its scatter and its sweep leaves Δ dirty. It allocates a zeroed
+// set when no idle set of that n is left. A recycled set's τ, η^β and
+// weights hold the previous engine's values.
+func takeMatrices(n int) *matrices {
 	idle.mu.Lock()
 	var s *matrices
-	at := -1
-	for i, wp := range idle.sets {
-		c := wp.Value()
-		if c == nil || c.n != n || s != nil && !c.holds(hash, beta) {
-			continue
-		}
-		s, at = c, i
-		if c.holds(hash, beta) {
+	for i := len(idle.sets) - 1; i >= 0; i-- {
+		if c := idle.sets[i].Value(); c != nil && c.n == n {
+			s = c
+			idle.sets = slices.Delete(idle.sets, i, i+1)
 			break
 		}
-	}
-	if s != nil {
-		idle.sets = slices.Delete(idle.sets, at, at+1)
 	}
 	idle.sets = slices.DeleteFunc(idle.sets, func(wp weak.Pointer[matrices]) bool { return wp.Value() == nil })
 	idle.mu.Unlock()

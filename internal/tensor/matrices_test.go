@@ -109,10 +109,9 @@ func runDiff(got, want runSnapshot) string {
 // TestRecycledMatricesMatchFresh: for each algorithm, an engine built on a
 // recycled matrix set gives the tours, lengths, τ and best tour of one
 // built on a fresh set, in four cases of what the set held: the same
-// instance and β (η^β is kept), another instance of the same n, another β
-// (both recompute η^β), and the matrices of an AS engine on the same
-// instance and β that panicked between its deposit scatter and its sweep
-// (η^β kept, Δ left dirty).
+// instance and β, another instance of the same n, another β, and the
+// matrices of an AS engine on the same instance and β that panicked
+// between its deposit scatter and its sweep (Δ left dirty).
 func TestRecycledMatricesMatchFresh(t *testing.T) {
 	att, other := tsp.MustLoadBenchmark("att48"), sameN48(t)
 	const beta = 2.0
@@ -139,9 +138,6 @@ func TestRecycledMatricesMatchFresh(t *testing.T) {
 			t.Run(alg.name+"/"+c.name, func(t *testing.T) {
 				drainIdle()
 				s := usedSet(t, c.in, c.beta, c.panicked)
-				if keep := c.in == att && c.beta == beta; s.holds(att.ContentHash(), beta) != keep {
-					t.Fatalf("idle set keyed for this engine's η^β: %v, want %v", !keep, keep)
-				}
 				e, step, err := alg.run(att, beta)
 				if err != nil {
 					t.Fatal(err)
