@@ -25,6 +25,17 @@ const goldenPath = "testdata/golden.txt"
 // goldenIterations is the iteration budget of every golden cell.
 const goldenIterations = 4
 
+// goldenScheduleIterations and goldenSchedule set the MMAS-schedule cells
+// of TestGoldenMMASSchedule: twelve iterations under a schedule that
+// deposits the best-so-far tour every second iteration and re-initialises
+// the trails after three without improvement. Twelve is the fewest that
+// reset the trails in every cell (att48 seed 3 with the NN-list rule first
+// resets at iteration 12). The main sweep's MMAS cells run 4 iterations
+// under the default 25 and 250, so they reach neither branch.
+const goldenScheduleIterations = 12
+
+var goldenSchedule = antgpu.MMASParams{BestEvery: 2, StagnationReset: 3}
+
 // goldenCell is one solve of the golden sweep.
 type goldenCell struct {
 	instance string
@@ -33,15 +44,21 @@ type goldenCell struct {
 	alg      antgpu.Algorithm
 	ls       bool
 	variant  aco.Variant
+	schedule bool // MMAS under goldenSchedule (TestGoldenMMASSchedule)
 }
 
-// key is the cell's identity: the first five fields of its table line.
+// key is the cell's identity: the first five fields of its table line,
+// after the kind "schedule" for an MMAS-schedule cell.
 func (c goldenCell) key() string {
 	alg := c.alg.String()
 	if c.ls {
 		alg += "+ls"
 	}
-	return fmt.Sprintf("%s %d %s %s %s", c.instance, c.seed, c.backend, alg, c.variant)
+	key := fmt.Sprintf("%s %d %s %s %s", c.instance, c.seed, c.backend, alg, c.variant)
+	if c.schedule {
+		key = "schedule " + key
+	}
+	return key
 }
 
 // goldenCells lists the sweep: att48 and kroC100, seeds 1–3, every
@@ -74,7 +91,7 @@ func goldenCells() []goldenCell {
 					variants = variants[:1]
 				}
 				for _, v := range variants {
-					cells = append(cells, goldenCell{name, seed, p.b, p.a, p.ls, v})
+					cells = append(cells, goldenCell{name, seed, p.b, p.a, p.ls, v, false})
 				}
 			}
 		}
@@ -119,7 +136,7 @@ func tourHash(tour []int32) uint64 {
 // the solve emitted no events).
 func goldenLine(in *antgpu.Instance, c goldenCell) (string, error) {
 	events := newEventHash()
-	res, err := antgpu.Solve(in, antgpu.SolveOptions{
+	opts := antgpu.SolveOptions{
 		Algorithm:   c.alg,
 		Backend:     c.backend,
 		Iterations:  goldenIterations,
@@ -127,7 +144,12 @@ func goldenLine(in *antgpu.Instance, c goldenCell) (string, error) {
 		Variant:     c.variant,
 		LocalSearch: c.ls,
 		OnIteration: events.observe,
-	})
+	}
+	if c.schedule {
+		opts.Iterations = goldenScheduleIterations
+		opts.MMAS = goldenSchedule
+	}
+	res, err := antgpu.Solve(in, opts)
 	if err != nil {
 		return "", err
 	}
@@ -138,9 +160,14 @@ func goldenLine(in *antgpu.Instance, c goldenCell) (string, error) {
 	return fmt.Sprintf("%s %d %016x %s %s", c.key(), res.BestLen, tourHash(res.BestTour), secs, events), nil
 }
 
+// goldenKinds are the first fields that mark a table row as belonging to
+// TestGoldenMMASSchedule, TestGoldenFaults or TestGoldenIslands rather than
+// to the main sweep.
+var goldenKinds = map[string]bool{"schedule": true, "fault": true, "islands": true}
+
 // readGolden loads the committed table rows of one kind, keyed by their
 // first keyLen fields: the sweep's cells for kind "", or the rows whose
-// first field is kind ("fault" or "islands").
+// first field is kind (one of goldenKinds).
 func readGolden(t *testing.T, kind string, keyLen int) map[string]string {
 	t.Helper()
 	f, err := os.Open(goldenPath)
@@ -157,7 +184,7 @@ func readGolden(t *testing.T, kind string, keyLen int) map[string]string {
 			continue
 		}
 		fields := strings.Fields(line)
-		if first := fields[0]; first != kind && (kind != "" || first == "fault" || first == "islands") {
+		if first := fields[0]; first != kind && (kind != "" || goldenKinds[first]) {
 			continue
 		}
 		if kind == "" && len(fields) != 9 || len(fields) <= keyLen {
@@ -215,6 +242,56 @@ func TestGolden(t *testing.T) {
 			if strings.Join(gf, " ") != strings.Join(wf, " ") {
 				t.Errorf("result changed\n got: %s\nwant: %s", got, w)
 			}
+		})
+	}
+}
+
+// goldenScheduleCells lists the MMAS-schedule sweep: att48, seeds 1–3, MMAS
+// on the cpu and tensor backends with both construction rules and on the
+// gpu backend.
+func goldenScheduleCells() []goldenCell {
+	var cells []goldenCell
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, b := range []antgpu.Backend{antgpu.BackendCPU, antgpu.BackendGPU, antgpu.BackendTensor} {
+			variants := []aco.Variant{aco.FullProbabilistic, aco.NNListConstruction}
+			if b == antgpu.BackendGPU {
+				variants = variants[:1]
+			}
+			for _, v := range variants {
+				cells = append(cells, goldenCell{"att48", seed, b, antgpu.AlgorithmMMAS, false, v, true})
+			}
+		}
+	}
+	return cells
+}
+
+// TestGoldenMMASSchedule pins MMAS on every backend through the two
+// branches of its schedule: the best-so-far tour depositing in place of the
+// iteration-best, and the trails re-initialised to τmax after stagnating.
+// Each line has the fields of a main-sweep line after the kind "schedule",
+// and the OnIteration stream is pinned in every cell.
+func TestGoldenMMASSchedule(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden table is pinned on amd64; other ports may fuse multiply-adds")
+	}
+	want := readGolden(t, "schedule", 6)
+	cells := goldenScheduleCells()
+	if len(want) != len(cells) {
+		t.Errorf("%s has %d schedule cells, the sweep has %d", goldenPath, len(want), len(cells))
+	}
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		c := c
+		t.Run(strings.ReplaceAll(c.key(), " ", "/"), func(t *testing.T) {
+			t.Parallel()
+			got, err := goldenLine(in, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGoldenLine(t, want, 6, got)
 		})
 	}
 }
