@@ -105,13 +105,6 @@ func (b *F32) eccFlip(elem int, bit uint) string {
 		b.name, elem, bit, old, b.data[elem])
 }
 
-// NewF32From allocates a device buffer initialised with a copy of src.
-func NewF32From(name string, src []float32) *F32 {
-	b := MallocF32(name, len(src))
-	copy(b.data, src)
-	return b
-}
-
 // Data exposes the backing store for host-side initialisation and readback
 // (the analogue of cudaMemcpy).
 func (b *F32) Data() []float32 { return b.data }
@@ -180,13 +173,6 @@ func (b *I32) eccFlip(elem int, bit uint) string {
 	b.data[elem] = old ^ (1 << (bit & 31))
 	return fmt.Sprintf("ECC bit flip in %s[%d] bit %d: %d -> %d",
 		b.name, elem, bit, old, b.data[elem])
-}
-
-// NewI32From allocates a device buffer initialised with a copy of src.
-func NewI32From(name string, src []int32) *I32 {
-	b := MallocI32(name, len(src))
-	copy(b.data, src)
-	return b
 }
 
 // Data exposes the backing store for host-side initialisation and readback.

@@ -496,17 +496,19 @@ func TestFloatAtomicEmulationSlowerOnC1060(t *testing.T) {
 }
 
 func TestBufferHelpers(t *testing.T) {
-	f := cuda.NewF32From("f", []float32{1, 2, 3})
+	f := cuda.MallocF32("f", 3)
+	copy(f.Data(), []float32{1, 2, 3})
 	if f.Len() != 3 || f.Name() != "f" || f.Data()[2] != 3 {
-		t.Errorf("NewF32From: %v", f)
+		t.Errorf("MallocF32: %v", f)
 	}
 	f.Fill(7)
 	if f.Data()[0] != 7 {
 		t.Error("Fill failed")
 	}
-	i := cuda.NewI32From("i", []int32{4, 5})
+	i := cuda.MallocI32("i", 2)
+	copy(i.Data(), []int32{4, 5})
 	if i.Len() != 2 || i.Data()[1] != 5 {
-		t.Errorf("NewI32From: %v", i)
+		t.Errorf("MallocI32: %v", i)
 	}
 	i.Fill(-1)
 	if i.Data()[0] != -1 {

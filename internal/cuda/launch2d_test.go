@@ -150,29 +150,4 @@ func TestSharedAtomicsFunctionalAndSerialised(t *testing.T) {
 		t.Errorf("SharedReplays = %v, want >= 56 (conflicting shared atomics must serialise)",
 			res.Meter.SharedReplays)
 	}
-	// Functional float variant.
-	facc := cuda.MallocF32("facc", 1)
-	_, err = cuda.Launch(dev, cuda.LaunchConfig{Grid: cuda.D1(1), Block: cuda.D1(32)}, "shatomf",
-		func(b *cuda.Block) {
-			s := b.SharedF32(1)
-			b.Run(func(th *cuda.Thread) {
-				if th.ID() == 0 {
-					th.StShF32(s, 0, 0)
-				}
-			})
-			b.Sync()
-			b.Run(func(th *cuda.Thread) { th.AtomicAddShF32(s, 0, 0.5) })
-			b.Sync()
-			b.Run(func(th *cuda.Thread) {
-				if th.ID() == 0 {
-					th.StF32(facc, 0, th.LdShF32(s, 0))
-				}
-			})
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if facc.Data()[0] != 16 {
-		t.Errorf("float shared atomic sum = %v, want 16", facc.Data()[0])
-	}
 }

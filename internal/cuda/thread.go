@@ -107,16 +107,8 @@ func (t *Thread) StShI32(s []int32, i int, v int32) {
 	s[i] = v
 }
 
-// AtomicAddShF32 performs an atomic add on a shared-memory array (compute
+// AtomicAddShI32 performs an atomic add on a shared int32 array (compute
 // capability 1.2+). Conflicting lanes serialise as instruction replays.
-func (t *Thread) AtomicAddShF32(s []float32, i int, v float32) float32 {
-	t.b.record(t.lane, opShAtom, sharedID, i)
-	old := s[i]
-	s[i] = old + v
-	return old
-}
-
-// AtomicAddShI32 performs an atomic add on a shared int32 array.
 func (t *Thread) AtomicAddShI32(s []int32, i int, v int32) int32 {
 	t.b.record(t.lane, opShAtom, sharedID, i)
 	old := s[i]

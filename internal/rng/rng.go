@@ -146,12 +146,3 @@ func SeedLibStates(d []uint64, seed uint64, streams int) {
 		}
 	}
 }
-
-// SeedSlice fills a register-file state slice with decorrelated per-thread
-// streams.
-func SeedSlice(states []uint64, seed uint64) {
-	for i := range states {
-		g := Seed(seed, uint64(i))
-		states[i] = g.State()
-	}
-}

@@ -113,11 +113,19 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// seedStates gives each register-file state i the stream rng.Seed(seed, i),
+// as the kernels seed their per-thread states.
+func seedStates(states []uint64, seed uint64) {
+	for i := range states {
+		states[i] = rng.Seed(seed, uint64(i)).State()
+	}
+}
+
 func TestDeviceLCGMatchesHost(t *testing.T) {
 	dev := cuda.TeslaM2050()
 	const threads = 64
 	states := make([]uint64, threads)
-	rng.SeedSlice(states, 123)
+	seedStates(states, 123)
 	out := cuda.MallocF32("draws", threads)
 
 	res, err := cuda.Launch(dev, cuda.LaunchConfig{Grid: cuda.D1(1), Block: cuda.D1(threads)}, "rng",
@@ -150,7 +158,7 @@ func TestLibraryRNGIsCostlier(t *testing.T) {
 	cfg := cuda.LaunchConfig{Grid: cuda.D1(1), Block: cuda.D1(threads)}
 
 	regStates := make([]uint64, threads)
-	rng.SeedSlice(regStates, 7)
+	seedStates(regStates, 7)
 	lcg, err := cuda.Launch(dev, cfg, "lcg", func(b *cuda.Block) {
 		b.Run(func(th *cuda.Thread) {
 			for k := 0; k < 8; k++ {
@@ -185,7 +193,7 @@ func TestLibraryRNGIsCostlier(t *testing.T) {
 
 func TestSeedStatesDistinct(t *testing.T) {
 	states := make([]uint64, 256)
-	rng.SeedSlice(states, 99)
+	seedStates(states, 99)
 	seen := map[uint64]bool{}
 	for _, v := range states {
 		if seen[v] {

@@ -119,20 +119,3 @@ func (c *Collector) WriteSummary(w io.Writer) error {
 	fmt.Fprintf(tw, "total\t\t%.4f\t100.0\t\t\t\t\t\t\t\n", total*1e3)
 	return tw.Flush()
 }
-
-// WriteSummaryCSV writes the per-kernel aggregates as CSV with a header
-// row (one line per kernel, no total row).
-func (c *Collector) WriteSummaryCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "kernel,calls,ms,percent,global_tx,atomic_ops,atomic_serial_extra,divergent_extra,sampled,p50_ms,p95_ms"); err != nil {
-		return err
-	}
-	for _, s := range c.Summary() {
-		if _, err := fmt.Fprintf(w, "%s,%d,%.6f,%.3f,%d,%d,%.0f,%.0f,%t,%.6f,%.6f\n",
-			s.Name, s.Calls, s.Millis(), s.Percent,
-			s.GlobalTx, s.AtomicOps, s.AtomicSerialExtra, s.DivergentExtra, s.Sampled,
-			s.P50Seconds*1e3, s.P95Seconds*1e3); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -74,16 +73,6 @@ func ParseTour(r io.Reader) ([]int32, error) {
 		return nil, fmt.Errorf("tsp: tour has %d cities, DIMENSION says %d", len(tour), dim)
 	}
 	return tour, nil
-}
-
-// ParseTourFile reads a TSPLIB TOUR file from disk.
-func ParseTourFile(path string) ([]int32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseTour(f)
 }
 
 // WriteTour emits a tour in TSPLIB TOUR format (1-based city numbers,

@@ -84,9 +84,3 @@ func TestWriteParseTourRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestParseTourFileMissing(t *testing.T) {
-	if _, err := tsp.ParseTourFile("/nonexistent/x.tour"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
