@@ -624,20 +624,47 @@ type pair struct {
 
 // newEngine builds the engine of the solve's (backend, algorithm) pair.
 // Only unset (zero-valued) ACS and MMAS fields are defaulted; their seed
-// falls back to opts.Params.Seed, and on the tensor backend their worker
-// count to opts.Params.Workers. EAS and Rank run with the default variant
-// parameters (e = m, w = 6).
+// falls back to opts.Params.Seed, and their worker count to
+// opts.Params.Workers. EAS and Rank run with the fixed variant weights
+// (e = m, w = aco.RankW). Every pair takes its NN lists and C^nn from one
+// derivedData lookup at its own parameter set's NN width, made once the
+// pair is known to be solvable.
 func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*engine, error) {
 	v := opts.Variant
 	acs := opts.ACS.WithDefaults(opts.Params.Seed)
 	mmas := opts.MMAS.WithDefaults(opts.Params.Seed)
+	if acs.Workers == 0 {
+		acs.Workers = opts.Params.Workers
+	}
+	if mmas.Workers == 0 {
+		mmas.Workers = opts.Params.Workers
+	}
+	p := opts.Params
+	switch opts.Algorithm {
+	case AlgorithmACS:
+		p = acs.Params
+	case AlgorithmMMAS:
+		p = mmas.Params
+	}
+	switch {
+	case opts.Backend < BackendCPU || opts.Backend > BackendTensor:
+		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
+	case opts.Backend == BackendTensor && (opts.Algorithm == AlgorithmEAS || opts.Algorithm == AlgorithmRank):
+		return nil, fmt.Errorf("antgpu: the tensor backend supports AS, ACS and MMAS; %v is not tensorized", opts.Algorithm)
+	}
+	d, err := derivedData(opts.cache, in, p)
+	if err != nil {
+		return nil, err
+	}
+	// The GPU MMAS, EAS and Rank engines construct with the NN-list kernel
+	// with shared memory unless opts.Tour picks another.
+	variantTour := opts.Tour
+	if variantTour == 0 {
+		variantTour = TourNNShared
+	}
 	switch (pair{opts.Backend, opts.Algorithm}) {
 	case pair{BackendCPU, AlgorithmAS}:
-		d, err := derivedData(opts.cache, in, opts.Params)
-		if err != nil {
-			return nil, err
-		}
-		c, err := aco.NewWithDerived(in, opts.Params, d)
+		c, err := aco.NewWithDerived(in, p, d)
 		if err != nil {
 			return nil, err
 		}
@@ -650,42 +677,38 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		}
 		return cpuEngine(c, tr, func() { c.Iterate(v) }), nil
 	case pair{BackendCPU, AlgorithmACS}:
-		a, err := aco.NewACSColony(in, acs)
+		a, err := aco.NewACSColony(in, acs, d)
 		if err != nil {
 			return nil, err
 		}
 		return cpuEngine(a.Colony, tr, a.Iterate), nil
 	case pair{BackendCPU, AlgorithmMMAS}:
-		m, err := aco.NewMMASColony(in, mmas)
+		m, err := aco.NewMMASColony(in, mmas, d)
 		if err != nil {
 			return nil, err
 		}
 		return cpuEngine(m.Colony, tr, func() { m.Iterate(v) }), nil
 	case pair{BackendCPU, AlgorithmEAS}:
-		e, err := aco.NewEASColony(in, opts.Params, 0)
+		e, err := aco.NewEASColony(in, p, d)
 		if err != nil {
 			return nil, err
 		}
 		return cpuEngine(e.Colony, tr, func() { e.Iterate(v) }), nil
 	case pair{BackendCPU, AlgorithmRank}:
-		r, err := aco.NewRankColony(in, opts.Params, 0)
+		r, err := aco.NewRankColony(in, p, d)
 		if err != nil {
 			return nil, err
 		}
 		return cpuEngine(r.Colony, tr, func() { r.Iterate(v) }), nil
 
 	case pair{BackendGPU, AlgorithmAS}:
-		d, err := derivedData(opts.cache, in, opts.Params)
-		if err != nil {
-			return nil, err
-		}
 		tv, pv := gpuVersions(opts, in)
 		if !opts.LocalSearch && (opts.Faults != nil || opts.Recovery != nil) {
 			var ro RecoveryOptions
 			if opts.Recovery != nil {
 				ro = *opts.Recovery
 			}
-			r := core.NewRecoverer(gpuDevice(ctx, opts), in, opts.Params, d, tv, pv, opts.Iterations, ro, tr, opts.Logger)
+			r := core.NewRecoverer(gpuDevice(ctx, opts), in, p, d, tv, pv, opts.Iterations, ro, tr, opts.Logger)
 			return &engine{
 				step:     func() error { return r.Step(ctx) },
 				best:     r.Best,
@@ -695,7 +718,7 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 				recovery: r.Report(),
 			}, nil
 		}
-		e, err := core.NewEngineWithOptions(gpuDevice(ctx, opts), in, opts.Params, core.EngineOptions{Derived: d})
+		e, err := core.NewEngineWithOptions(gpuDevice(ctx, opts), in, p, core.EngineOptions{Derived: d})
 		if err != nil {
 			return nil, err
 		}
@@ -705,45 +728,32 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		}
 		return gpuEngine(e, tr, e.Free, iterate), nil
 	case pair{BackendGPU, AlgorithmACS}:
-		a, err := core.NewACSEngine(gpuDevice(ctx, opts), in, acs)
+		a, err := core.NewACSEngine(gpuDevice(ctx, opts), in, acs, d)
 		if err != nil {
 			return nil, err
 		}
 		return gpuEngine(a.Engine, tr, a.Free, a.Iterate), nil
 	case pair{BackendGPU, AlgorithmMMAS}:
-		m, err := core.NewMMASEngine(gpuDevice(ctx, opts), in, mmas)
+		m, err := core.NewMMASEngine(gpuDevice(ctx, opts), in, mmas, d)
 		if err != nil {
 			return nil, err
 		}
-		if opts.Tour != 0 {
-			m.SetTourVersion(opts.Tour)
-		}
-		return gpuEngine(m.Engine, tr, m.Free, m.Iterate), nil
+		return gpuEngine(m.Engine, tr, m.Free, func() (*core.IterationResult, error) { return m.Iterate(variantTour) }), nil
 	case pair{BackendGPU, AlgorithmEAS}:
-		e, err := core.NewEASEngine(gpuDevice(ctx, opts), in, opts.Params, 0)
+		e, err := core.NewEASEngine(gpuDevice(ctx, opts), in, p, d)
 		if err != nil {
 			return nil, err
 		}
-		if opts.Tour != 0 {
-			e.SetTourVersion(opts.Tour)
-		}
-		return gpuEngine(e.Engine, tr, e.Free, e.Iterate), nil
+		return gpuEngine(e.Engine, tr, e.Free, func() (*core.IterationResult, error) { return e.Iterate(variantTour) }), nil
 	case pair{BackendGPU, AlgorithmRank}:
-		r, err := core.NewRankEngine(gpuDevice(ctx, opts), in, opts.Params, 0)
+		r, err := core.NewRankEngine(gpuDevice(ctx, opts), in, p, d)
 		if err != nil {
 			return nil, err
 		}
-		if opts.Tour != 0 {
-			r.SetTourVersion(opts.Tour)
-		}
-		return gpuEngine(r.Engine, tr, r.Free, r.Iterate), nil
+		return gpuEngine(r.Engine, tr, r.Free, func() (*core.IterationResult, error) { return r.Iterate(variantTour) }), nil
 
 	case pair{BackendTensor, AlgorithmAS}:
-		d, err := derivedData(opts.cache, in, opts.Params)
-		if err != nil {
-			return nil, err
-		}
-		e, err := tensor.NewWithDerived(in, opts.Params, d)
+		e, err := tensor.NewWithDerived(in, p, d)
 		if err != nil {
 			return nil, err
 		}
@@ -753,33 +763,17 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		}
 		return tensorEngine(e, tr, iterate), nil
 	case pair{BackendTensor, AlgorithmACS}:
-		if acs.Workers == 0 {
-			acs.Workers = opts.Params.Workers
-		}
-		d, err := derivedData(opts.cache, in, acs.Params)
-		if err != nil {
-			return nil, err
-		}
-		a, err := tensor.NewACSWithDerived(in, acs, d)
+		a, err := tensor.NewACS(in, acs, d)
 		if err != nil {
 			return nil, err
 		}
 		return tensorEngine(a.Engine, tr, a.Iterate), nil
 	case pair{BackendTensor, AlgorithmMMAS}:
-		if mmas.Workers == 0 {
-			mmas.Workers = opts.Params.Workers
-		}
-		d, err := derivedData(opts.cache, in, mmas.Params)
-		if err != nil {
-			return nil, err
-		}
-		m, err := tensor.NewMMASWithDerived(in, mmas, d)
+		m, err := tensor.NewMMAS(in, mmas, d)
 		if err != nil {
 			return nil, err
 		}
 		return tensorEngine(m.Engine, tr, func() { m.Iterate(v) }), nil
-	case pair{BackendTensor, AlgorithmEAS}, pair{BackendTensor, AlgorithmRank}:
-		return nil, fmt.Errorf("antgpu: the tensor backend supports AS, ACS and MMAS; %v is not tensorized", opts.Algorithm)
 	}
-	return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
+	return nil, fmt.Errorf("antgpu: unknown algorithm %v: %w", opts.Algorithm, ErrInvalidParams)
 }

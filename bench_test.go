@@ -165,7 +165,7 @@ func BenchmarkTourKernel(b *testing.B) {
 // on the scalar per-lane path) on the same instance with ACS's 10 ants.
 func BenchmarkACSKernel(b *testing.B) {
 	in := tsp.MustLoadBenchmark("kroC100")
-	a, err := core.NewACSEngine(cuda.TeslaC1060(), in, aco.DefaultACSParams())
+	a, err := core.NewACSEngine(cuda.TeslaC1060(), in, aco.DefaultACSParams(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

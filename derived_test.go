@@ -77,34 +77,55 @@ func TestF32PrecisionHostBackendsShareCache(t *testing.T) {
 	}
 }
 
-// TestCacheServesTensorACSAndMMAS: pooled tensor ACS and MMAS solves take
-// their NN lists and C^nn from the pool's derived-data cache, one miss and
-// then one hit for two requests, and match the standalone solve.
-func TestCacheServesTensorACSAndMMAS(t *testing.T) {
+// TestCacheServesEveryPair: every solvable (backend, algorithm) pair takes
+// its NN lists and C^nn from the pool's derived-data cache. Two pooled
+// requests of a pair count one miss and then one hit, and each matches the
+// standalone solve's tour and length (and seconds, on the modelled cpu and
+// simulated gpu backends). The tensor backend's EAS and Rank are rejected
+// before the lookup, so they count no miss.
+func TestCacheServesEveryPair(t *testing.T) {
 	in, err := antgpu.LoadBenchmark("att48")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []antgpu.Algorithm{antgpu.AlgorithmACS, antgpu.AlgorithmMMAS} {
-		opts := antgpu.SolveOptions{Backend: antgpu.BackendTensor, Algorithm: alg, Iterations: 4,
-			Params: antgpu.Params{Seed: 5, Workers: 1}}
-		want, err := antgpu.Solve(in, opts)
-		if err != nil {
-			t.Fatalf("%v standalone: %v", alg, err)
-		}
-		pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
-		for i := 0; i < 2; i++ {
-			got, err := pool.Submit(context.Background(), antgpu.SolveRequest{Instance: in, Options: opts}, nil)
-			if err != nil {
-				t.Fatalf("%v pool solve %d: %v", alg, i, err)
-			}
-			if got.BestLen != want.BestLen || !reflect.DeepEqual(got.BestTour, want.BestTour) {
-				t.Errorf("%v pool solve %d: length %d, want the standalone %d with the same tour",
-					alg, i, got.BestLen, want.BestLen)
-			}
-		}
-		if hits, misses := pool.CacheStats(); hits != 1 || misses != 1 {
-			t.Errorf("%v: cache %d hits / %d misses, want 1 / 1", alg, hits, misses)
+	for _, b := range []antgpu.Backend{antgpu.BackendCPU, antgpu.BackendGPU, antgpu.BackendTensor} {
+		for _, alg := range []antgpu.Algorithm{antgpu.AlgorithmAS, antgpu.AlgorithmACS, antgpu.AlgorithmMMAS,
+			antgpu.AlgorithmEAS, antgpu.AlgorithmRank} {
+			t.Run(b.String()+"/"+alg.String(), func(t *testing.T) {
+				opts := antgpu.SolveOptions{Backend: b, Algorithm: alg, Iterations: 4,
+					Params: antgpu.Params{Seed: 5, Workers: 1}}
+				pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
+				req := antgpu.SolveRequest{Instance: in, Options: opts}
+				if b == antgpu.BackendTensor && (alg == antgpu.AlgorithmEAS || alg == antgpu.AlgorithmRank) {
+					if _, err := pool.Submit(context.Background(), req, nil); err == nil {
+						t.Fatal("pool solve of an untensorized algorithm succeeded")
+					}
+					if hits, misses := pool.CacheStats(); hits != 0 || misses != 0 {
+						t.Errorf("cache %d hits / %d misses, want 0 / 0", hits, misses)
+					}
+					return
+				}
+				want, err := antgpu.Solve(in, opts)
+				if err != nil {
+					t.Fatalf("standalone: %v", err)
+				}
+				for i := 0; i < 2; i++ {
+					got, err := pool.Submit(context.Background(), req, nil)
+					if err != nil {
+						t.Fatalf("pool solve %d: %v", i, err)
+					}
+					if got.BestLen != want.BestLen || !reflect.DeepEqual(got.BestTour, want.BestTour) {
+						t.Errorf("pool solve %d: length %d, want the standalone %d with the same tour",
+							i, got.BestLen, want.BestLen)
+					}
+					if b != antgpu.BackendTensor && got.SimulatedSeconds != want.SimulatedSeconds {
+						t.Errorf("pool solve %d: %v seconds, want %v", i, got.SimulatedSeconds, want.SimulatedSeconds)
+					}
+					if hits, misses := pool.CacheStats(); hits != int64(i) || misses != 1 {
+						t.Errorf("after pool solve %d: cache %d hits / %d misses, want %d / 1", i, hits, misses, i)
+					}
+				}
+			})
 		}
 	}
 }

@@ -78,19 +78,22 @@ type ACS struct {
 	PA ACSParams
 }
 
-// NewACSColony creates an ACS colony. In ACS τ0 = 1/(n·C^nn) — much
-// smaller than the Ant System's m/C^nn — so the local update has room to
-// decay trails towards it.
-func NewACSColony(in *tsp.Instance, p ACSParams) (*ACS, error) {
+// ACSTau0 is ACS's initial trail τ0 = 1/(n·C^nn) for n cities and the
+// greedy tour length cnn — much smaller than the Ant System's m/C^nn — so
+// the local update has room to decay trails towards it.
+func ACSTau0(n int, cnn int64) float64 { return 1 / (float64(n) * float64(cnn)) }
+
+// NewACSColony creates an ACS colony with trails at ACSTau0, drawing the NN
+// lists and C^nn from d as NewWithDerived does (nil derives them).
+func NewACSColony(in *tsp.Instance, p ACSParams, d *tsp.Derived) (*ACS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	c, err := New(in, p.Params)
+	c, err := NewWithDerived(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}
-	cnn := in.TourLength(in.NearestNeighbourTour(0))
-	c.tau0 = 1 / (float64(in.N()) * float64(cnn))
+	c.tau0 = ACSTau0(c.n, c.cnn)
 	for i := range c.Pher {
 		c.Pher[i] = c.tau0
 	}

@@ -11,7 +11,7 @@ import (
 func newACS(t *testing.T, name string) *aco.ACS {
 	t.Helper()
 	in := tsp.MustLoadBenchmark(name)
-	a, err := aco.NewACSColony(in, aco.DefaultACSParams())
+	a, err := aco.NewACSColony(in, aco.DefaultACSParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestACSParamsValidate(t *testing.T) {
 	for i, mutate := range bad {
 		p := aco.DefaultACSParams()
 		mutate(&p)
-		if _, err := aco.NewACSColony(in, p); err == nil {
+		if _, err := aco.NewACSColony(in, p, nil); err == nil {
 			t.Errorf("case %d: invalid ACS params accepted", i)
 		}
 	}
@@ -49,7 +49,7 @@ func TestACSTau0SmallerThanAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acs, err := aco.NewACSColony(in, aco.DefaultACSParams())
+	acs, err := aco.NewACSColony(in, aco.DefaultACSParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,7 @@ type Colony struct {
 	BestLen  int64
 
 	iteration uint64
+	cnn       int64 // greedy nearest-neighbour tour length C^nn
 
 	// Stage meters, accumulated across calls until ResetMeters.
 	ConstructMeter Meter
@@ -79,6 +80,10 @@ func New(in *tsp.Instance, p Params) (*Colony, error) {
 	return NewWithDerived(in, p, nil)
 }
 
+// ASTau0 is the Ant System's initial trail τ0 = m/C^nn for m ants and the
+// greedy tour length cnn.
+func ASTau0(m int, cnn int64) float64 { return float64(m) / float64(cnn) }
+
 // NewWithDerived is New drawing the instance-derived read-only data (the
 // nearest-neighbour lists and the greedy NN tour length) from d instead of
 // recomputing it — the shared-cache path of batch solving. d must match the
@@ -95,7 +100,12 @@ func NewWithDerived(in *tsp.Instance, p Params, d *tsp.Derived) (*Colony, error)
 		n:  n,
 		nn: min(p.NN, n-1),
 	}
-	if d != nil && (d.N != n || d.NN != c.nn) {
+	if d == nil {
+		var err error
+		if d, err = in.ComputeDerived(c.nn); err != nil {
+			return nil, err
+		}
+	} else if d.N != n || d.NN != c.nn {
 		return nil, fmt.Errorf("aco: derived data shape (n=%d, nn=%d) does not match colony (n=%d, nn=%d)",
 			d.N, d.NN, n, c.nn)
 	}
@@ -107,15 +117,8 @@ func NewWithDerived(in *tsp.Instance, p Params, d *tsp.Derived) (*Colony, error)
 	c.probs = make([]float64, n)
 	c.BestLen = math.MaxInt64
 
-	var cnn int64
-	if d != nil {
-		c.nnList = d.List
-		cnn = d.CNN
-	} else {
-		c.nnList = in.NNList(c.nn)
-		cnn = in.TourLength(in.NearestNeighbourTour(0))
-	}
-	c.tau0 = float64(c.m) / float64(cnn)
+	c.nnList, c.cnn = d.List, d.CNN
+	c.tau0 = ASTau0(c.m, c.cnn)
 	for i := range c.Pher {
 		c.Pher[i] = c.tau0
 	}
@@ -131,10 +134,6 @@ func (c *Colony) N() int { return c.n }
 
 // Tau0 returns the initial pheromone level.
 func (c *Colony) Tau0() float64 { return c.tau0 }
-
-// NNListData exposes the colony's nearest-neighbour lists (n x nn,
-// row-major) so the GPU engine can share them.
-func (c *Colony) NNListData() ([]int32, int) { return c.nnList, c.nn }
 
 // ResetMeters zeroes the accumulated stage meters.
 func (c *Colony) ResetMeters() {

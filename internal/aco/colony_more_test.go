@@ -131,14 +131,6 @@ func TestAntCountOverride(t *testing.T) {
 	}
 }
 
-func TestNNListDataExposed(t *testing.T) {
-	c := newColony(t, "att48", aco.DefaultParams())
-	list, nn := c.NNListData()
-	if nn != 30 || len(list) != c.N()*nn {
-		t.Errorf("NNListData: nn=%d len=%d", nn, len(list))
-	}
-}
-
 func TestCPUModelPowAndRNGCosts(t *testing.T) {
 	cpu := aco.DefaultCPU()
 	base := aco.Meter{Ops: 1000}

@@ -67,37 +67,95 @@ func (p *MMASParams) Validate(n int) error {
 	return nil
 }
 
+// MMASSchedule is the MMAS rule around the pheromone kernels, the one copy
+// the colony, the simulated GPU and the tensor engine all run: the trail
+// limits [τmin, τmax] set from ρ, n and the best tour length, the
+// iteration and stagnation counters, the choice between the iteration-best
+// and the best-so-far depositor, and the decision to re-initialise the
+// trails. Each backend keeps only its evaporate, deposit, clamp and reset
+// kernels.
+type MMASSchedule struct {
+	TauMin, TauMax float64
+
+	rho             float64
+	cities          int
+	bestEvery       int
+	stagnationReset int
+	best            int64 // best-so-far length the limits follow
+	iter            int   // iterations advanced so far
+	sinceBest       int   // iterations since the best-so-far last improved
+}
+
+// NewMMASSchedule starts the schedule of an n-city colony, with the limits
+// set from the greedy tour length cnn until the first iteration.
+func NewMMASSchedule(p MMASParams, n int, cnn int64) MMASSchedule {
+	s := MMASSchedule{rho: p.Rho, cities: n, bestEvery: p.BestEvery, stagnationReset: p.StagnationReset,
+		best: math.MaxInt64}
+	s.setBounds(cnn)
+	return s
+}
+
+// setBounds sets τmax = 1/(ρ·best) and τmin = τmax/(2n).
+func (s *MMASSchedule) setBounds(best int64) {
+	s.TauMax = 1 / (s.rho * float64(best))
+	s.TauMin = s.TauMax / (2 * float64(s.cities))
+}
+
+// Next advances the schedule past one iteration whose tours are built;
+// bestSoFar is the colony's best-so-far length after them. A new best
+// moves [τmin, τmax] to it; otherwise the iteration counts as stagnant.
+// useBest reports whether the best-so-far tour deposits this iteration in
+// place of the iteration-best (every BestEvery-th iteration), and reset
+// whether the trails go back to τmax after the deposit (after
+// StagnationReset stagnant iterations in a row, which restarts the count).
+func (s *MMASSchedule) Next(bestSoFar int64) (useBest, reset bool) {
+	s.iter++
+	if bestSoFar < s.best {
+		s.best = bestSoFar
+		s.setBounds(bestSoFar)
+		s.sinceBest = 0
+	} else {
+		s.sinceBest++
+	}
+	if s.sinceBest >= s.stagnationReset {
+		s.sinceBest = 0
+		reset = true
+	}
+	return s.iter%s.bestEvery == 0, reset
+}
+
+// IterationBest returns the ant with the shortest of lengths, the first
+// one on ties.
+func IterationBest(lengths []int64) int {
+	best := 0
+	for k := 1; k < len(lengths); k++ {
+		if lengths[k] < lengths[best] {
+			best = k
+		}
+	}
+	return best
+}
+
 // MMAS is a sequential Max-Min Ant System colony.
 type MMAS struct {
 	*Colony
-	PM MMASParams
-
-	TauMin, TauMax float64
-	iterSinceBest  int
-	iterCount      int
+	MMASSchedule
 }
 
 // NewMMASColony creates an MMAS colony with trails initialised to the
-// (estimated) τmax from the greedy nearest-neighbour tour.
-func NewMMASColony(in *tsp.Instance, p MMASParams) (*MMAS, error) {
+// (estimated) τmax from the greedy nearest-neighbour tour, drawing the NN
+// lists and C^nn from d as NewWithDerived does (nil derives them).
+func NewMMASColony(in *tsp.Instance, p MMASParams, d *tsp.Derived) (*MMAS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	c, err := New(in, p.Params)
+	c, err := NewWithDerived(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}
-	m := &MMAS{Colony: c, PM: p}
-	cnn := in.TourLength(in.NearestNeighbourTour(0))
-	m.setBounds(cnn)
+	m := &MMAS{Colony: c, MMASSchedule: NewMMASSchedule(p, c.n, c.cnn)}
 	m.resetTrails()
 	return m, nil
-}
-
-// setBounds recomputes [τmin, τmax] from the best known tour length.
-func (m *MMAS) setBounds(best int64) {
-	m.TauMax = 1 / (m.P.Rho * float64(best))
-	m.TauMin = m.TauMax / (2 * float64(m.n))
 }
 
 // resetTrails re-initialises every trail to τmax (also the stagnation
@@ -107,34 +165,18 @@ func (m *MMAS) resetTrails() {
 		m.Pher[i] = m.TauMax
 	}
 	m.ComputeChoiceInfo()
-	m.iterSinceBest = 0
 	nn := float64(m.n) * float64(m.n)
 	m.PheromoneMeter.Ops += nn
 	m.PheromoneMeter.Bytes += 8 * nn
 }
 
-// UpdatePheromone applies the MMAS rule: global evaporation, a single
-// depositing ant (iteration-best, or best-so-far every BestEvery-th
-// iteration), trail clamping, and the choice recomputation.
-func (m *MMAS) UpdatePheromone(iterBest []int32, iterBestLen int64) {
+// UpdatePheromone applies the MMAS pheromone stage: global evaporation,
+// the deposit of the one depositing tour of the given length, trail
+// clamping, and the choice recomputation.
+func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
 	defer m.phase("update")()
 	m.Evaporate()
-
-	tour := iterBest
-	length := iterBestLen
-	if m.iterCount%m.PM.BestEvery == 0 && m.BestTour != nil {
-		tour = m.BestTour
-		length = m.BestLen
-	}
-	n := m.n
-	delta := 1 / float64(length)
-	for i := 0; i < n; i++ {
-		a := int(tour[i])
-		b := int(tour[(i+1)%n])
-		m.Pher[a*n+b] += delta
-		m.Pher[b*n+a] = m.Pher[a*n+b]
-	}
-	m.PheromoneMeter.Ops += 10 * float64(n)
+	m.depositTour(tour, 1/float64(length))
 
 	// Clamp to [τmin, τmax].
 	for i := range m.Pher {
@@ -144,7 +186,7 @@ func (m *MMAS) UpdatePheromone(iterBest []int32, iterBestLen int64) {
 			m.Pher[i] = m.TauMax
 		}
 	}
-	nn := float64(n) * float64(n)
+	nn := float64(m.n) * float64(m.n)
 	m.PheromoneMeter.Ops += 2 * nn
 	m.PheromoneMeter.Bytes += 16 * nn
 
@@ -155,28 +197,15 @@ func (m *MMAS) UpdatePheromone(iterBest []int32, iterBestLen int64) {
 // variant.
 func (m *MMAS) Iterate(v Variant) {
 	defer m.phase("iteration")()
-	m.iterCount++
-	prevBest := m.BestLen
 	m.ConstructTours(v)
-
-	// Find the iteration-best ant.
-	bestAnt := 0
-	for k := 1; k < m.m; k++ {
-		if m.Lengths[k] < m.Lengths[bestAnt] {
-			bestAnt = k
-		}
+	useBest, reset := m.Next(m.BestLen)
+	ant := IterationBest(m.Lengths)
+	tour, length := m.Tours[ant*m.n:(ant+1)*m.n], m.Lengths[ant]
+	if useBest {
+		tour, length = m.BestTour, m.BestLen
 	}
-	iterBest := m.Tours[bestAnt*m.n : (bestAnt+1)*m.n]
-
-	if m.BestLen < prevBest {
-		m.setBounds(m.BestLen)
-		m.iterSinceBest = 0
-	} else {
-		m.iterSinceBest++
-	}
-	m.UpdatePheromone(iterBest, m.Lengths[bestAnt])
-
-	if m.iterSinceBest >= m.PM.StagnationReset {
+	m.UpdatePheromone(tour, length)
+	if reset {
 		m.resetTrails()
 	}
 }

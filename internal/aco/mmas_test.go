@@ -1,6 +1,7 @@
 package aco_test
 
 import (
+	"fmt"
 	"testing"
 
 	"antgpu/internal/aco"
@@ -10,7 +11,7 @@ import (
 func newMMAS(t *testing.T, name string) *aco.MMAS {
 	t.Helper()
 	in := tsp.MustLoadBenchmark(name)
-	m, err := aco.NewMMASColony(in, aco.DefaultMMASParams())
+	m, err := aco.NewMMASColony(in, aco.DefaultMMASParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestMMASParamsValidate(t *testing.T) {
 	for i, mutate := range bad {
 		p := aco.DefaultMMASParams()
 		mutate(&p)
-		if _, err := aco.NewMMASColony(in, p); err == nil {
+		if _, err := aco.NewMMASColony(in, p, nil); err == nil {
 			t.Errorf("case %d: invalid MMAS params accepted", i)
 		}
 	}
@@ -69,7 +70,7 @@ func TestMMASTauMinReachedThroughEvaporation(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
 	p := aco.DefaultMMASParams()
 	p.Rho = 0.1 // τmax→τmin takes ~ln(2n)/ρ iterations; keep the test fast
-	m, err := aco.NewMMASColony(in, p)
+	m, err := aco.NewMMASColony(in, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +132,70 @@ func TestMMASBoundsTrackBestTour(t *testing.T) {
 	}
 	if wantMin := m.TauMax / (2 * float64(m.N())); m.TauMin != wantMin {
 		t.Errorf("τmin = %v, want %v", m.TauMin, wantMin)
+	}
+}
+
+// TestMMASSchedule steps the schedule on its own through hand-written best
+// lengths: the limits follow C^nn until the first iteration and then each
+// new best, the best-so-far tour deposits every BestEvery-th iteration,
+// and the trails reset after StagnationReset stagnant iterations in a row,
+// which restarts the count.
+func TestMMASSchedule(t *testing.T) {
+	type step struct {
+		bestSoFar      int64
+		useBest, reset bool
+		boundsFrom     int64 // the length [τmin, τmax] follow after the step
+	}
+	const n, cnn = 10, 100
+	cases := []struct {
+		name                       string
+		bestEvery, stagnationReset int
+		steps                      []step
+	}{
+		{"every-2nd/reset-after-3", 2, 3, []step{
+			{80, false, false, 80}, // the first iteration always improves
+			{80, true, false, 80},
+			{80, false, false, 80},
+			{80, true, true, 80}, // third stagnant iteration
+			{80, false, false, 80},
+			{70, true, false, 70}, // a new best restarts the count
+			{70, false, false, 70},
+			{70, true, false, 70},
+			{70, false, true, 70},
+		}},
+		{"every-iteration/reset-each-stagnant", 1, 1, []step{
+			{90, true, false, 90},
+			{90, true, true, 90},
+			{90, true, true, 90},
+			{85, true, false, 85},
+		}},
+		{"defaults", 25, 250, []step{
+			{120, false, false, 120}, // worse than C^nn, still the first best
+			{110, false, false, 110},
+			{110, false, false, 110},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := aco.DefaultMMASParams()
+			p.BestEvery, p.StagnationReset = c.bestEvery, c.stagnationReset
+			s := aco.NewMMASSchedule(p, n, cnn)
+			bounds := func(label string, from int64) {
+				wantMax := 1 / (p.Rho * float64(from))
+				if s.TauMax != wantMax || s.TauMin != wantMax/(2*n) {
+					t.Fatalf("%s: [τmin, τmax] = [%v, %v], want [%v, %v] from length %d",
+						label, s.TauMin, s.TauMax, wantMax/(2*n), wantMax, from)
+				}
+			}
+			bounds("start", cnn)
+			for i, st := range c.steps {
+				useBest, reset := s.Next(st.bestSoFar)
+				if useBest != st.useBest || reset != st.reset {
+					t.Fatalf("iteration %d (best %d): useBest %v reset %v, want %v %v",
+						i+1, st.bestSoFar, useBest, reset, st.useBest, st.reset)
+				}
+				bounds(fmt.Sprintf("iteration %d", i+1), st.boundsFrom)
+			}
+		})
 	}
 }

@@ -1,20 +1,19 @@
 package aco_test
 
 import (
+	"errors"
 	"testing"
 
 	"antgpu/internal/aco"
+	"antgpu/internal/metrics"
 	"antgpu/internal/tsp"
 )
 
 func TestEASElitistBonusOnBestTour(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
-	e, err := aco.NewEASColony(in, aco.DefaultParams(), 0)
+	e, err := aco.NewEASColony(in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.Elite != float64(e.Ants()) {
-		t.Errorf("default elite weight = %v, want m = %d", e.Elite, e.Ants())
 	}
 	e.Iterate(aco.NNListConstruction)
 	// Best-tour edges must now carry strictly more pheromone than the
@@ -44,7 +43,7 @@ func TestEASConvergesFasterThanAS(t *testing.T) {
 	}
 	_, asBest := as.Run(aco.NNListConstruction, 15)
 
-	eas, err := aco.NewEASColony(in, aco.DefaultParams(), 0)
+	eas, err := aco.NewEASColony(in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,21 +65,17 @@ func TestRankColonyValidation(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
 	p := aco.DefaultParams()
 	p.Ants = 4
-	if _, err := aco.NewRankColony(in, p, 6); err == nil {
-		t.Error("w > m accepted")
+	if _, err := aco.NewRankColony(in, p, nil); !errors.Is(err, aco.ErrInvalidParams) {
+		t.Errorf("w > m: %v, want aco.ErrInvalidParams", err)
 	}
-	r, err := aco.NewRankColony(in, aco.DefaultParams(), 0)
-	if err != nil {
+	if _, err := aco.NewRankColony(in, aco.DefaultParams(), nil); err != nil {
 		t.Fatal(err)
-	}
-	if r.W != 6 {
-		t.Errorf("default w = %d, want 6", r.W)
 	}
 }
 
 func TestRankASOnlyTopAntsDeposit(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
-	r, err := aco.NewRankColony(in, aco.DefaultParams(), 6)
+	r, err := aco.NewRankColony(in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +130,7 @@ func TestRankASOnlyTopAntsDeposit(t *testing.T) {
 
 func TestRankASConverges(t *testing.T) {
 	in := tsp.MustLoadBenchmark("kroC100")
-	r, err := aco.NewRankColony(in, aco.DefaultParams(), 6)
+	r, err := aco.NewRankColony(in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +154,12 @@ func TestBranchingFactorDecreasesWithConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Uniform trails: every edge clears any λ-cut, so the factor is n-1.
-	start := c.BranchingFactor(0.05)
+	start := metrics.LambdaBranching64(c.Pher, c.N())
 	if start != float64(c.N()-1) {
 		t.Fatalf("uniform branching factor = %v, want %d", start, c.N()-1)
 	}
 	c.Run(aco.NNListConstruction, 15)
-	after := c.BranchingFactor(0.05)
+	after := metrics.LambdaBranching64(c.Pher, c.N())
 	if after >= start/2 {
 		t.Errorf("branching factor should collapse as trails concentrate: %v -> %v", start, after)
 	}

@@ -84,7 +84,7 @@ func ConvergenceSeries(dev *cuda.Device, instName string, checkpoints []int) (*T
 	}
 
 	acsP := aco.DefaultACSParams()
-	acs, err := core.NewACSEngine(dev, in, acsP)
+	acs, err := core.NewACSEngine(dev, in, acsP, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,13 +100,13 @@ func ConvergenceSeries(dev *cuda.Device, instName string, checkpoints []int) (*T
 	}
 
 	mmasP := aco.DefaultMMASParams()
-	mmas, err := core.NewMMASEngine(dev, in, mmasP)
+	mmas, err := core.NewMMASEngine(dev, in, mmasP, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer mmas.Free()
 	if err := series("MMAS, GPU", func() (int64, error) {
-		if _, err := mmas.Iterate(); err != nil {
+		if _, err := mmas.Iterate(core.TourNNShared); err != nil {
 			return 0, err
 		}
 		_, best := mmas.Best()

@@ -245,13 +245,14 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 	rows := make([]TensorRow, 0, len(cfg.Workers))
 	w1Wall := time.Duration(0)
 	for _, w := range cfg.Workers {
-		e, err := tensor.NewWithOptions(in, p, nil, tensor.Options{Workers: w})
+		p.Workers = w
+		e, err := tensor.New(in, p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: tensor: %w", label, err)
 		}
 		e.Close()
 		tenWall, tenBest := minWall(func() (time.Duration, int64) {
-			e, _ := tensor.NewWithOptions(in, p, nil, tensor.Options{Workers: w})
+			e, _ := tensor.New(in, p)
 			defer e.Close()
 			start := time.Now()
 			_, best := e.Run(aco.NNListConstruction, cfg.Iterations)

@@ -35,18 +35,18 @@ type ACSEngine struct {
 	bestDev *cuda.I32 // best-so-far tour on the device (n entries)
 }
 
-// NewACSEngine creates a GPU ACS colony with τ0 = 1/(n·C^nn) and the
-// ACS-default ant count (10 unless overridden).
-func NewACSEngine(dev *cuda.Device, in *tsp.Instance, p aco.ACSParams) (*ACSEngine, error) {
+// NewACSEngine creates a GPU ACS colony with trails at aco.ACSTau0 and the
+// ACS-default ant count (10 unless overridden), drawing the NN lists and
+// C^nn from d as EngineOptions.Derived does (nil derives them).
+func NewACSEngine(dev *cuda.Device, in *tsp.Instance, p aco.ACSParams, d *tsp.Derived) (*ACSEngine, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := NewEngine(dev, in, p.Params)
+	e, err := NewEngineWithOptions(dev, in, p.Params, EngineOptions{Derived: d})
 	if err != nil {
 		return nil, err
 	}
-	cnn := in.TourLength(in.NearestNeighbourTour(0))
-	e.tau0 = 1 / (float64(in.N()) * float64(cnn))
+	e.tau0 = aco.ACSTau0(e.n, e.cnn)
 	e.pher.Fill(float32(e.tau0))
 	bestDev, err := dev.MallocI32("best-tour", in.N())
 	if err != nil {

@@ -12,11 +12,19 @@ import (
 func newACSEngine(t *testing.T, dev *cuda.Device, bench string) *core.ACSEngine {
 	t.Helper()
 	in := tsp.MustLoadBenchmark(bench)
-	a, err := core.NewACSEngine(dev, in, aco.DefaultACSParams())
+	a, err := core.NewACSEngine(dev, in, aco.DefaultACSParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// acsSteps adapts the GPU ACS engine, whose construction is one kernel of
+// its own, to iterateN: it ignores the tour kernel.
+type acsSteps struct{ *core.ACSEngine }
+
+func (a acsSteps) Iterate(core.TourVersion) (*core.IterationResult, error) {
+	return a.ACSEngine.Iterate()
 }
 
 func TestACSEngineValidToursBothDevices(t *testing.T) {
@@ -77,7 +85,7 @@ func TestACSEngineGlobalUpdateRequiresBest(t *testing.T) {
 func TestACSEngineRunConvergesAndIsDeterministic(t *testing.T) {
 	run := func() (int64, float64) {
 		a := newACSEngine(t, cuda.TeslaM2050(), "kroC100")
-		tour, l, secs, err := iterateN(a, 10)
+		tour, l, secs, err := iterateN(acsSteps{a}, 0, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +117,7 @@ func TestACSEngineRefusesSampling(t *testing.T) {
 
 func TestACSEngineMatchesCPUQuality(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
-	cpu, err := aco.NewACSColony(in, aco.DefaultACSParams())
+	cpu, err := aco.NewACSColony(in, aco.DefaultACSParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +127,7 @@ func TestACSEngineMatchesCPUQuality(t *testing.T) {
 	cpuBest := cpu.BestLen
 
 	gpu := newACSEngine(t, cuda.TeslaM2050(), "att48")
-	_, gpuBest, _, err := iterateN(gpu, 15)
+	_, gpuBest, _, err := iterateN(acsSteps{gpu}, 0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

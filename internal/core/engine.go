@@ -61,6 +61,7 @@ type Engine struct {
 
 	iteration uint64
 	tau0      float64
+	cnn       int64 // greedy nearest-neighbour tour length C^nn
 
 	// SampleBudget bounds the lane operations functionally executed per
 	// kernel launch; larger kernels are block-sampled (timing stays exact
@@ -209,17 +210,19 @@ func NewEngineWithOptions(dev *cuda.Device, in *tsp.Instance, p aco.Params, opt 
 		e.Free()
 		return nil, err
 	}
-	var cnn int64
-	if d := opt.Derived; d != nil {
-		copy(e.nnList.Data(), d.List)
-		cnn = d.CNN
-	} else {
-		copy(e.nnList.Data(), in.NNList(e.nn))
-		cnn = in.TourLength(in.NearestNeighbourTour(0))
+	d := opt.Derived
+	if d == nil {
+		var err error
+		if d, err = in.ComputeDerived(e.nn); err != nil {
+			e.Free()
+			return nil, err
+		}
 	}
+	copy(e.nnList.Data(), d.List)
+	e.cnn = d.CNN
 	rng.SeedLibStates(e.libRNG.Data(), p.Seed^0xC0FFEE, e.m)
 
-	e.tau0 = float64(e.m) / float64(cnn)
+	e.tau0 = aco.ASTau0(e.m, e.cnn)
 	e.pher.Fill(float32(e.tau0))
 	e.bestLen = math.MaxInt64
 	return e, nil

@@ -17,41 +17,23 @@ import (
 // ports.
 type MMASEngine struct {
 	*Engine
-	PM aco.MMASParams
-
-	TauMin, TauMax float64
-	iterSinceBest  int
-	iterCount      int
-	tourVersion    TourVersion
+	aco.MMASSchedule
 }
 
-// NewMMASEngine creates a GPU MMAS colony with trails at τmax.
-func NewMMASEngine(dev *cuda.Device, in *tsp.Instance, p aco.MMASParams) (*MMASEngine, error) {
+// NewMMASEngine creates a GPU MMAS colony with trails at τmax, drawing the
+// NN lists and C^nn from d as EngineOptions.Derived does (nil derives
+// them).
+func NewMMASEngine(dev *cuda.Device, in *tsp.Instance, p aco.MMASParams, d *tsp.Derived) (*MMASEngine, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := NewEngine(dev, in, p.Params)
+	e, err := NewEngineWithOptions(dev, in, p.Params, EngineOptions{Derived: d})
 	if err != nil {
 		return nil, err
 	}
-	m := &MMASEngine{
-		Engine:      e,
-		PM:          p,
-		tourVersion: TourNNShared,
-	}
-	cnn := in.TourLength(in.NearestNeighbourTour(0))
-	m.setBounds(cnn)
+	m := &MMASEngine{Engine: e, MMASSchedule: aco.NewMMASSchedule(p, e.n, e.cnn)}
 	m.pher.Fill(float32(m.TauMax))
 	return m, nil
-}
-
-// SetTourVersion selects the construction kernel (default version 5,
-// NN-list with shared-memory tabu).
-func (m *MMASEngine) SetTourVersion(v TourVersion) { m.tourVersion = v }
-
-func (m *MMASEngine) setBounds(best int64) {
-	m.TauMax = 1 / (m.P.Rho * float64(best))
-	m.TauMin = m.TauMax / (2 * float64(m.n))
 }
 
 // resetTrailsKernel re-initialises every trail to τmax on the device.
@@ -98,17 +80,16 @@ func (m *MMASEngine) clampKernel() (*cuda.LaunchResult, error) {
 	})
 }
 
-// Iterate runs one full GPU MMAS iteration and returns its stages.
-func (m *MMASEngine) Iterate() (*IterationResult, error) {
+// Iterate runs one full GPU MMAS iteration, constructing with tour kernel
+// tv, and returns its stages.
+func (m *MMASEngine) Iterate(tv TourVersion) (*IterationResult, error) {
 	if m.SampleBudget > 0 {
 		return nil, fmt.Errorf("core: MMAS Iterate needs full functional execution; clear SampleBudget")
 	}
 	e := m.Engine
 	defer m.span("iteration")()
-	m.iterCount++
-	prevBest := m.bestLen
 
-	construct, err := e.ConstructTours(m.tourVersion)
+	construct, err := e.ConstructTours(tv)
 	if err != nil {
 		return nil, err
 	}
@@ -116,21 +97,11 @@ func (m *MMASEngine) Iterate() (*IterationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.bestLen < prevBest {
-		m.setBounds(m.bestLen)
-		m.iterSinceBest = 0
-	} else {
-		m.iterSinceBest++
-	}
-
-	// Pick the depositing ant: iteration-best, or best-so-far every k-th.
-	tour := e.Tour(ant)
-	length := iterBestLen
-	if m.iterCount%m.PM.BestEvery == 0 {
-		best, bestLen := e.Best()
-		if best != nil {
-			tour, length = best, bestLen
-		}
+	best, bestLen := e.Best()
+	useBest, reset := m.Next(bestLen)
+	tour, length := e.Tour(ant), iterBestLen
+	if useBest {
+		tour, length = best, bestLen
 	}
 
 	update, err := func() (*StageResult, error) {
@@ -152,13 +123,12 @@ func (m *MMASEngine) Iterate() (*IterationResult, error) {
 		}
 		update.add(clamp)
 
-		if m.iterSinceBest >= m.PM.StagnationReset {
+		if reset {
 			reset, err := m.resetTrailsKernel()
 			if err != nil {
 				return nil, err
 			}
 			update.add(reset)
-			m.iterSinceBest = 0
 		}
 		return update, nil
 	}()

@@ -12,7 +12,7 @@ import (
 func newMMASEngine(t *testing.T, dev *cuda.Device, bench string) *core.MMASEngine {
 	t.Helper()
 	in := tsp.MustLoadBenchmark(bench)
-	m, err := core.NewMMASEngine(dev, in, aco.DefaultMMASParams())
+	m, err := core.NewMMASEngine(dev, in, aco.DefaultMMASParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMMASEngineBoundsHoldAcrossIterations(t *testing.T) {
 	for _, dev := range []*cuda.Device{cuda.TeslaC1060(), cuda.TeslaM2050()} {
 		m := newMMASEngine(t, dev, "att48")
 		for i := 0; i < 10; i++ {
-			res, err := m.Iterate()
+			res, err := m.Iterate(core.TourNNShared)
 			if err != nil {
 				t.Fatalf("%s: %v", dev.Name, err)
 			}
@@ -56,7 +56,7 @@ func TestMMASEngineBoundsHoldAcrossIterations(t *testing.T) {
 func TestMMASEngineNoAtomicsInUpdate(t *testing.T) {
 	// The MMAS pheromone stage has a single depositing ant: no atomics.
 	m := newMMASEngine(t, cuda.TeslaC1060(), "att48")
-	res, err := m.Iterate()
+	res, err := m.Iterate(core.TourNNShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,7 @@ func TestMMASEngineNoAtomicsInUpdate(t *testing.T) {
 func TestMMASEngineDeterministicAndConverging(t *testing.T) {
 	run := func() (int64, float64) {
 		m := newMMASEngine(t, cuda.TeslaM2050(), "kroC100")
-		m.SetTourVersion(core.TourDataParallel)
-		_, l, secs, err := iterateN(m, 30)
+		_, l, secs, err := iterateN(m, core.TourDataParallel, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +91,11 @@ func TestMMASEngineDeterministicAndConverging(t *testing.T) {
 
 func TestMMASEngineMatchesCPUBounds(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
-	gpu, err := core.NewMMASEngine(cuda.TeslaM2050(), in, aco.DefaultMMASParams())
+	gpu, err := core.NewMMASEngine(cuda.TeslaM2050(), in, aco.DefaultMMASParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := aco.NewMMASColony(in, aco.DefaultMMASParams())
+	cpu, err := aco.NewMMASColony(in, aco.DefaultMMASParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestMMASEngineMatchesCPUBounds(t *testing.T) {
 func TestMMASEngineRefusesSampling(t *testing.T) {
 	m := newMMASEngine(t, cuda.TeslaM2050(), "att48")
 	m.SampleBudget = 1000
-	if _, err := m.Iterate(); err == nil {
+	if _, err := m.Iterate(core.TourNNShared); err == nil {
 		t.Error("sampled MMAS iteration accepted")
 	}
 }

@@ -44,7 +44,7 @@ func TestDataParallelSelectionNeverEmitsTabuCity(t *testing.T) {
 			e.Free()
 		}
 	}
-	a, err := core.NewACSEngine(cuda.TeslaM2050(), in, aco.DefaultACSParams())
+	a, err := core.NewACSEngine(cuda.TeslaM2050(), in, aco.DefaultACSParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"antgpu/internal/aco"
 	"antgpu/internal/cuda"
@@ -50,50 +49,30 @@ func (e *Engine) DepositTourKernel(tour []int32, delta float64, name string) (*c
 	})
 }
 
-// rankAnts returns the ant indices ordered by exact (integer) tour length.
-func (e *Engine) rankAnts() []int {
-	lengths := make([]int64, e.m)
-	for k := 0; k < e.m; k++ {
-		lengths[k] = e.In.TourLength(e.Tour(k))
-	}
-	order := make([]int, e.m)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return lengths[order[a]] < lengths[order[b]] })
-	return order
-}
-
 // EASEngine runs the Elitist Ant System on the simulated device.
 type EASEngine struct {
 	*Engine
-	Elite       float64
-	tourVersion TourVersion
 }
 
-// NewEASEngine creates a GPU elitist colony. elite <= 0 selects e = m.
-func NewEASEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, elite float64) (*EASEngine, error) {
-	e, err := NewEngine(dev, in, p)
+// NewEASEngine creates a GPU elitist colony, drawing the NN lists and C^nn
+// from d as EngineOptions.Derived does (nil derives them).
+func NewEASEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Derived) (*EASEngine, error) {
+	e, err := NewEngineWithOptions(dev, in, p, EngineOptions{Derived: d})
 	if err != nil {
 		return nil, err
 	}
-	if elite <= 0 {
-		elite = float64(e.m)
-	}
-	return &EASEngine{Engine: e, Elite: elite, tourVersion: TourNNShared}, nil
+	return &EASEngine{Engine: e}, nil
 }
 
-// SetTourVersion selects the construction kernel.
-func (e *EASEngine) SetTourVersion(v TourVersion) { e.tourVersion = v }
-
-// Iterate runs one full EAS iteration: AS construction and update plus the
-// elitist bonus deposit on the best-so-far tour.
-func (e *EASEngine) Iterate() (*IterationResult, error) {
+// Iterate runs one full EAS iteration, constructing with tour kernel tv:
+// AS construction and update plus the elitist bonus deposit, weighted
+// e = m, on the best-so-far tour.
+func (e *EASEngine) Iterate(tv TourVersion) (*IterationResult, error) {
 	if e.SampleBudget > 0 {
 		return nil, fmt.Errorf("core: EAS Iterate needs full functional execution; clear SampleBudget")
 	}
 	defer e.span("iteration")()
-	construct, err := e.ConstructTours(e.tourVersion)
+	construct, err := e.ConstructTours(tv)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +85,7 @@ func (e *EASEngine) Iterate() (*IterationResult, error) {
 		return nil, err
 	}
 	best, bestLen := e.Best()
-	bonus, err := e.DepositTourKernel(best, e.Elite/float64(bestLen), "eas-elite")
+	bonus, err := e.DepositTourKernel(best, float64(e.m)/float64(bestLen), "eas-elite")
 	if err != nil {
 		return nil, err
 	}
@@ -117,37 +96,33 @@ func (e *EASEngine) Iterate() (*IterationResult, error) {
 // RankEngine runs the Rank-based Ant System on the simulated device.
 type RankEngine struct {
 	*Engine
-	W           int
-	tourVersion TourVersion
 }
 
-// NewRankEngine creates a GPU rank-based colony. w <= 0 selects w = 6.
-func NewRankEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, w int) (*RankEngine, error) {
-	e, err := NewEngine(dev, in, p)
+// NewRankEngine creates a GPU rank-based colony, drawing the NN lists and
+// C^nn from d as EngineOptions.Derived does (nil derives them). It needs
+// at least aco.RankW ants.
+func NewRankEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Derived) (*RankEngine, error) {
+	e, err := NewEngineWithOptions(dev, in, p, EngineOptions{Derived: d})
 	if err != nil {
 		return nil, err
 	}
-	if w <= 0 {
-		w = 6
+	if err := aco.CheckRankAnts(e.m); err != nil {
+		e.Free()
+		return nil, err
 	}
-	if w > e.m {
-		return nil, fmt.Errorf("core: rank weight w = %d exceeds ant count %d", w, e.m)
-	}
-	return &RankEngine{Engine: e, W: w, tourVersion: TourNNShared}, nil
+	return &RankEngine{Engine: e}, nil
 }
 
-// SetTourVersion selects the construction kernel.
-func (r *RankEngine) SetTourVersion(v TourVersion) { r.tourVersion = v }
-
-// Iterate runs one full ASrank iteration: evaporation plus w atomic-free
-// rank-weighted deposits (the contended atomic deposit of plain AS
-// disappears entirely, as only a handful of tours deposit).
-func (r *RankEngine) Iterate() (*IterationResult, error) {
+// Iterate runs one full ASrank iteration, constructing with tour kernel
+// tv: evaporation plus aco.RankW atomic-free rank-weighted deposits (the
+// contended atomic deposit of plain AS disappears entirely, as only a
+// handful of tours deposit).
+func (r *RankEngine) Iterate(tv TourVersion) (*IterationResult, error) {
 	if r.SampleBudget > 0 {
 		return nil, fmt.Errorf("core: ASrank Iterate needs full functional execution; clear SampleBudget")
 	}
 	defer r.span("iteration")()
-	construct, err := r.ConstructTours(r.tourVersion)
+	construct, err := r.ConstructTours(tv)
 	if err != nil {
 		return nil, err
 	}
@@ -163,19 +138,21 @@ func (r *RankEngine) Iterate() (*IterationResult, error) {
 			return nil, err
 		}
 		update.add(evap)
-		order := r.rankAnts()
-		for rank := 0; rank < r.W-1 && rank < len(order); rank++ {
-			tour := r.Tour(order[rank])
-			length := r.In.TourLength(tour)
-			weight := float64(r.W - 1 - rank)
-			dep, err := r.DepositTourKernel(tour, weight/float64(length), fmt.Sprintf("rank-%d", rank+1))
+		// The device lengths are float32; rank by the exact ones.
+		lengths := make([]int64, r.m)
+		for k := range lengths {
+			lengths[k] = r.In.TourLength(r.Tour(k))
+		}
+		for rank, ant := range aco.RankedAnts(lengths) {
+			weight := float64(aco.RankW - 1 - rank)
+			dep, err := r.DepositTourKernel(r.Tour(ant), weight/float64(lengths[ant]), fmt.Sprintf("rank-%d", rank+1))
 			if err != nil {
 				return nil, err
 			}
 			update.add(dep)
 		}
 		best, bestLen := r.Best()
-		dep, err := r.DepositTourKernel(best, float64(r.W)/float64(bestLen), "rank-best")
+		dep, err := r.DepositTourKernel(best, aco.RankW/float64(bestLen), "rank-best")
 		if err != nil {
 			return nil, err
 		}

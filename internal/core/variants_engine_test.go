@@ -9,19 +9,21 @@ import (
 	"antgpu/internal/tsp"
 )
 
-// algorithmEngine is what the GPU algorithm engines share: one Iterate
-// step and the best-so-far readout of the embedded Engine.
+// algorithmEngine is what the GPU MMAS, EAS and Rank engines share: one
+// Iterate step over a tour kernel and the best-so-far readout of the
+// embedded Engine (acsSteps adapts ACS).
 type algorithmEngine interface {
-	Iterate() (*core.IterationResult, error)
+	Iterate(core.TourVersion) (*core.IterationResult, error)
 	Best() ([]int32, int64)
 }
 
-// iterateN runs iters iterations of an algorithm engine and returns its
-// best tour, the tour's length and the summed simulated seconds.
-func iterateN(e algorithmEngine, iters int) ([]int32, int64, float64, error) {
+// iterateN runs iters iterations of an algorithm engine with tour kernel
+// tv and returns its best tour, the tour's length and the summed simulated
+// seconds.
+func iterateN(e algorithmEngine, tv core.TourVersion, iters int) ([]int32, int64, float64, error) {
 	secs := 0.0
 	for i := 0; i < iters; i++ {
-		res, err := e.Iterate()
+		res, err := e.Iterate(tv)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -33,14 +35,11 @@ func iterateN(e algorithmEngine, iters int) ([]int32, int64, float64, error) {
 
 func TestEASEngineConvergesAndValid(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
-	e, err := core.NewEASEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), 0)
+	e, err := core.NewEASEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Elite != 48 {
-		t.Errorf("default elite = %v, want m = 48", e.Elite)
-	}
-	tour, l, secs, err := iterateN(e, 8)
+	tour, l, secs, err := iterateN(e, core.TourNNShared, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +57,11 @@ func TestEASEngineConvergesAndValid(t *testing.T) {
 
 func TestRankEngineDepositsOnlyRankedTours(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
-	r, err := core.NewRankEngine(cuda.TeslaC1060(), in, aco.DefaultParams(), 6)
+	r, err := core.NewRankEngine(cuda.TeslaC1060(), in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Iterate()
+	res, err := r.Iterate(core.TourNNShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +90,18 @@ func TestRankEngineValidation(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
 	p := aco.DefaultParams()
 	p.Ants = 4
-	if _, err := core.NewRankEngine(cuda.TeslaC1060(), in, p, 6); err == nil {
+	if _, err := core.NewRankEngine(cuda.TeslaC1060(), in, p, nil); err == nil {
 		t.Error("w > m accepted")
 	}
 }
 
 func TestRankEngineConverges(t *testing.T) {
 	in := tsp.MustLoadBenchmark("kroC100")
-	r, err := core.NewRankEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), 0)
+	r, err := core.NewRankEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetTourVersion(core.TourDataParallel)
-	tour, l, _, err := iterateN(r, 10)
+	tour, l, _, err := iterateN(r, core.TourDataParallel, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,20 +116,20 @@ func TestRankEngineConverges(t *testing.T) {
 
 func TestVariantEnginesRefuseSampling(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")
-	e, err := core.NewEASEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), 0)
+	e, err := core.NewEASEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SampleBudget = 100
-	if _, err := e.Iterate(); err == nil {
+	if _, err := e.Iterate(core.TourNNShared); err == nil {
 		t.Error("sampled EAS iteration accepted")
 	}
-	r, err := core.NewRankEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), 0)
+	r, err := core.NewRankEngine(cuda.TeslaM2050(), in, aco.DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.SampleBudget = 100
-	if _, err := r.Iterate(); err == nil {
+	if _, err := r.Iterate(core.TourNNShared); err == nil {
 		t.Error("sampled ASrank iteration accepted")
 	}
 }

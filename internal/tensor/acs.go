@@ -24,28 +24,18 @@ type ACS struct {
 	xiTau0     float32
 }
 
-// NewACS creates a tensorized ACS engine. In ACS τ0 = 1/(n·C^nn).
-func NewACS(in *tsp.Instance, p aco.ACSParams) (*ACS, error) {
-	return NewACSWithDerived(in, p, nil)
-}
-
-// NewACSWithDerived is NewACS drawing NN lists and C^nn from precomputed
-// derived data; nil recomputes them.
-func NewACSWithDerived(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived) (*ACS, error) {
-	return NewACSWithOptions(in, p, d, Options{})
-}
-
-// NewACSWithOptions is NewACSWithDerived with engine options (the
-// per-request worker override).
-func NewACSWithOptions(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived, o Options) (*ACS, error) {
+// NewACS creates a tensorized ACS engine with trails at aco.ACSTau0,
+// drawing the NN lists and C^nn from precomputed derived data d (nil
+// derives them).
+func NewACS(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived) (*ACS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(in, p.Params, d, o)
+	e, err := newEngine(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}
-	e.tau0 = 1 / (float64(in.N()) * float64(e.cnn))
+	e.tau0 = aco.ACSTau0(e.n, e.cnn)
 	e.resetTau(float32(powOf(p.Alpha)(e.tau0)), float32(e.tau0))
 	a := &ACS{Engine: e, PA: p}
 	a.oneMinusXi = float32(1 - p.Xi)

@@ -67,7 +67,8 @@ func benchEngineM25(b *testing.B) *Engine {
 	b.Helper()
 	p := aco.DefaultParams()
 	p.Ants = 25
-	e, err := NewWithOptions(tsp.MustLoadBenchmark("pr1002"), p, nil, Options{Workers: 1})
+	p.Workers = 1
+	e, err := New(tsp.MustLoadBenchmark("pr1002"), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -113,13 +114,14 @@ func BenchmarkNewWithDerivedM25(b *testing.B) {
 	in := tsp.MustLoadBenchmark("pr1002")
 	p := aco.DefaultParams()
 	p.Ants = 25
+	p.Workers = 1
 	d, err := in.ComputeDerived(p.NN)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		e, err := NewWithOptions(in, p, d, Options{Workers: 1})
+		e, err := NewWithDerived(in, p, d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,6 +136,7 @@ func BenchmarkNewWithDerivedM25(b *testing.B) {
 func BenchmarkNewWithDerivedDistinct500(b *testing.B) {
 	p := aco.DefaultParams()
 	p.Ants = 25
+	p.Workers = 1
 	ins := make([]*tsp.Instance, 8)
 	ds := make([]*tsp.Derived, len(ins))
 	for i := range ins {
@@ -149,7 +152,7 @@ func BenchmarkNewWithDerivedDistinct500(b *testing.B) {
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
-		e, err := NewWithOptions(ins[i], p, ds[i], Options{Workers: 1})
+		e, err := NewWithDerived(ins[i], p, ds[i])
 		if err != nil {
 			b.Fatal(err)
 		}

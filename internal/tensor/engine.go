@@ -51,7 +51,7 @@
 //
 // The engine is multicore: construction and 2-opt shard by ant, the fused
 // n²-sweeps shard by row, over a persistent worker pool
-// (Options.Workers / Params.Workers; 0 = GOMAXPROCS). Results are
+// (Params.Workers; 0 = GOMAXPROCS). Results are
 // bit-identical for any worker count — see parallel.go for the model.
 package tensor
 
@@ -123,14 +123,7 @@ func New(in *tsp.Instance, p aco.Params) (*Engine, error) {
 // exact int64 from the instance's int32 matrix, so the engine accepts
 // instances the float32 device path must refuse.
 func NewWithDerived(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) {
-	return NewWithOptions(in, p, d, Options{})
-}
-
-// NewWithOptions is NewWithDerived with engine options — currently the
-// worker-count override for callers that size the pool per request (the
-// service layer) instead of through Params.Workers.
-func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engine, error) {
-	e, err := newEngine(in, p, d, o)
+	e, err := newEngine(in, p, d)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +134,7 @@ func NewWithOptions(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (
 // newEngine builds every part of the engine but the trails: τ and the
 // weights hold whatever the recycled matrix set last held until the
 // algorithm's constructor calls resetTau with its own τ0.
-func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engine, error) {
+func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
@@ -151,9 +144,17 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engi
 		n:       n,
 		m:       p.AntCount(n),
 		nn:      min(p.NN, n-1),
-		workers: resolveWorkers(o, p),
+		workers: p.Workers,
 	}
-	if d != nil && (d.N != n || d.NN != e.nn) {
+	if e.workers == 0 {
+		e.workers = runtime.GOMAXPROCS(0)
+	}
+	if d == nil {
+		var err error
+		if d, err = in.ComputeDerived(e.nn); err != nil {
+			return nil, err
+		}
+	} else if d.N != n || d.NN != e.nn {
 		return nil, fmt.Errorf("tensor: derived data shape (n=%d, nn=%d) does not match engine (n=%d, nn=%d)",
 			d.N, d.NN, n, e.nn)
 	}
@@ -171,17 +172,9 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived, o Options) (*Engi
 	// releases them even when the caller never calls Close.
 	runtime.AddCleanup(e, func(p *workerPool) { p.close() }, e.pool)
 
-	var cnn int64
-	if d != nil {
-		e.nnList = d.List
-		cnn = d.CNN
-	} else {
-		e.nnList = in.NNList(e.nn)
-		cnn = in.TourLength(in.NearestNeighbourTour(0))
-	}
+	e.nnList, e.cnn = d.List, d.CNN
 	e.wNN = make([]float32, n*e.nn)
-	e.cnn = cnn
-	e.tau0 = float64(e.m) / float64(cnn)
+	e.tau0 = aco.ASTau0(e.m, e.cnn)
 
 	e.mats = takeMatrices(n)
 	e.tau, e.etaBeta, e.weight, e.delta = e.mats.tau, e.mats.etaBeta, e.mats.weight, e.mats.delta

@@ -86,11 +86,11 @@ func TestExactEquivalenceACSWithColony(t *testing.T) {
 	in := dyadicInstance(t)
 	p := aco.ACSParams{Params: dyadicParams(), Q0: 0.5, Xi: 0.5}
 	p.Ants = 8
-	c, err := aco.NewACSColony(in, p)
+	c, err := aco.NewACSColony(in, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewACS(in, p)
+	e, err := NewACS(in, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestExactEquivalenceACSWithColony(t *testing.T) {
 func TestExactEquivalenceMMASWithColony(t *testing.T) {
 	in := dyadicInstance(t)
 	p := aco.MMASParams{Params: dyadicParams(), BestEvery: 3, StagnationReset: 50}
-	c, err := aco.NewMMASColony(in, p)
+	c, err := aco.NewMMASColony(in, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewMMAS(in, p)
+	e, err := NewMMAS(in, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ var recycleAlgs = []struct {
 	{"ACS", func(in *tsp.Instance, beta float64) (*Engine, func(), error) {
 		p := aco.DefaultACSParams()
 		p.Beta, p.Workers = beta, 2
-		a, err := NewACS(in, p)
+		a, err := NewACS(in, p, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -73,7 +73,7 @@ var recycleAlgs = []struct {
 	{"MMAS", func(in *tsp.Instance, beta float64) (*Engine, func(), error) {
 		p := aco.DefaultMMASParams()
 		p.Ants, p.Beta, p.Workers, p.BestEvery = 12, beta, 2, 2
-		m, err := NewMMAS(in, p)
+		m, err := NewMMAS(in, p, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -8,74 +8,45 @@ import (
 	"antgpu/internal/tsp"
 )
 
-// MMAS is the tensorized Max-Min Ant System, mirroring aco.MMAS: a single
-// depositing ant per iteration (iteration-best, best-so-far every
-// BestEvery-th), trails clamped to [τmin, τmax], optimistic τmax
-// initialisation and stagnation resets. The whole pheromone stage —
-// evaporation, the one deposit, the clamp and the weight refresh — is one
-// fused flat sweep; the clamp is nonlinear, so MMAS never uses the AS
-// engine's uniform weight-scaling shortcut.
+// MMAS is the tensorized Max-Min Ant System, running the schedule of
+// aco.MMAS: a single depositing ant per iteration (iteration-best,
+// best-so-far every BestEvery-th), trails clamped to [τmin, τmax],
+// optimistic τmax initialisation and stagnation resets. The whole
+// pheromone stage — evaporation, the one deposit, the clamp and the weight
+// refresh — is one fused flat sweep; the clamp is nonlinear, so MMAS never
+// uses the AS engine's uniform weight-scaling shortcut.
 type MMAS struct {
 	*Engine
-	PM aco.MMASParams
-
-	TauMin, TauMax float64
-	iterSinceBest  int
-	iterCount      int
+	aco.MMASSchedule
 }
 
 // NewMMAS creates a tensorized MMAS engine with trails at the estimated
-// τmax from the greedy nearest-neighbour tour.
-func NewMMAS(in *tsp.Instance, p aco.MMASParams) (*MMAS, error) {
-	return NewMMASWithDerived(in, p, nil)
-}
-
-// NewMMASWithDerived is NewMMAS drawing NN lists and C^nn from precomputed
-// derived data; nil recomputes them.
-func NewMMASWithDerived(in *tsp.Instance, p aco.MMASParams, d *tsp.Derived) (*MMAS, error) {
-	return NewMMASWithOptions(in, p, d, Options{})
-}
-
-// NewMMASWithOptions is NewMMASWithDerived with engine options (the
-// per-request worker override).
-func NewMMASWithOptions(in *tsp.Instance, p aco.MMASParams, d *tsp.Derived, o Options) (*MMAS, error) {
+// τmax from the greedy nearest-neighbour tour, drawing the NN lists and
+// C^nn from precomputed derived data d (nil derives them).
+func NewMMAS(in *tsp.Instance, p aco.MMASParams, d *tsp.Derived) (*MMAS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	e, err := newEngine(in, p.Params, d, o)
+	e, err := newEngine(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}
-	m := &MMAS{Engine: e, PM: p}
-	m.setBounds(e.cnn)
+	m := &MMAS{Engine: e, MMASSchedule: aco.NewMMASSchedule(p, e.n, e.cnn)}
 	m.resetTrails()
 	return m, nil
-}
-
-// setBounds recomputes [τmin, τmax] from the best known tour length.
-func (m *MMAS) setBounds(best int64) {
-	m.TauMax = 1 / (m.P.Rho * float64(best))
-	m.TauMin = m.TauMax / (2 * float64(m.n))
 }
 
 // resetTrails re-initialises every trail (and weight) to τmax — also the
 // stagnation recovery move.
 func (m *MMAS) resetTrails() {
 	m.resetTau(float32(powOf(m.P.Alpha)(m.TauMax)), float32(m.TauMax))
-	m.iterSinceBest = 0
 }
 
-// UpdatePheromone applies the MMAS rule as one fused sweep: the depositing
-// ant's Δ scatters first, then a single traversal evaporates, deposits,
-// clamps and refreshes the weight cell by cell.
-func (m *MMAS) UpdatePheromone(iterBest []int32, iterBestLen int64) {
+// UpdatePheromone applies the MMAS pheromone stage as one fused sweep: the
+// depositing tour's Δ scatters first, then a single traversal evaporates,
+// deposits, clamps and refreshes the weight cell by cell.
+func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
 	start := time.Now()
-	tour := iterBest
-	length := iterBestLen
-	if m.iterCount%m.PM.BestEvery == 0 && m.BestTour != nil {
-		tour = m.BestTour
-		length = m.BestLen
-	}
 	m.scatterDeposit(tour, float32(1/float64(length)), false)
 
 	// The sweep is cell-independent (the clamp is per entry), so it
@@ -125,27 +96,15 @@ func (m *MMAS) Iterate(v aco.Variant) {
 		m.Tracer.Begin("iteration")
 		defer m.Tracer.End()
 	}
-	m.iterCount++
-	prevBest := m.BestLen
 	m.ConstructTours(v)
-
-	bestAnt := 0
-	for k := 1; k < m.m; k++ {
-		if m.Lengths[k] < m.Lengths[bestAnt] {
-			bestAnt = k
-		}
+	useBest, reset := m.Next(m.BestLen)
+	ant := aco.IterationBest(m.Lengths)
+	tour, length := m.Tours[ant*m.n:(ant+1)*m.n], m.Lengths[ant]
+	if useBest {
+		tour, length = m.BestTour, m.BestLen
 	}
-	iterBest := m.Tours[bestAnt*m.n : (bestAnt+1)*m.n]
-
-	if m.BestLen < prevBest {
-		m.setBounds(m.BestLen)
-		m.iterSinceBest = 0
-	} else {
-		m.iterSinceBest++
-	}
-	m.UpdatePheromone(iterBest, m.Lengths[bestAnt])
-
-	if m.iterSinceBest >= m.PM.StagnationReset {
+	m.UpdatePheromone(tour, length)
+	if reset {
 		m.resetTrails()
 	}
 }

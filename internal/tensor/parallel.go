@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"runtime"
 	"sync"
 
 	"antgpu/internal/aco"
@@ -30,29 +29,6 @@ import (
 //     it by accepting different results; this engine does not).
 //
 // Workers is therefore purely a throughput knob.
-
-// Options configure engine behaviour orthogonal to the colony parameters.
-type Options struct {
-	// Workers bounds the engine's worker goroutines. Zero falls back to
-	// Params.Workers, then to runtime.GOMAXPROCS(0).
-	Workers int
-}
-
-// resolveWorkers picks the effective worker count: the explicit option,
-// else the Params-level knob, else one worker per schedulable CPU.
-func resolveWorkers(o Options, p aco.Params) int {
-	w := o.Workers
-	if w <= 0 {
-		w = p.Workers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // workerPool is the engine's persistent fan-out: workers-1 goroutines
 // parked on a task channel plus the calling goroutine. The goroutines
@@ -185,12 +161,7 @@ func (e *Engine) forSpan(total int, fn func(lo, hi int)) {
 // ant wins ties, exactly as when the serial loop updated the best as each
 // ant finished.
 func (e *Engine) reduceBest() {
-	best := 0
-	for ant := 1; ant < e.m; ant++ {
-		if e.Lengths[ant] < e.Lengths[best] {
-			best = ant
-		}
-	}
+	best := aco.IterationBest(e.Lengths)
 	if e.Lengths[best] < e.BestLen {
 		e.BestLen = e.Lengths[best]
 		if e.BestTour == nil {

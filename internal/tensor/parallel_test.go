@@ -73,7 +73,9 @@ func TestWorkerCountInvarianceAS(t *testing.T) {
 
 	run := func(workers int) runSnapshot {
 		var events []metrics.IterationEvent
-		e, err := NewWithOptions(in, p, nil, Options{Workers: workers})
+		q := p
+		q.Workers = workers
+		e, err := New(in, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +108,9 @@ func TestWorkerCountInvarianceMMAS(t *testing.T) {
 
 	run := func(workers int) runSnapshot {
 		var events []metrics.IterationEvent
-		m, err := NewMMASWithOptions(in, p, nil, Options{Workers: workers})
+		q := p
+		q.Workers = workers
+		m, err := NewMMAS(in, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +141,9 @@ func TestWorkerCountInvarianceACS(t *testing.T) {
 
 	run := func(workers int) runSnapshot {
 		var events []metrics.IterationEvent
-		a, err := NewACSWithOptions(in, p, nil, Options{Workers: workers})
+		q := p
+		q.Workers = workers
+		a, err := NewACS(in, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +174,9 @@ func TestCheckpointAcrossWorkerCounts(t *testing.T) {
 	p.Ants = 12
 
 	mk := func(workers int) *Engine {
-		e, err := NewWithOptions(in, p, nil, Options{Workers: workers})
+		q := p
+		q.Workers = workers
+		e, err := New(in, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,8 +223,9 @@ func TestConcurrentTwoOptScratchRegression(t *testing.T) {
 	in := tsp.MustLoadBenchmark("kroC100")
 	p := aco.DefaultParams()
 	p.Ants = 16
+	p.Workers = 4
 
-	e, err := NewWithOptions(in, p, nil, Options{Workers: 4})
+	e, err := New(in, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +251,8 @@ func TestConcurrentTwoOptScratchRegression(t *testing.T) {
 	}
 }
 
-// TestWorkerResolution pins the knob precedence: Options.Workers beats
-// Params.Workers beats GOMAXPROCS.
+// TestWorkerResolution pins the knob: Params.Workers, or GOMAXPROCS when
+// it is zero.
 func TestWorkerResolution(t *testing.T) {
 	in := dyadicInstance(t)
 	p := dyadicParams()
@@ -267,15 +276,6 @@ func TestWorkerResolution(t *testing.T) {
 		t.Fatalf("Params.Workers=3 resolved to %d", e2.Workers())
 	}
 
-	e3, err := NewWithOptions(in, p, nil, Options{Workers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e3.Close()
-	if e3.Workers() != 5 {
-		t.Fatalf("Options.Workers=5 resolved to %d", e3.Workers())
-	}
-
 	p.Workers = -1
 	if _, err := New(in, p); err == nil {
 		t.Fatal("negative Workers passed validation")
@@ -293,7 +293,8 @@ func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 	p := aco.DefaultParams()
 	p.Ants = 12
 	for _, workers := range []int{2, 8} {
-		e, err := NewWithOptions(in, p, nil, Options{Workers: workers})
+		p.Workers = workers
+		e, err := New(in, p)
 		if err != nil {
 			t.Fatal(err)
 		}

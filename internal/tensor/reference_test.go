@@ -120,27 +120,18 @@ func refReverse(tour, pos []int32, i, length int) {
 }
 
 // refIterateMMAS is MMAS.Iterate(aco.FullProbabilistic) built on
-// refConstructTours; every other step is the production code's.
+// refConstructTours; every other step, the schedule included, is the
+// production code's.
 func refIterateMMAS(m *MMAS, sc []refScratch) {
-	m.iterCount++
-	prevBest := m.BestLen
 	refConstructTours(m.Engine, sc)
-
-	bestAnt := 0
-	for k := 1; k < m.m; k++ {
-		if m.Lengths[k] < m.Lengths[bestAnt] {
-			bestAnt = k
-		}
+	useBest, reset := m.Next(m.BestLen)
+	ant := aco.IterationBest(m.Lengths)
+	tour, length := m.Tours[ant*m.n:(ant+1)*m.n], m.Lengths[ant]
+	if useBest {
+		tour, length = m.BestTour, m.BestLen
 	}
-	iterBest := m.Tours[bestAnt*m.n : (bestAnt+1)*m.n]
-	if m.BestLen < prevBest {
-		m.setBounds(m.BestLen)
-		m.iterSinceBest = 0
-	} else {
-		m.iterSinceBest++
-	}
-	m.UpdatePheromone(iterBest, m.Lengths[bestAnt])
-	if m.iterSinceBest >= m.PM.StagnationReset {
+	m.UpdatePheromone(tour, length)
+	if reset {
 		m.resetTrails()
 	}
 }
@@ -233,18 +224,17 @@ func matchReference(t *testing.T, in *tsp.Instance) {
 			ants = n
 		}
 		label := fmt.Sprintf("%s/alpha=%v/beta=%v/m=%d/w=%d", runKindName[c.kind], c.alpha, c.beta, ants, c.workers)
-		p := aco.Params{Alpha: c.alpha, Beta: c.beta, Rho: 0.5, Ants: ants, NN: 30, Seed: 11}
-		o := Options{Workers: c.workers}
+		p := aco.Params{Alpha: c.alpha, Beta: c.beta, Rho: 0.5, Ants: ants, NN: 30, Seed: 11, Workers: c.workers}
 
 		var got, want *Engine
 		var stepGot, stepWant func()
 		if c.kind == runMMAS {
 			mp := aco.MMASParams{Params: p, BestEvery: 2, StagnationReset: 3}
-			mg, err := NewMMASWithOptions(in, mp, d, o)
+			mg, err := NewMMAS(in, mp, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mw, err := NewMMASWithOptions(in, mp, d, o)
+			mw, err := NewMMAS(in, mp, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,11 +243,11 @@ func matchReference(t *testing.T, in *tsp.Instance) {
 			stepGot = func() { mg.Iterate(aco.FullProbabilistic) }
 			stepWant = func() { refIterateMMAS(mw, sc) }
 		} else {
-			eg, err := NewWithOptions(in, p, d, o)
+			eg, err := NewWithDerived(in, p, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ew, err := NewWithOptions(in, p, d, o)
+			ew, err := NewWithDerived(in, p, d)
 			if err != nil {
 				t.Fatal(err)
 			}
