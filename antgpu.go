@@ -423,19 +423,17 @@ func gpuDevice(ctx context.Context, opts SolveOptions) *Device {
 	return dev
 }
 
-// derivedData validates the engine's colony parameters p (opts.Params, or
-// the ACS/MMAS set's own), then fetches the shared instance-derived data at
-// p's NN width from the batch cache c, or nil for a standalone solve
-// (engines then compute their own). Validation comes first: an invalid NN
-// reaching the shared cache would count a miss for a key it never fills
-// and panic deriving the lists. The derived data holds no float32
-// distances, so it serves every backend; the GPU engine enforces the
-// exact-float32 range itself (tsp.ErrF32Precision) when it converts the
-// matrix.
+// derivedData fetches the shared instance-derived data at the NN width of
+// the engine's colony parameters p (opts.Params, or the ACS/MMAS set's
+// own) from the batch cache c, or nil for a standalone solve (engines then
+// compute their own). newEngine validates the parameters first: an invalid
+// NN reaching the shared cache would count a miss for a key it never fills
+// and panic deriving the lists, and any other invalid parameter would
+// count a miss for a solve that cannot run. The derived data holds no
+// float32 distances, so it serves every backend; the GPU engine enforces
+// the exact-float32 range itself (tsp.ErrF32Precision) when it converts
+// the matrix.
 func derivedData(c *sched.Cache, in *Instance, p Params) (*tsp.Derived, error) {
-	if err := p.Validate(in.N()); err != nil {
-		return nil, err
-	}
 	if c == nil {
 		return nil, nil
 	}
@@ -628,7 +626,7 @@ type pair struct {
 // opts.Params.Workers. EAS and Rank run with the fixed variant weights
 // (e = m, w = aco.RankW). Every pair takes its NN lists and C^nn from one
 // derivedData lookup at its own parameter set's NN width, made once the
-// pair is known to be solvable.
+// pair is known to be solvable and its parameters valid.
 func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*engine, error) {
 	v := opts.Variant
 	acs := opts.ACS.WithDefaults(opts.Params.Seed)
@@ -639,18 +637,23 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 	if mmas.Workers == 0 {
 		mmas.Workers = opts.Params.Workers
 	}
-	p := opts.Params
+	p, validate := opts.Params, opts.Params.Validate
 	switch opts.Algorithm {
 	case AlgorithmACS:
-		p = acs.Params
+		p, validate = acs.Params, acs.Validate
 	case AlgorithmMMAS:
-		p = mmas.Params
+		p, validate = mmas.Params, mmas.Validate
+	case AlgorithmRank:
+		validate = func(n int) error { return aco.ValidateRank(p, n) }
 	}
 	switch {
 	case opts.Backend < BackendCPU || opts.Backend > BackendTensor:
 		return nil, fmt.Errorf("antgpu: unknown backend %d", opts.Backend)
 	case opts.Backend == BackendTensor && (opts.Algorithm == AlgorithmEAS || opts.Algorithm == AlgorithmRank):
 		return nil, fmt.Errorf("antgpu: the tensor backend supports AS, ACS and MMAS; %v is not tensorized", opts.Algorithm)
+	}
+	if err := validate(in.N()); err != nil {
+		return nil, err
 	}
 	d, err := derivedData(opts.cache, in, p)
 	if err != nil {

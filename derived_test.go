@@ -130,6 +130,33 @@ func TestCacheServesEveryPair(t *testing.T) {
 	}
 }
 
+// TestCacheSkipsInvalidRequests: a pooled request that fails its
+// algorithm's own parameter checks (ACS's q0, MMAS's BestEvery, Rank's
+// ant count) is rejected before the derived-data lookup on every backend,
+// so it derives nothing and counts no miss.
+func TestCacheSkipsInvalidRequests(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []antgpu.Backend{antgpu.BackendCPU, antgpu.BackendGPU, antgpu.BackendTensor} {
+		for _, opts := range []antgpu.SolveOptions{
+			{Algorithm: antgpu.AlgorithmACS, ACS: antgpu.ACSParams{Q0: 2}},
+			{Algorithm: antgpu.AlgorithmMMAS, MMAS: antgpu.MMASParams{BestEvery: -1}},
+			{Algorithm: antgpu.AlgorithmRank, Params: antgpu.Params{Ants: 4}},
+		} {
+			opts.Backend, opts.Iterations = b, 2
+			pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
+			if _, err := pool.Submit(context.Background(), antgpu.SolveRequest{Instance: in, Options: opts}, nil); err == nil {
+				t.Fatalf("%v %v: invalid request solved", b, opts.Algorithm)
+			}
+			if hits, misses := pool.CacheStats(); hits != 0 || misses != 0 {
+				t.Errorf("%v %v: cache %d hits / %d misses, want 0 / 0", b, opts.Algorithm, hits, misses)
+			}
+		}
+	}
+}
+
 // liveHeap returns the bytes of live heap objects after a full collection.
 func liveHeap() int64 {
 	runtime.GC()

@@ -20,9 +20,14 @@ import (
 // weights w-1 … 1, and the best-so-far tour deposits with weight w.
 const RankW = 6
 
-// CheckRankAnts rejects a rank-based colony of m ants when m < RankW.
-func CheckRankAnts(m int) error {
-	if m < RankW {
+// ValidateRank checks the parameters of a rank-based colony on n cities:
+// Params.Validate, and at least RankW ants. Failures wrap
+// ErrInvalidParams.
+func ValidateRank(p Params, n int) error {
+	if err := p.Validate(n); err != nil {
+		return err
+	}
+	if m := p.AntCount(n); m < RankW {
 		return invalidf("rank weight w = %d exceeds ant count %d", RankW, m)
 	}
 	return nil
@@ -97,11 +102,11 @@ type RankAS struct {
 // from d as NewWithDerived does (nil derives them). It needs at least
 // RankW ants.
 func NewRankColony(in *tsp.Instance, p Params, d *tsp.Derived) (*RankAS, error) {
-	c, err := NewWithDerived(in, p, d)
-	if err != nil {
+	if err := ValidateRank(p, in.N()); err != nil {
 		return nil, err
 	}
-	if err := CheckRankAnts(c.m); err != nil {
+	c, err := NewWithDerived(in, p, d)
+	if err != nil {
 		return nil, err
 	}
 	return &RankAS{Colony: c}, nil

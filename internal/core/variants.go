@@ -102,12 +102,11 @@ type RankEngine struct {
 // C^nn from d as EngineOptions.Derived does (nil derives them). It needs
 // at least aco.RankW ants.
 func NewRankEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Derived) (*RankEngine, error) {
-	e, err := NewEngineWithOptions(dev, in, p, EngineOptions{Derived: d})
-	if err != nil {
+	if err := aco.ValidateRank(p, in.N()); err != nil {
 		return nil, err
 	}
-	if err := aco.CheckRankAnts(e.m); err != nil {
-		e.Free()
+	e, err := NewEngineWithOptions(dev, in, p, EngineOptions{Derived: d})
+	if err != nil {
 		return nil, err
 	}
 	return &RankEngine{Engine: e}, nil
