@@ -83,8 +83,8 @@ type ACS struct {
 // the local update has room to decay trails towards it.
 func ACSTau0(n int, cnn int64) float64 { return 1 / (float64(n) * float64(cnn)) }
 
-// NewACSColony creates an ACS colony with trails at ACSTau0, drawing the NN
-// lists and C^nn from d as NewWithDerived does (nil derives them).
+// NewACSColony creates an ACS colony with trails at ACSTau0; d is as in
+// NewWithDerived.
 func NewACSColony(in *tsp.Instance, p ACSParams, d *tsp.Derived) (*ACS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err

@@ -143,8 +143,8 @@ type MMAS struct {
 }
 
 // NewMMASColony creates an MMAS colony with trails initialised to the
-// (estimated) τmax from the greedy nearest-neighbour tour, drawing the NN
-// lists and C^nn from d as NewWithDerived does (nil derives them).
+// (estimated) τmax from the greedy nearest-neighbour tour; d is as in
+// NewWithDerived.
 func NewMMASColony(in *tsp.Instance, p MMASParams, d *tsp.Derived) (*MMAS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err

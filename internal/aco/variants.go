@@ -20,9 +20,8 @@ import (
 // weights w-1 … 1, and the best-so-far tour deposits with weight w.
 const RankW = 6
 
-// ValidateRank checks the parameters of a rank-based colony on n cities:
-// Params.Validate, and at least RankW ants. Failures wrap
-// ErrInvalidParams.
+// ValidateRank checks a rank-based colony's parameters on n cities:
+// Params.Validate and at least RankW ants, wrapping ErrInvalidParams.
 func ValidateRank(p Params, n int) error {
 	if err := p.Validate(n); err != nil {
 		return err
@@ -52,8 +51,7 @@ type EAS struct {
 	*Colony
 }
 
-// NewEASColony creates an elitist colony, drawing the NN lists and C^nn
-// from d as NewWithDerived does (nil derives them).
+// NewEASColony creates an elitist colony; d is as in NewWithDerived.
 func NewEASColony(in *tsp.Instance, p Params, d *tsp.Derived) (*EAS, error) {
 	c, err := NewWithDerived(in, p, d)
 	if err != nil {
@@ -98,9 +96,8 @@ type RankAS struct {
 	*Colony
 }
 
-// NewRankColony creates a rank-based colony, drawing the NN lists and C^nn
-// from d as NewWithDerived does (nil derives them). It needs at least
-// RankW ants.
+// NewRankColony creates a rank-based colony of at least RankW ants; d is
+// as in NewWithDerived.
 func NewRankColony(in *tsp.Instance, p Params, d *tsp.Derived) (*RankAS, error) {
 	if err := ValidateRank(p, in.N()); err != nil {
 		return nil, err

@@ -36,8 +36,8 @@ type ACSEngine struct {
 }
 
 // NewACSEngine creates a GPU ACS colony with trails at aco.ACSTau0 and the
-// ACS-default ant count (10 unless overridden), drawing the NN lists and
-// C^nn from d as EngineOptions.Derived does (nil derives them).
+// ACS-default ant count (10 unless overridden); d is as in
+// EngineOptions.Derived.
 func NewACSEngine(dev *cuda.Device, in *tsp.Instance, p aco.ACSParams, d *tsp.Derived) (*ACSEngine, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err

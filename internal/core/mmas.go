@@ -20,9 +20,8 @@ type MMASEngine struct {
 	aco.MMASSchedule
 }
 
-// NewMMASEngine creates a GPU MMAS colony with trails at τmax, drawing the
-// NN lists and C^nn from d as EngineOptions.Derived does (nil derives
-// them).
+// NewMMASEngine creates a GPU MMAS colony with trails at τmax; d is as in
+// EngineOptions.Derived.
 func NewMMASEngine(dev *cuda.Device, in *tsp.Instance, p aco.MMASParams, d *tsp.Derived) (*MMASEngine, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err

@@ -54,8 +54,7 @@ type EASEngine struct {
 	*Engine
 }
 
-// NewEASEngine creates a GPU elitist colony, drawing the NN lists and C^nn
-// from d as EngineOptions.Derived does (nil derives them).
+// NewEASEngine creates a GPU elitist colony; d is as in EngineOptions.Derived.
 func NewEASEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Derived) (*EASEngine, error) {
 	e, err := NewEngineWithOptions(dev, in, p, EngineOptions{Derived: d})
 	if err != nil {
@@ -98,9 +97,8 @@ type RankEngine struct {
 	*Engine
 }
 
-// NewRankEngine creates a GPU rank-based colony, drawing the NN lists and
-// C^nn from d as EngineOptions.Derived does (nil derives them). It needs
-// at least aco.RankW ants.
+// NewRankEngine creates a GPU rank-based colony of at least aco.RankW
+// ants; d is as in EngineOptions.Derived.
 func NewRankEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Derived) (*RankEngine, error) {
 	if err := aco.ValidateRank(p, in.N()); err != nil {
 		return nil, err

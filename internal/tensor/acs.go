@@ -24,9 +24,8 @@ type ACS struct {
 	xiTau0     float32
 }
 
-// NewACS creates a tensorized ACS engine with trails at aco.ACSTau0,
-// drawing the NN lists and C^nn from precomputed derived data d (nil
-// derives them).
+// NewACS creates a tensorized ACS engine with trails at aco.ACSTau0; d is
+// as in NewWithDerived.
 func NewACS(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived) (*ACS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err

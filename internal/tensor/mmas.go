@@ -21,8 +21,7 @@ type MMAS struct {
 }
 
 // NewMMAS creates a tensorized MMAS engine with trails at the estimated
-// τmax from the greedy nearest-neighbour tour, drawing the NN lists and
-// C^nn from precomputed derived data d (nil derives them).
+// τmax from the greedy nearest-neighbour tour; d is as in NewWithDerived.
 func NewMMAS(in *tsp.Instance, p aco.MMASParams, d *tsp.Derived) (*MMAS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
