@@ -21,24 +21,27 @@ const MaxExactDistF32 = 1 << 24
 var ErrF32Precision = errors.New("distance exceeds exact float32 range (2^24)")
 
 // Derived holds the read-only data every solver derives from an instance
-// before its first iteration: the nearest-neighbour lists and the greedy
-// nearest-neighbour tour length C^nn that sets the initial pheromone level.
-// Computing it is the Θ(n²) fixed cost of starting a solve (at most
-// Θ(n² log nn) for the NN lists), while holding it takes Θ(n·nn) bytes; a
+// before its first iteration: the greedy nearest-neighbour tour length
+// C^nn that sets the initial pheromone level and, for the solves that read
+// them, the nearest-neighbour lists. Computing it is the Θ(n²) fixed cost
+// of starting a solve (at most Θ(n² log nn) with the NN lists), while
+// holding it takes Θ(n·nn) bytes with the lists and a few words without; a
 // batch of solves over the same instance shares one Derived (see
 // internal/sched). The distances themselves stay in the instance: engines
 // that need another form of them (the GPU engine's float32 device buffer)
 // convert Instance.Matrix into their own memory.
 //
-// A Derived is immutable after ComputeDerived returns and safe to share
-// across concurrent solves; consumers must treat the slices as read-only
-// and copy them before mutating (the GPU engines copy them into private
-// device buffers anyway).
+// A Derived is immutable once computed and safe to share across
+// concurrent solves; consumers must treat the slices as read-only and copy
+// them before mutating (the GPU engines copy them into private device
+// buffers anyway). WithLists adds the lists to a copy, never in place.
 type Derived struct {
 	N  int // number of cities
 	NN int // effective nearest-neighbour list width (clamped to n-1)
 
-	// List is the row-major N x NN nearest-neighbour list (Instance.NNList).
+	// List is the row-major N x NN nearest-neighbour list (Instance.NNList),
+	// or nil when the Derived was computed without lists (Derive). Only the
+	// NN-list construction rules, ACS and 2-opt read it.
 	List []int32
 	// CNN is the length of the greedy nearest-neighbour tour from city 0,
 	// used for τ0 = m / C^nn (and the variants' τ0 formulas).
@@ -90,20 +93,39 @@ func (in *Instance) ConvertDistF32(dst []float32) error {
 }
 
 // ComputeDerived computes the shared derived data for the instance at the
-// given nearest-neighbour width. The result depends only on the instance
-// content and nn, so two instances with equal ContentHash produce
-// byte-identical Derived values. It reads no distance as float32, so it
-// accepts every valid instance and the error is always nil; the float32
-// exactness limit is enforced where a float32 copy is made
-// (ConvertDistF32).
+// given nearest-neighbour width, lists included: Derive(nn, true). The
+// result depends only on the instance content and nn, so two instances
+// with equal ContentHash produce byte-identical Derived values. It reads no
+// distance as float32, so it accepts every valid instance and the error is
+// always nil; the float32 exactness limit is enforced where a float32 copy
+// is made (ConvertDistF32).
 func (in *Instance) ComputeDerived(nn int) (*Derived, error) {
-	nn = in.EffectiveNN(nn)
-	return &Derived{
-		N:    in.n,
-		NN:   nn,
-		List: in.NNList(nn),
-		CNN:  in.TourLength(in.NearestNeighbourTour(0)),
-	}, nil
+	return in.Derive(nn, true), nil
+}
+
+// Derive computes the derived data at the nearest-neighbour width nn
+// (clamped as EffectiveNN does), with the NN lists only when lists is set.
+// C^nn is the same either way: the greedy tour walks the lists when it
+// has them and scans the unvisited cities otherwise.
+func (in *Instance) Derive(nn int, lists bool) *Derived {
+	d := &Derived{N: in.n, NN: in.EffectiveNN(nn)}
+	if lists {
+		d.List = in.NNList(d.NN)
+	}
+	d.CNN = in.TourLength(in.greedyTour(0, d.List, d.NN))
+	return d
+}
+
+// WithLists returns d with the NN lists of its instance in attached: d
+// itself when it has them, otherwise a copy, so that every holder of d
+// keeps an unchanged value.
+func (d *Derived) WithLists(in *Instance) *Derived {
+	if d.List != nil {
+		return d
+	}
+	c := *d
+	c.List = in.NNList(d.NN)
+	return &c
 }
 
 // FNV-1a parameters of ContentHash.

@@ -2,7 +2,9 @@ package tsp
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -66,20 +68,102 @@ func TestComputeDerivedDetectsF32Overflow(t *testing.T) {
 	}
 }
 
+// referenceGreedyTour is the visited-flag scan the greedy tour is checked
+// against: every step tests all n cities and keeps the first strictly
+// closest unvisited one.
+func referenceGreedyTour(in *Instance, start int) []int32 {
+	n := in.n
+	tour := make([]int32, 0, n)
+	visited := make([]bool, n)
+	cur := start
+	tour = append(tour, int32(cur))
+	visited[cur] = true
+	for len(tour) < n {
+		best := -1
+		var bestD int32
+		row := in.matrix[cur*n:]
+		for j := 0; j < n; j++ {
+			if visited[j] {
+				continue
+			}
+			if best < 0 || row[j] < bestD {
+				best, bestD = j, row[j]
+			}
+		}
+		cur = best
+		visited[cur] = true
+		tour = append(tour, int32(cur))
+	}
+	return tour
+}
+
+// TestComputeDerivedMatchesDirectComputation: on every embedded benchmark,
+// ComputeDerived holds NNList's lists and the reference greedy tour's
+// length, and Derive without lists holds the same C^nn and no lists.
 func TestComputeDerivedMatchesDirectComputation(t *testing.T) {
-	in := MustLoadBenchmark("att48")
-	d, err := in.ComputeDerived(30)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range PaperBenchmarks {
+		in := MustLoadBenchmark(name)
+		d, err := in.ComputeDerived(30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.N != in.N() || d.NN != 30 {
+			t.Fatalf("%s: shape = %d x %d, want %d x 30", name, d.N, d.NN, in.N())
+		}
+		if !reflect.DeepEqual(d.List, in.NNList(30)) {
+			t.Errorf("%s: derived NN list differs from Instance.NNList", name)
+		}
+		if want := in.TourLength(referenceGreedyTour(in, 0)); d.CNN != want {
+			t.Errorf("%s: CNN = %d, want %d", name, d.CNN, want)
+		}
+		if bare := in.Derive(30, false); bare.List != nil || bare.CNN != d.CNN || bare.N != d.N || bare.NN != d.NN {
+			t.Errorf("%s: Derive without lists = %+v, want C^nn %d and no lists", name, bare, d.CNN)
+		}
+		if withLists := in.Derive(30, false).WithLists(in); !reflect.DeepEqual(withLists, d) {
+			t.Errorf("%s: WithLists differs from ComputeDerived", name)
+		}
 	}
-	if d.N != in.N() || d.NN != 30 {
-		t.Fatalf("shape = %d x %d, want %d x 30", d.N, d.NN, in.N())
+}
+
+// TestGreedyTourMatchesVisitedScan: the greedy tour, scanning the
+// unvisited cities or walking the NN lists (widths 1 and 5 exhaust often
+// and fall back to the scan), is the reference visited-flag scan's tour
+// from the first, second and last city — on uniform, clustered and
+// tie-heavy instances (a 20-unit square puts 400 cities on few distances).
+func TestGreedyTourMatchesVisitedScan(t *testing.T) {
+	instances := []*Instance{
+		MustLoadBenchmark("att48"), MustLoadBenchmark("kroC100"), MustLoadBenchmark("a280"),
+		MustLoadBenchmark("pcb442"), MustLoadBenchmark("pr1002"),
 	}
-	if !reflect.DeepEqual(d.List, in.NNList(30)) {
-		t.Error("derived NN list differs from Instance.NNList")
+	for _, spec := range []GenSpec{
+		{Name: "clustered", N: 300, Type: Euc2D, Seed: 3, Width: 5000, Clusters: 7},
+		{Name: "ties", N: 400, Type: Euc2D, Seed: 4, Width: 20},
+		{Name: "ties-clustered", N: 250, Type: Att, Seed: 5, Width: 40, Clusters: 3},
+	} {
+		in, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, in)
 	}
-	if want := in.TourLength(in.NearestNeighbourTour(0)); d.CNN != want {
-		t.Errorf("CNN = %d, want %d", d.CNN, want)
+	for _, in := range instances {
+		n := in.N()
+		lists := map[int][]int32{}
+		for _, nn := range []int{1, 5, 30} {
+			lists[nn] = in.NNList(nn)
+		}
+		for _, start := range []int{0, 1, n - 1} {
+			want := referenceGreedyTour(in, start)
+			if got := in.NearestNeighbourTour(start); !slices.Equal(got, want) {
+				t.Errorf("%s from %d: scan differs from the visited-flag reference", in.Name, start)
+			}
+			for nn, list := range lists {
+				if got := in.greedyTour(start, list, nn); !slices.Equal(got, want) {
+					t.Errorf("%s from %d: walk along the nn=%d lists differs from the visited-flag reference",
+						in.Name, start, nn)
+				}
+			}
+		}
 	}
 }
 
@@ -170,5 +254,32 @@ func BenchmarkComputeDerived(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var tourSink []int32
+
+// BenchmarkNearestNeighbourTour times the greedy tour behind C^nn at an
+// upload-sized n = 500 and at pr1002: the scan a derivation without lists
+// runs, and the walk along the width-30 NN lists one with lists runs.
+func BenchmarkNearestNeighbourTour(b *testing.B) {
+	upload, err := Generate(GenSpec{Name: "upload", N: 500, Type: Euc2D, Seed: 1, Width: 10000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []*Instance{upload, MustLoadBenchmark("pr1002")} {
+		list := in.NNList(30)
+		b.Run(fmt.Sprintf("n=%d/scan", in.N()), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				tourSink = in.NearestNeighbourTour(0)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/lists", in.N()), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				tourSink = in.greedyTour(0, list, 30)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package tsp
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // NNList returns, for each city, its nn nearest neighbours ordered by
 // increasing distance (ties broken by city index for determinism). The
@@ -72,29 +75,54 @@ func siftDown(h []int64, p int) {
 
 // NearestNeighbourTour builds a greedy nearest-neighbour tour starting at
 // city start, used to compute the initial pheromone level τ0 = m / C^nn as
-// recommended by Dorigo & Stützle.
+// recommended by Dorigo & Stützle. Each step moves to the closest
+// unvisited city, the lowest-numbered one on ties.
 func (in *Instance) NearestNeighbourTour(start int) []int32 {
+	return in.greedyTour(start, nil, 0)
+}
+
+// greedyTour is NearestNeighbourTour reading the row-major n×nn lists of
+// NNList when list is non-nil. A list row holds a city's nn smallest
+// (distance, index) keys in order, and every city left out of it has a
+// larger key, so the row's first unvisited entry is the step's choice and
+// only an exhausted row needs a scan. A scan walks the unvisited cities,
+// one fewer per step, for the smallest packed (distance, index) key.
+func (in *Instance) greedyTour(start int, list []int32, nn int) []int32 {
 	n := in.n
 	tour := make([]int32, 0, n)
-	visited := make([]bool, n)
-	cur := start
-	tour = append(tour, int32(cur))
-	visited[cur] = true
-	for len(tour) < n {
-		best := -1
-		var bestD int32
-		row := in.matrix[cur*n:]
-		for j := 0; j < n; j++ {
-			if visited[j] {
-				continue
-			}
-			if best < 0 || row[j] < bestD {
-				best, bestD = j, row[j]
+	// unv holds the unvisited cities in any order and pos[c] is c's slot
+	// in it, or -1 once c is visited, so a visit is one swap-remove.
+	buf := make([]int32, 2*n)
+	unv, pos := buf[:n], buf[n:]
+	for c := range unv {
+		unv[c], pos[c] = int32(c), int32(c)
+	}
+	for next := int32(start); ; {
+		tour = append(tour, next)
+		i, last := pos[next], unv[len(unv)-1]
+		unv[i], pos[last] = last, i
+		pos[next] = -1
+		unv = unv[:len(unv)-1]
+		if len(unv) == 0 {
+			return tour
+		}
+		cur := int(next)
+		next = -1
+		if list != nil {
+			for _, c := range list[cur*nn : (cur+1)*nn] {
+				if pos[c] >= 0 {
+					next = c
+					break
+				}
 			}
 		}
-		cur = best
-		visited[cur] = true
-		tour = append(tour, int32(cur))
+		if next < 0 {
+			row := in.matrix[cur*n : (cur+1)*n]
+			best := int64(math.MaxInt64)
+			for _, c := range unv {
+				best = min(best, int64(row[c])<<32|int64(c))
+			}
+			next = int32(best)
+		}
 	}
-	return tour
 }
