@@ -89,15 +89,11 @@ func NewACSColony(in *tsp.Instance, p ACSParams, d *tsp.Derived) (*ACS, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	c, err := NewWithDerived(in, p.Params, d)
+	c, err := newColony(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}
-	c.tau0 = ACSTau0(c.n, c.cnn)
-	for i := range c.Pher {
-		c.Pher[i] = c.tau0
-	}
-	c.ComputeChoiceInfo()
+	c.initTrails(ACSTau0(c.n, c.cnn))
 	return &ACS{Colony: c, PA: p}, nil
 }
 

@@ -88,8 +88,23 @@ func ASTau0(m int, cnn int64) float64 { return float64(m) / float64(cnn) }
 // nearest-neighbour lists and the greedy NN tour length) from d instead of
 // recomputing it — the shared-cache path of batch solving. d must match the
 // instance and the colony's effective NN width; nil recomputes everything.
-// The colony aliases d.List without copying, so d must stay immutable.
+// A d without lists builds a colony that can run only the full rule
+// without 2-opt. The colony aliases d.List without copying, so d must stay
+// immutable.
 func NewWithDerived(in *tsp.Instance, p Params, d *tsp.Derived) (*Colony, error) {
+	c, err := newColony(in, p, d)
+	if err != nil {
+		return nil, err
+	}
+	c.initTrails(c.tau0)
+	return c, nil
+}
+
+// newColony builds every part of the colony but the trails: τ and the
+// choice matrix stay zero until the algorithm's constructor fills them,
+// so each constructor computes the choice matrix once. tau0 is the Ant
+// System's.
+func newColony(in *tsp.Instance, p Params, d *tsp.Derived) (*Colony, error) {
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
@@ -119,11 +134,17 @@ func NewWithDerived(in *tsp.Instance, p Params, d *tsp.Derived) (*Colony, error)
 
 	c.nnList, c.cnn = d.List, d.CNN
 	c.tau0 = ASTau0(c.m, c.cnn)
+	return c, nil
+}
+
+// initTrails sets τ0 and every trail to tau0 and computes the choice
+// matrix.
+func (c *Colony) initTrails(tau0 float64) {
+	c.tau0 = tau0
 	for i := range c.Pher {
-		c.Pher[i] = c.tau0
+		c.Pher[i] = tau0
 	}
 	c.ComputeChoiceInfo()
-	return c, nil
 }
 
 // Ants returns the number of ants m.

@@ -1,12 +1,38 @@
 package aco_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"antgpu/internal/aco"
 	"antgpu/internal/tsp"
 )
+
+// TestConstructorsBuildChoiceOnce: every colony constructor computes the
+// n×n choice matrix once, two pows per cell, however its algorithm sets
+// the initial trails.
+func TestConstructorsBuildChoiceOnce(t *testing.T) {
+	in := tsp.MustLoadBenchmark("kroC100")
+	p := aco.DefaultParams()
+	as, err1 := aco.New(in, p)
+	derived, err2 := aco.NewWithDerived(in, p, in.Derive(p.NN, false))
+	acs, err3 := aco.NewACSColony(in, aco.DefaultACSParams(), nil)
+	mmas, err4 := aco.NewMMASColony(in, aco.DefaultMMASParams(), nil)
+	eas, err5 := aco.NewEASColony(in, p, nil)
+	rank, err6 := aco.NewRankColony(in, p, nil)
+	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*aco.Colony{
+		"New": as, "NewWithDerived": derived, "NewACSColony": acs.Colony,
+		"NewMMASColony": mmas.Colony, "NewEASColony": eas.Colony, "NewRankColony": rank.Colony,
+	} {
+		if n := float64(in.N()); c.ChoiceMeter.Pow != 2*n*n {
+			t.Errorf("%s: ChoiceMeter.Pow = %v after set-up, want 2n² = %v", name, c.ChoiceMeter.Pow, 2*n*n)
+		}
+	}
+}
 
 func TestChoiceInfoMatchesDefinition(t *testing.T) {
 	in := tsp.MustLoadBenchmark("att48")

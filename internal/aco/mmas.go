@@ -149,7 +149,7 @@ func NewMMASColony(in *tsp.Instance, p MMASParams, d *tsp.Derived) (*MMAS, error
 	if err := p.Validate(in.N()); err != nil {
 		return nil, err
 	}
-	c, err := NewWithDerived(in, p.Params, d)
+	c, err := newColony(in, p.Params, d)
 	if err != nil {
 		return nil, err
 	}
