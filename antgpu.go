@@ -423,23 +423,6 @@ func gpuDevice(ctx context.Context, opts SolveOptions) *Device {
 	return dev
 }
 
-// derivedData fetches the shared instance-derived data at the NN width of
-// the engine's colony parameters p (opts.Params, or the ACS/MMAS set's
-// own) from the batch cache c, or nil for a standalone solve (engines then
-// compute their own). newEngine validates the parameters first: an invalid
-// NN reaching the shared cache would count a miss for a key it never fills
-// and panic deriving the lists, and any other invalid parameter would
-// count a miss for a solve that cannot run. The derived data holds no
-// float32 distances, so it serves every backend; the GPU engine enforces
-// the exact-float32 range itself (tsp.ErrF32Precision) when it converts
-// the matrix.
-func derivedData(c *sched.Cache, in *Instance, p Params) (*tsp.Derived, error) {
-	if c == nil {
-		return nil, nil
-	}
-	return c.Derived(in, p.NN)
-}
-
 // SolveContext is Solve with cancellation: the context is checked between
 // iterations and its error returned promptly. No panic escapes — internal
 // failures come back as errors. Every (backend, algorithm) pair, the
@@ -624,9 +607,20 @@ type pair struct {
 // Only unset (zero-valued) ACS and MMAS fields are defaulted; their seed
 // falls back to opts.Params.Seed, and their worker count to
 // opts.Params.Workers. EAS and Rank run with the fixed variant weights
-// (e = m, w = aco.RankW). Every pair takes its NN lists and C^nn from one
-// derivedData lookup at its own parameter set's NN width, made once the
-// pair is known to be solvable and its parameters valid.
+// (e = m, w = aco.RankW).
+//
+// Every pair takes C^nn, and the NN lists when it reads them, from one
+// lookup in the batch pool's derived-data cache (a standalone solve's nil
+// cache computes them fresh) at its own parameter set's NN width. The
+// lookup comes once the pair is known to be solvable and its parameters
+// valid: an invalid NN would count a miss for a key it never fills and
+// panic deriving the lists, and any other invalid parameter would count a
+// miss for a solve that cannot run. The lists are read by every gpu pair
+// (the engine copies them to the device), by 2-opt, by the NN-list rule
+// and by ACS's construction; every other solve gets a Derived without
+// them. The derived data holds no float32 distances, so it serves every
+// backend; the GPU engine enforces the exact-float32 range itself
+// (tsp.ErrF32Precision) when it converts the matrix.
 func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.Collector) (*engine, error) {
 	v := opts.Variant
 	acs := opts.ACS.WithDefaults(opts.Params.Seed)
@@ -655,10 +649,9 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 	if err := validate(in.N()); err != nil {
 		return nil, err
 	}
-	d, err := derivedData(opts.cache, in, p)
-	if err != nil {
-		return nil, err
-	}
+	lists := opts.Backend == BackendGPU || opts.LocalSearch || v == aco.NNListConstruction ||
+		opts.Algorithm == AlgorithmACS
+	d := opts.cache.Derived(in, p.NN, lists)
 	// The GPU MMAS, EAS and Rank engines construct with the NN-list kernel
 	// with shared memory unless opts.Tour picks another.
 	variantTour := opts.Tour

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"antgpu"
+	"antgpu/internal/aco"
 	"antgpu/internal/tsp"
 )
 
@@ -130,6 +131,69 @@ func TestCacheServesEveryPair(t *testing.T) {
 	}
 }
 
+// TestCacheListsPerCombination: on every pair, the full and the NN-list
+// rule, each without and (on AS) with local search, solve twice each
+// through one pool, in turn. Every pooled result equals the standalone
+// solve. The pool's first request computes C^nn (a miss). The first
+// request that reads the NN lists (any gpu pair, local search, the NN-list
+// rule, ACS) attaches them (a miss) when no earlier request read them.
+// Every other request is a hit, so the second request of every
+// combination builds nothing.
+func TestCacheListsPerCombination(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []antgpu.Backend{antgpu.BackendCPU, antgpu.BackendGPU, antgpu.BackendTensor} {
+		for _, alg := range []antgpu.Algorithm{antgpu.AlgorithmAS, antgpu.AlgorithmACS, antgpu.AlgorithmMMAS,
+			antgpu.AlgorithmEAS, antgpu.AlgorithmRank} {
+			if b == antgpu.BackendTensor && (alg == antgpu.AlgorithmEAS || alg == antgpu.AlgorithmRank) {
+				continue
+			}
+			t.Run(b.String()+"/"+alg.String(), func(t *testing.T) {
+				pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
+				var requests, misses int64
+				derived, withLists := false, false
+				for _, ls := range []bool{false, true} {
+					if ls && alg != antgpu.AlgorithmAS {
+						continue
+					}
+					for _, v := range []aco.Variant{aco.FullProbabilistic, aco.NNListConstruction} {
+						opts := antgpu.SolveOptions{Backend: b, Algorithm: alg, Variant: v, LocalSearch: ls,
+							Iterations: 3, Params: antgpu.Params{Seed: 5, Workers: 1}}
+						reads := b == antgpu.BackendGPU || ls || v == aco.NNListConstruction ||
+							alg == antgpu.AlgorithmACS
+						want, err := antgpu.Solve(in, opts)
+						if err != nil {
+							t.Fatalf("%v, local search %t: standalone: %v", v, ls, err)
+						}
+						for i := 0; i < 2; i++ {
+							got, err := pool.Submit(context.Background(), antgpu.SolveRequest{Instance: in, Options: opts}, nil)
+							if err != nil {
+								t.Fatalf("%v, local search %t: pool solve %d: %v", v, ls, i, err)
+							}
+							if got.BestLen != want.BestLen || !reflect.DeepEqual(got.BestTour, want.BestTour) ||
+								(b != antgpu.BackendTensor && got.SimulatedSeconds != want.SimulatedSeconds) {
+								t.Errorf("%v, local search %t: pool solve %d: length %d, want the standalone %d with the same tour and seconds",
+									v, ls, i, got.BestLen, want.BestLen)
+							}
+							requests++
+							if !derived || (reads && !withLists) {
+								misses++
+							}
+							derived, withLists = true, withLists || reads
+							if hits, gotMisses := pool.CacheStats(); hits != requests-misses || gotMisses != misses {
+								t.Errorf("%v, local search %t: after pool solve %d: cache %d hits / %d misses, want %d / %d",
+									v, ls, i, hits, gotMisses, requests-misses, misses)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestCacheSkipsInvalidRequests: a pooled request that fails its
 // algorithm's own parameter checks (ACS's q0, MMAS's BestEvery, Rank's
 // ant count) is rejected before the derived-data lookup on every backend,
@@ -168,33 +232,45 @@ func liveHeap() int64 {
 
 // TestCacheRetainedBytesPerUpload: a pool's derived-data cache keeps one
 // entry per distinct instance for its lifetime, so the entry's size is
-// what each distinct upload costs a long-running server. An entry holds
-// the n×nn NN list and C^nn; it must not hold anything n×n.
+// what each distinct upload costs a long-running server. A full-rule
+// tensor solve reads no NN lists, so its entry holds C^nn and a few words
+// of bookkeeping; a solve with local search reads them, so its entry holds
+// the n×nn int32 list as well. Neither holds anything n×n.
 func TestCacheRetainedBytesPerUpload(t *testing.T) {
-	const n, uploads = 300, 20
-	pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
-	solve := func(seed uint64) {
-		in, err := tsp.Generate(tsp.GenSpec{Name: "upload", N: n, Type: tsp.Euc2D, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
+	const n, nn, uploads = 300, 30, 20
+	for _, c := range []struct {
+		name        string
+		localSearch bool
+		min, max    int64
+	}{
+		{"full rule", false, 0, 1 << 10},
+		{"local search", true, n * nn * 4, n * n},
+	} {
+		pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
+		solve := func(seed uint64) {
+			in, err := tsp.Generate(tsp.GenSpec{Name: "upload", N: n, Type: tsp.Euc2D, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := antgpu.SolveOptions{Backend: antgpu.BackendTensor, Iterations: 1, LocalSearch: c.localSearch,
+				Params: antgpu.Params{Ants: 25, NN: nn, Seed: seed, Workers: 1}}
+			if _, err := pool.Submit(context.Background(), antgpu.SolveRequest{Instance: in, Options: opts}, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		opts := antgpu.SolveOptions{Backend: antgpu.BackendTensor, Iterations: 1,
-			Params: antgpu.Params{Ants: 25, Seed: seed, Workers: 1}}
-		if _, err := pool.Submit(context.Background(), antgpu.SolveRequest{Instance: in, Options: opts}, nil); err != nil {
-			t.Fatal(err)
+		solve(1000) // first-use allocations of the pool and the engine code
+		before := liveHeap()
+		for i := 1; i <= uploads; i++ {
+			solve(uint64(i))
 		}
-	}
-	solve(1000) // first-use allocations of the pool and the engine code
-	before := liveHeap()
-	for i := 1; i <= uploads; i++ {
-		solve(uint64(i))
-	}
-	grown := liveHeap() - before
-	if _, misses := pool.CacheStats(); misses != uploads+1 {
-		t.Fatalf("%d cache misses, want one per distinct upload (%d)", misses, uploads+1)
-	}
-	if per := grown / uploads; per >= n*n {
-		t.Errorf("live heap grew %d B per cached %d-city instance, want below n² = %d B",
-			per, n, n*n)
+		grown := liveHeap() - before
+		if _, misses := pool.CacheStats(); misses != uploads+1 {
+			t.Fatalf("%s: %d cache misses, want one per distinct upload (%d)", c.name, misses, uploads+1)
+		}
+		if per := grown / uploads; per < c.min || per >= c.max {
+			t.Errorf("%s: live heap grew %d B per cached %d-city instance, want in [%d, %d) B",
+				c.name, per, n, c.min, c.max)
+		}
+		runtime.KeepAlive(pool)
 	}
 }

@@ -117,8 +117,9 @@ type EngineOptions struct {
 	// Derived, when non-nil, supplies precomputed instance-derived data
 	// (NN lists, greedy NN tour length) instead of recomputing it per
 	// engine — the shared-cache path of batch solving. It must match the
-	// instance and the effective NN width; the engine copies the list into
-	// its private device buffer, so the shared value stays read-only. The
+	// instance and the effective NN width and hold the NN lists; the
+	// engine copies them into its private device buffer for the NN-list
+	// kernels and 2-opt, so the shared value stays read-only. The
 	// float32 distance buffer is always converted from the instance's
 	// matrix, with or without Derived.
 	Derived *tsp.Derived
@@ -161,9 +162,9 @@ func NewEngineWithOptions(dev *cuda.Device, in *tsp.Instance, p aco.Params, opt 
 	if e.nn > n-1 {
 		e.nn = n - 1
 	}
-	if d := opt.Derived; d != nil && (d.N != n || d.NN != e.nn) {
-		return nil, fmt.Errorf("core: derived data shape (n=%d, nn=%d) does not match engine (n=%d, nn=%d)",
-			d.N, d.NN, n, e.nn)
+	if d := opt.Derived; d != nil && (d.N != n || d.NN != e.nn || d.List == nil) {
+		return nil, fmt.Errorf("core: derived data (n=%d, nn=%d, lists %t) does not match engine (n=%d, nn=%d, lists)",
+			d.N, d.NN, d.List != nil, n, e.nn)
 	}
 	// Pad the tour rows to a multiple of θ as the paper does, "applying
 	// padding in the ants tour array to avoid warp divergence".

@@ -15,90 +15,85 @@ type cacheKey struct {
 	nn   int
 }
 
-// cacheEntry computes its Derived at most once successfully; concurrent
-// requesters for the same key serialise on the entry mutex and share the
-// result. A sync.Once would mark itself done even when the computation
-// panics, leaving a permanently nil value behind — with the mutex, a panic
-// propagates to the caller that triggered it, the done flag stays false,
-// and the next request for the key retries the computation.
+// cacheEntry holds one key's Derived: nil until a request computes C^nn,
+// then list-less or with the NN lists, as the requests so far needed.
+// Concurrent requesters of a key serialise on the entry mutex, so each
+// part is computed once and shared. A computation that panics leaves the
+// entry as it was (the assignment never happens) and propagates to the
+// caller that triggered it; the next request for the key retries.
 type cacheEntry struct {
-	mu   sync.Mutex
-	done bool
-	d    *tsp.Derived
-	err  error
-}
-
-// derived returns the entry's value, computing it under the entry lock if
-// no previous computation finished. A returned error is cached alongside
-// the value: the derivation is a deterministic function of the instance
-// content, so recomputing cannot clear an error.
-func (e *cacheEntry) derived(compute func() (*tsp.Derived, error)) (*tsp.Derived, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.done {
-		e.d, e.err = compute()
-		e.done = true
-	}
-	return e.d, e.err
+	mu sync.Mutex
+	d  *tsp.Derived
 }
 
 // Cache memoizes instance-derived read-only data across solves. It is safe
-// for concurrent use: the first request for a (content hash, nn) key
-// computes the data (a miss), every later or concurrent request shares it
-// (a hit). Values are retained for the cache's lifetime — a pool holds one
-// entry per distinct instance/nn pair, Θ(n·nn) bytes each (the int32 NN
-// list, 60 KB at n = 500 and nn = 30), far below the Θ(n²) bytes of the
-// instance matrix and of one solve's engine. Nothing is evicted, so an
-// unbounded stream of distinct instances grows the cache without bound.
+// for concurrent use. The first request for a (content hash, nn) key
+// computes C^nn, with the NN lists when it asks for them (a miss); the
+// first request with lists for a key computed without them attaches the
+// lists (also a miss) to a copy, so values handed out earlier never
+// change; every other request, concurrent ones included, shares the
+// entry's value (a hit). Values are retained for the cache's lifetime — a
+// pool holds one entry per distinct instance/nn pair: a few words for an
+// entry no solve has asked lists of, Θ(n·nn) bytes once one has (the
+// int32 NN list, 60 KB at n = 500 and nn = 30), far below the Θ(n²) bytes
+// of the instance matrix and of one solve's engine. Nothing is evicted, so
+// an unbounded stream of distinct instances grows the cache without bound.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
 	hits    atomic.Int64
 	misses  atomic.Int64
 
-	// compute overrides tsp.Instance.ComputeDerived in tests (nil selects
-	// the real computation).
-	compute func(in *tsp.Instance, nn int) (*tsp.Derived, error)
+	// derive and attach compute a miss: tsp.Instance.Derive and
+	// tsp.Derived.WithLists, which tests replace to count or fail them.
+	derive func(in *tsp.Instance, nn int, lists bool) *tsp.Derived
+	attach func(d *tsp.Derived, in *tsp.Instance) *tsp.Derived
 }
 
 // NewCache returns an empty derived-data cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[cacheKey]*cacheEntry)}
+	return &Cache{entries: make(map[cacheKey]*cacheEntry),
+		derive: (*tsp.Instance).Derive, attach: (*tsp.Derived).WithLists}
 }
 
 // Derived returns the shared derived data of the instance at NN width nn,
-// computing it on first use. The result is shared across callers and must
-// be treated as read-only. A nil cache computes fresh data every call
-// (counting nothing), so call sites need no nil checks. A computation that
-// panics does not poison the key: the panic propagates to the caller and
-// the next request for the same key recomputes.
-func (c *Cache) Derived(in *tsp.Instance, nn int) (*tsp.Derived, error) {
-	nn = in.EffectiveNN(nn)
+// with the NN lists when lists is set and with or without them otherwise,
+// computing what the entry lacks. The result is shared across callers and
+// must be treated as read-only. A nil cache computes fresh data every call
+// (counting nothing), so call sites need no nil checks.
+func (c *Cache) Derived(in *tsp.Instance, nn int, lists bool) *tsp.Derived {
 	if c == nil {
-		return in.ComputeDerived(nn)
+		return in.Derive(nn, lists)
 	}
+	nn = in.EffectiveNN(nn)
 	k := cacheKey{hash: in.ContentHash(), nn: nn}
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	if !ok {
 		e = &cacheEntry{}
 		c.entries[k] = e
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
 	}
 	c.mu.Unlock()
-	return e.derived(func() (*tsp.Derived, error) {
-		if c.compute != nil {
-			return c.compute(in, nn)
-		}
-		return in.ComputeDerived(nn)
-	})
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case e.d == nil:
+		c.misses.Add(1)
+		e.d = c.derive(in, nn, lists)
+	case lists && e.d.List == nil:
+		c.misses.Add(1)
+		e.d = c.attach(e.d, in)
+	default:
+		c.hits.Add(1)
+	}
+	return e.d
 }
 
-// Stats returns the cumulative hit and miss counts. A hit is any Derived
-// call that found the key already present (including calls that waited on
-// an in-flight computation); a miss is a call that had to compute.
+// Stats returns the cumulative hit and miss counts. A miss is a Derived
+// call that had to compute (C^nn, or the lists of an entry without them),
+// a hit any other call, including one that waited on an in-flight
+// computation.
 func (c *Cache) Stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0

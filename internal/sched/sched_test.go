@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,11 +110,11 @@ func loadInstance(t *testing.T, name string) *tsp.Instance {
 func TestCacheHitsAndMisses(t *testing.T) {
 	c := NewCache()
 	in := loadInstance(t, "att48")
-	d1, err := c.Derived(in, 30)
-	if err != nil || d1 == nil || d1.N != in.N() {
-		t.Fatalf("bad derived data: %+v (err %v)", d1, err)
+	d1 := c.Derived(in, 30, true)
+	if d1 == nil || d1.N != in.N() || d1.List == nil {
+		t.Fatalf("bad derived data: %+v", d1)
 	}
-	d2, _ := c.Derived(in, 30)
+	d2 := c.Derived(in, 30, true)
 	if d1 != d2 {
 		t.Error("second lookup did not share the cached derived data")
 	}
@@ -122,7 +123,7 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	}
 
 	// A different NN width is a different key.
-	d3, _ := c.Derived(in, 10)
+	d3 := c.Derived(in, 10, true)
 	if d3 == d1 {
 		t.Error("nn = 10 shared the nn = 30 entry")
 	}
@@ -136,7 +137,7 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.Derived(clone, 30); got != d1 {
+	if got := c.Derived(clone, 30, true); got != d1 {
 		t.Error("identical content under a second *Instance missed the cache")
 	}
 }
@@ -144,9 +145,11 @@ func TestCacheHitsAndMisses(t *testing.T) {
 func TestCacheNilReceiverComputesFresh(t *testing.T) {
 	var c *Cache
 	in := loadInstance(t, "att48")
-	d, err := c.Derived(in, 30)
-	if err != nil || d == nil || d.N != in.N() {
-		t.Fatalf("nil cache returned bad derived data: %+v (err %v)", d, err)
+	for _, lists := range []bool{false, true} {
+		d := c.Derived(in, 30, lists)
+		if d == nil || d.N != in.N() || (d.List != nil) != lists {
+			t.Fatalf("nil cache, lists %t: bad derived data %+v", lists, d)
+		}
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("nil cache reported traffic: %d / %d", hits, misses)
@@ -163,7 +166,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], _ = c.Derived(in, 30)
+			results[g] = c.Derived(in, 30, true)
 		}(g)
 	}
 	wg.Wait()
@@ -178,6 +181,105 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	if hits != goroutines-1 {
 		t.Errorf("%d hits, want %d", hits, goroutines-1)
+	}
+}
+
+// countingCache returns a cache whose derivations count how often they
+// compute C^nn and the NN lists; the counters are atomic, so concurrent
+// tests may read them after their goroutines have finished.
+func countingCache() (c *Cache, cnn, lists *atomic.Int32) {
+	c, cnn, lists = NewCache(), new(atomic.Int32), new(atomic.Int32)
+	c.derive = func(in *tsp.Instance, nn int, withLists bool) *tsp.Derived {
+		cnn.Add(1)
+		if withLists {
+			lists.Add(1)
+		}
+		return in.Derive(nn, withLists)
+	}
+	c.attach = func(d *tsp.Derived, in *tsp.Instance) *tsp.Derived {
+		lists.Add(1)
+		return d.WithLists(in)
+	}
+	return c, cnn, lists
+}
+
+// TestCacheListsOnRequest: a key asked first without lists holds C^nn
+// alone; the first request with lists attaches them to a copy (a miss),
+// so C^nn and the lists are each computed once, the value the first
+// caller got still has no lists, and every later request of either kind
+// shares the value with lists (a hit).
+func TestCacheListsOnRequest(t *testing.T) {
+	c, cnn, lists := countingCache()
+	in := loadInstance(t, "kroC100")
+	want, _ := in.ComputeDerived(30)
+
+	bare := c.Derived(in, 30, false)
+	if bare.List != nil || bare.CNN != want.CNN || bare.N != want.N || bare.NN != want.NN {
+		t.Fatalf("list-less value %+v, want C^nn %d and no lists", bare, want.CNN)
+	}
+	if got := c.Derived(in, 30, false); got != bare {
+		t.Error("second list-less request did not share the entry")
+	}
+	full := c.Derived(in, 30, true)
+	if !reflect.DeepEqual(full, want) {
+		t.Errorf("value with lists differs from ComputeDerived")
+	}
+	if bare.List != nil {
+		t.Error("attaching the lists changed the value an earlier caller holds")
+	}
+	for _, withLists := range []bool{true, false} {
+		if got := c.Derived(in, 30, withLists); got != full {
+			t.Errorf("request with lists %t after the attach did not share the value with lists", withLists)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 3 || misses != 2 {
+		t.Errorf("stats = %d hits / %d misses, want 3 / 2", hits, misses)
+	}
+	if cnn.Load() != 1 || lists.Load() != 1 {
+		t.Errorf("computed C^nn %d times and the lists %d times, want once each", cnn.Load(), lists.Load())
+	}
+
+	// A key asked with lists first computes both in one miss.
+	c.Derived(in, 10, true)
+	c.Derived(in, 10, false)
+	if cnn.Load() != 2 || lists.Load() != 2 {
+		t.Errorf("a with-lists miss computed C^nn %d and the lists %d times in all, want 2 and 2",
+			cnn.Load(), lists.Load())
+	}
+}
+
+// TestCacheConcurrentMixedRequests: concurrent requests for one key, half
+// with lists and half without, compute C^nn once and the lists once, and
+// everyone gets the same C^nn; every request with lists gets the one
+// value with lists.
+func TestCacheConcurrentMixedRequests(t *testing.T) {
+	c, cnn, lists := countingCache()
+	in := loadInstance(t, "kroC100")
+	const goroutines = 16
+	results := make([]*tsp.Derived, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g] = c.Derived(in, 30, g%2 == 1)
+		}(g)
+	}
+	wg.Wait()
+	full := c.Derived(in, 30, true)
+	for g, d := range results {
+		if d.CNN != full.CNN {
+			t.Errorf("goroutine %d: C^nn %d, want %d", g, d.CNN, full.CNN)
+		}
+		if g%2 == 1 && d != full {
+			t.Errorf("goroutine %d asked for lists and got another value", g)
+		}
+	}
+	if cnn.Load() != 1 || lists.Load() != 1 {
+		t.Errorf("computed C^nn %d times and the lists %d times, want once each", cnn.Load(), lists.Load())
+	}
+	if hits, misses := c.Stats(); hits+misses != goroutines+1 || misses < 1 || misses > 2 {
+		t.Errorf("stats = %d hits / %d misses, want %d requests with 1 or 2 misses", hits, misses, goroutines+1)
 	}
 }
 
@@ -268,40 +370,69 @@ func TestCachePanicDoesNotPoisonEntry(t *testing.T) {
 	c := NewCache()
 	in := loadInstance(t, "att48")
 	calls := 0
-	c.compute = func(in *tsp.Instance, nn int) (*tsp.Derived, error) {
+	c.derive = func(in *tsp.Instance, nn int, lists bool) *tsp.Derived {
 		calls++
 		if calls == 1 {
 			panic("transient failure")
 		}
-		return in.ComputeDerived(nn)
+		return in.Derive(nn, lists)
 	}
+	mustPanic(t, func() { c.Derived(in, 30, true) })
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("first Derived call swallowed the computation panic")
-			}
-		}()
-		c.Derived(in, 30)
-	}()
-
-	d, err := c.Derived(in, 30)
-	if err != nil || d == nil {
-		t.Fatalf("entry poisoned: Derived returned %v, %v after an earlier panic", d, err)
-	}
-	if d.N != in.N() {
-		t.Fatalf("retry returned bad derived data: %+v", d)
+	d := c.Derived(in, 30, true)
+	if d == nil || d.N != in.N() || d.List == nil {
+		t.Fatalf("entry poisoned: Derived returned %+v after an earlier panic", d)
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (panic then retry)", calls)
 	}
 	// The retried value is now cached like any other.
-	if d2, _ := c.Derived(in, 30); d2 != d {
+	if d2 := c.Derived(in, 30, true); d2 != d {
 		t.Error("post-retry lookup did not share the cached value")
 	}
 	if calls != 2 {
 		t.Errorf("compute ran %d times after the shared lookup, want still 2", calls)
 	}
+}
+
+// TestCacheAttachPanicDoesNotPoisonEntry: a panic while attaching the
+// lists leaves the entry's list-less value in place; list-less requests
+// keep sharing it and the next request with lists attaches them.
+func TestCacheAttachPanicDoesNotPoisonEntry(t *testing.T) {
+	c := NewCache()
+	in := loadInstance(t, "att48")
+	calls := 0
+	c.attach = func(d *tsp.Derived, in *tsp.Instance) *tsp.Derived {
+		calls++
+		if calls == 1 {
+			panic("transient failure")
+		}
+		return d.WithLists(in)
+	}
+	bare := c.Derived(in, 30, false)
+	mustPanic(t, func() { c.Derived(in, 30, true) })
+	if got := c.Derived(in, 30, false); got != bare {
+		t.Fatalf("after the panic a list-less request got %+v, want the entry's list-less value", got)
+	}
+	full := c.Derived(in, 30, true)
+	if full.List == nil || full.CNN != bare.CNN || calls != 2 {
+		t.Fatalf("retry after the panic: %+v after %d attach calls, want lists and C^nn %d after 2",
+			full, calls, bare.CNN)
+	}
+	if got := c.Derived(in, 30, true); got != full || calls != 2 {
+		t.Error("the retried value with lists is not shared")
+	}
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the computation's panic did not reach the caller")
+		}
+	}()
+	f()
 }
 
 // TestRunHookedCancelSkipsUndispatchedJobs: after a cancellation, the jobs

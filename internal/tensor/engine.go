@@ -119,9 +119,11 @@ func New(in *tsp.Instance, p aco.Params) (*Engine, error) {
 }
 
 // NewWithDerived is New drawing the NN lists and C^nn from precomputed
-// derived data (the shared-cache path); nil recomputes them. Lengths stay
-// exact int64 from the instance's int32 matrix, so the engine accepts
-// instances the float32 device path must refuse.
+// derived data (the shared-cache path); nil recomputes them. A d without
+// lists builds an engine that keeps no NN-list weights and can run only
+// the full rule without 2-opt. Lengths stay exact int64 from the
+// instance's int32 matrix, so the engine accepts instances the float32
+// device path must refuse.
 func NewWithDerived(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) {
 	e, err := newEngine(in, p, d)
 	if err != nil {
@@ -173,7 +175,9 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 	runtime.AddCleanup(e, func(p *workerPool) { p.close() }, e.pool)
 
 	e.nnList, e.cnn = d.List, d.CNN
-	e.wNN = make([]float32, n*e.nn)
+	if e.nnList != nil {
+		e.wNN = make([]float32, n*e.nn)
+	}
 	e.tau0 = aco.ASTau0(e.m, e.cnn)
 
 	e.mats = takeMatrices(n)
@@ -232,8 +236,12 @@ func (e *Engine) resetTau(tauAlpha, tau float32) {
 // per update — n·nn indexed loads — turns the m·(n-1)·nn indexed loads of
 // an iteration's construction steps into sequential ones. ACS skips this
 // (its per-edge local update dirties weights mid-construction, so its
-// choice rule reads the weight matrix directly).
+// choice rule reads the weight matrix directly), and so does an engine
+// built without NN lists.
 func (e *Engine) refreshNN() {
+	if e.wNN == nil {
+		return
+	}
 	nn := e.nn
 	e.forSpan(e.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
