@@ -116,10 +116,7 @@ func newColony(in *tsp.Instance, p Params, d *tsp.Derived) (*Colony, error) {
 		nn: min(p.NN, n-1),
 	}
 	if d == nil {
-		var err error
-		if d, err = in.ComputeDerived(c.nn); err != nil {
-			return nil, err
-		}
+		d = in.Derive(c.nn, true)
 	} else if d.N != n || d.NN != c.nn {
 		return nil, fmt.Errorf("aco: derived data shape (n=%d, nn=%d) does not match colony (n=%d, nn=%d)",
 			d.N, d.NN, n, c.nn)

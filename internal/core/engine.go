@@ -213,11 +213,7 @@ func NewEngineWithOptions(dev *cuda.Device, in *tsp.Instance, p aco.Params, opt 
 	}
 	d := opt.Derived
 	if d == nil {
-		var err error
-		if d, err = in.ComputeDerived(e.nn); err != nil {
-			e.Free()
-			return nil, err
-		}
+		d = in.Derive(e.nn, true)
 	}
 	copy(e.nnList.Data(), d.List)
 	e.cnn = d.CNN

@@ -367,10 +367,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 	}
 	// The instance-derived data (NN lists, C^nn) is identical across
 	// islands; compute it once and share it read-only.
-	derived, err := in.ComputeDerived(p.NN)
-	if err != nil {
-		return nil, err
-	}
+	derived := in.Derive(p.NN, true)
 
 	// An island out of retries is quarantined or respawned, never
 	// degraded to the CPU colony.

@@ -152,10 +152,7 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	if d == nil {
-		var err error
-		if d, err = in.ComputeDerived(e.nn); err != nil {
-			return nil, err
-		}
+		d = in.Derive(e.nn, true)
 	} else if d.N != n || d.NN != e.nn {
 		return nil, fmt.Errorf("tensor: derived data shape (n=%d, nn=%d) does not match engine (n=%d, nn=%d)",
 			d.N, d.NN, n, e.nn)

@@ -41,7 +41,7 @@ type Derived struct {
 
 	// List is the row-major N x NN nearest-neighbour list (Instance.NNList),
 	// or nil when the Derived was computed without lists (Derive). Only the
-	// NN-list construction rules, ACS and 2-opt read it.
+	// NN-list construction rules, ACS, 2-opt and the GPU engine read it.
 	List []int32
 	// CNN is the length of the greedy nearest-neighbour tour from city 0,
 	// used for τ0 = m / C^nn (and the variants' τ0 formulas).
