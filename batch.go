@@ -29,10 +29,12 @@ type PoolOptions struct {
 	// runtime.GOMAXPROCS(0) — one worker per schedulable CPU.
 	Workers int
 	// DisableCache turns off the shared derived-data cache, making every
-	// solve recompute its instance's NN lists and greedy-NN tour length.
-	// Results are identical either way; the cache keeps an n×nn NN list
-	// per distinct instance for the pool's lifetime, so disable it only to
-	// bound memory when a pool sees an unbounded instance stream.
+	// solve recompute its instance's greedy-NN tour length, and its NN
+	// lists when it reads them. Results are identical either way; the
+	// cache keeps an entry per distinct instance and NN width for the
+	// pool's lifetime, a few words for one no solve has asked lists of and
+	// an n×nn NN list once one has, so disable it only to bound memory
+	// when a pool sees an unbounded instance stream.
 	DisableCache bool
 	// Metrics, when non-nil, collects the pool's runtime telemetry (queue
 	// depth, busy workers, request and cache counters) and is inherited by
