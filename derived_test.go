@@ -271,6 +271,5 @@ func TestCacheRetainedBytesPerUpload(t *testing.T) {
 			t.Errorf("%s: live heap grew %d B per cached %d-city instance, want in [%d, %d) B",
 				c.name, per, n, c.min, c.max)
 		}
-		runtime.KeepAlive(pool)
 	}
 }
