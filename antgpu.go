@@ -330,7 +330,7 @@ type SolveOptions struct {
 	OnIteration func(IterationEvent)
 
 	// cache, when non-nil, is the batch pool's shared derived-data cache
-	// (set by Pool/SolveBatch before dispatching each request). Cached data
+	// (set by Pool.Submit before it solves each request). Cached data
 	// is deterministic, so a cached and an uncached solve of the same
 	// request return byte-identical results.
 	cache *sched.Cache

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,7 +26,8 @@ type SolveRequest struct {
 
 // PoolOptions configure a Pool (and SolveBatch, its one-shot form).
 type PoolOptions struct {
-	// Workers bounds the number of solves in flight at once. Zero selects
+	// Workers bounds the number of solves in flight at once, across every
+	// Submit and SolveBatch call on the pool. Zero selects
 	// runtime.GOMAXPROCS(0) — one worker per schedulable CPU.
 	Workers int
 	// DisableCache turns off the shared derived-data cache, making every
@@ -43,7 +45,7 @@ type PoolOptions struct {
 	// default) disables collection at zero cost.
 	Metrics *Metrics
 	// Logger, when non-nil, emits a dispatch event (with the queue wait) as
-	// a worker picks each Submit request up, and is inherited by every
+	// a worker picks each request up, and is inherited by every
 	// request whose own SolveOptions.Logger is nil — one logger covers the
 	// scheduler and all the solves it dispatches. Same nil-is-free contract
 	// as Metrics.
@@ -66,10 +68,11 @@ type BatchItem struct {
 type BatchReport struct {
 	// Results holds one item per request, in request order.
 	Results []BatchItem
-	// CacheHits and CacheMisses count this batch's derived-data cache
-	// traffic: a miss computes an instance's derived data, a hit shares it.
-	// A batch that repeats an instance (same content, same NN width)
-	// reports at least one hit.
+	// CacheHits and CacheMisses count the pool's derived-data cache traffic
+	// while the batch ran, which includes that of concurrent Submit and
+	// SolveBatch calls on the same pool: a miss computes an instance's
+	// derived data, a hit shares it. A batch that repeats an instance (same
+	// content, same NN width) reports at least one hit.
 	CacheHits, CacheMisses int64
 	// SimulatedSeconds sums the per-request simulated times — the cost on
 	// the modelled hardware, independent of host parallelism.
@@ -98,10 +101,11 @@ func (r *BatchReport) Errs() int {
 	return n
 }
 
-// Pool runs batches of independent solves across a bounded set of worker
-// goroutines, sharing a derived-data cache across all batches it serves.
-// A Pool is safe for concurrent use; the zero value is not ready — use
-// NewPool. For one-off batches, SolveBatch is the convenience form.
+// Pool runs independent solves, one at a time through Submit or as
+// batches through SolveBatch, at most Workers of them at once, sharing a
+// derived-data cache across all of them. A Pool is safe for concurrent
+// use; the zero value is not ready — use NewPool. For one-off batches,
+// SolveBatch is the convenience form.
 //
 // Every GPU solve resolves its device clone-on-solve (Device.Clone), so
 // requests may share one *Device and one *Instance freely: the scheduler
@@ -114,9 +118,9 @@ type Pool struct {
 	metrics *Metrics
 	logger  *Logger
 
-	// Submit-path state: a counting semaphore bounding one-off solves to
-	// the same worker budget SolveBatch uses, plus live depth counters —
-	// the backpressure signals a service front end keys admission off.
+	// Dispatch state: a counting semaphore bounding every solve of the
+	// pool to its worker budget, plus live depth counters — the
+	// backpressure signals a service front end keys admission off.
 	sem    chan struct{}
 	queued atomic.Int64
 	busy   atomic.Int64
@@ -150,20 +154,23 @@ func (p *Pool) BusyWorkers() int { return int(p.busy.Load()) }
 // Submit runs one request through the pool's bounded workers: it waits for
 // a free worker slot, then solves — the long-running service path, where
 // requests arrive one at a time and stream in continuously instead of as
-// preassembled batches. Submit shares the pool's derived-data cache and
-// metrics inheritance with SolveBatch and updates the same queue-depth and
-// busy-workers gauges, but its worker budget is its own: concurrent
-// SolveBatch calls spin their own workers. started, when non-nil, is
-// called exactly once if and when a worker picks the request up — the hook
-// a front end uses to flip a job from queued to running. A context
-// cancelled while queued abandons the wait and returns ctx.Err() without
-// calling started.
+// preassembled batches. It is the pool's one dispatch path: SolveBatch
+// submits each of its requests here, so both share the worker bound, the
+// derived-data cache, the metrics and logger inheritance and the
+// queue-depth, busy-workers and request metrics. started, when non-nil,
+// is called exactly once if and when a worker picks the request up — the
+// hook a front end uses to flip a job from queued to running. A context
+// already done, or cancelled while queued, returns ctx.Err() without
+// taking a slot or calling started.
 func (p *Pool) Submit(ctx context.Context, req SolveRequest, started func()) (*Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("antgpu: Submit on a nil Pool")
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	queueGauge, busyGauge := p.poolGauges()
 	// Dispatch logging follows the same inheritance as the solve itself: the
@@ -240,11 +247,14 @@ func (p *Pool) Metrics() *Metrics { return p.metrics }
 // counts across all batches served.
 func (p *Pool) CacheStats() (hits, misses int64) { return p.cache.Stats() }
 
-// SolveBatch runs every request and returns their results in request
-// order. Failures are per-request (BatchItem.Err); the batch itself only
-// fails on a nil pool. The context is checked between iterations of every
-// running solve and before each queued solve starts, so cancellation
-// drains the batch promptly, failing unstarted requests with ctx.Err().
+// SolveBatch runs every request through Submit and returns their results
+// in request order. Failures are per-request (BatchItem.Err); the batch
+// itself only fails on a nil pool. At most min(Workers, len(reqs))
+// requests are submitted at once, each taking the next request index, so a
+// one-worker pool runs a batch in request order. The context is checked
+// between iterations of every running solve and before each request takes
+// a worker slot, so cancellation drains the batch promptly, failing
+// unstarted requests with ctx.Err().
 func (p *Pool) SolveBatch(ctx context.Context, reqs []SolveRequest) (*BatchReport, error) {
 	if p == nil {
 		return nil, fmt.Errorf("antgpu: SolveBatch on a nil Pool")
@@ -256,38 +266,26 @@ func (p *Pool) SolveBatch(ctx context.Context, reqs []SolveRequest) (*BatchRepor
 	start := time.Now()
 
 	rep := &BatchReport{Results: make([]BatchItem, len(reqs))}
-	errs := sched.RunHooked(ctx, len(reqs), p.workers, func(ctx context.Context, i int) error {
-		opts := reqs[i].Options
-		opts.cache = p.cache
-		if opts.Metrics == nil {
-			opts.Metrics = p.metrics
-		}
-		if opts.Logger == nil {
-			opts.Logger = p.logger
-		}
-		res, err := SolveContext(ctx, reqs[i].Instance, opts)
-		it := BatchItem{Result: res, Err: err}
-		if res != nil {
-			it.Recovery = res.Recovery
-		}
-		rep.Results[i] = it
-		return err
-	}, p.schedHooks())
-	// Requests the scheduler never started (context cancelled before their
-	// turn) have no BatchItem yet — their error only exists in the
-	// scheduler's slice.
-	for i, err := range errs {
-		if err != nil && rep.Results[i].Result == nil && rep.Results[i].Err == nil {
-			rep.Results[i].Err = err
-		}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(p.workers, len(reqs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					return
+				}
+				res, err := p.Submit(ctx, reqs[i], nil)
+				rep.Results[i] = BatchItem{Result: res, Err: err}
+				if res != nil {
+					rep.Results[i].Recovery = res.Recovery
+				}
+			}
+		}()
 	}
-	if p.metrics != nil {
-		// Nothing is queued once the batch returns. On a cancelled batch the
-		// last Start hook fired before the undispatched requests were
-		// fast-failed, so the gauge would otherwise hold the pre-cancel depth.
-		queueGauge, _ := p.poolGauges()
-		queueGauge.Set(float64(p.queued.Load()))
-	}
+	wg.Wait()
 
 	rep.WallSeconds = time.Since(start).Seconds()
 	hits1, misses1 := p.cache.Stats()
@@ -328,37 +326,6 @@ func (p *Pool) SolveBatch(ctx context.Context, reqs []SolveRequest) (*BatchRepor
 	}
 	rep.Trace = merged
 	return rep, nil
-}
-
-// schedHooks translates the scheduler's introspection points into the
-// pool's live gauges and request counters. No registry → zero-valued Hooks,
-// which the scheduler skips entirely.
-func (p *Pool) schedHooks() sched.Hooks {
-	if p.metrics == nil {
-		return sched.Hooks{}
-	}
-	queue := p.metrics.Gauge("antgpu_pool_queue_depth",
-		"Submitted batch requests not yet picked up by a worker.")
-	busy := p.metrics.Gauge("antgpu_pool_workers_busy",
-		"Pool workers currently running a solve.")
-	okc := p.metrics.Counter("antgpu_pool_requests_total",
-		"Batch requests completed.", "status", "ok")
-	errc := p.metrics.Counter("antgpu_pool_requests_total",
-		"Batch requests completed.", "status", "error")
-	return sched.Hooks{
-		Start: func(_, queued, busyNow int) {
-			queue.Set(float64(queued))
-			busy.Set(float64(busyNow))
-		},
-		Done: func(_ int, err error, busyNow int) {
-			busy.Set(float64(busyNow))
-			if err != nil {
-				errc.Inc()
-			} else {
-				okc.Inc()
-			}
-		},
-	}
 }
 
 // SolveBatch runs many independent solves — any mix of backends,

@@ -375,7 +375,8 @@ func TestSolveBatchPerRequestErrors(t *testing.T) {
 	}
 }
 
-// A cancelled context fails queued requests with the context error.
+// A cancelled context fails queued requests with the context error,
+// without deriving their data.
 func TestSolveBatchCancelledContext(t *testing.T) {
 	in, err := antgpu.LoadBenchmark("att48")
 	if err != nil {
@@ -395,6 +396,9 @@ func TestSolveBatchCancelledContext(t *testing.T) {
 		if !errors.Is(it.Err, context.Canceled) {
 			t.Errorf("request %d: err = %v, want context.Canceled", i, it.Err)
 		}
+	}
+	if rep.CacheMisses != 0 {
+		t.Errorf("cancelled batch counted %d cache misses", rep.CacheMisses)
 	}
 }
 

@@ -1,35 +1,17 @@
-// Package sched is the concurrency substrate of batch solving: a bounded
-// worker pool that runs many independent jobs across goroutines while
-// preserving submission order in the results, and a content-hash-keyed
-// cache that shares instance-derived read-only data (distance matrices,
-// NN lists, greedy-NN tour lengths) across all solves of one instance.
+// Package sched holds what the batch pool (antgpu.Pool) shares across the
+// solves it runs: a content-hash-keyed cache of instance-derived read-only
+// data (NN lists, greedy-NN tour lengths) that every solve of one instance
+// reads, and the fair split of the machine's cores across concurrent
+// solves. The pool's bounded dispatch itself is antgpu.Pool.Submit.
 //
 // The design follows the layering of the GPU ACO literature: the in-colony
 // parallelization strategies of Cecilia et al. live in internal/core, the
-// independent-runs model of Stützle in internal/aco, and this package adds
-// the next layer up — many independent colonies in flight at once, sharing
+// independent-runs model of Stützle in internal/aco, and the pool adds the
+// next layer up — many independent colonies in flight at once, sharing
 // nothing but immutable instance data (Skinderowicz's concurrent-colonies
-// observation). Nothing in here knows about ants or GPUs; it schedules
-// opaque jobs and memoizes opaque derived data.
+// observation). Nothing in here knows about ants or GPUs; it memoizes
+// opaque derived data.
 package sched
-
-import (
-	"context"
-	"runtime"
-	"sync"
-)
-
-// Run executes n independent jobs on at most `workers` goroutines and
-// returns the per-job errors in job order. workers <= 0 selects
-// runtime.GOMAXPROCS(0); the worker count never exceeds n. Jobs are started
-// in index order (completion order is up to the scheduler), each receives
-// the context, and a context cancelled mid-batch fast-fails every
-// not-yet-started job with ctx.Err() — without dispatching it to a worker
-// — while already-running jobs finish on their own cancellation checks.
-// Run returns only after every started job finished.
-func Run(ctx context.Context, n, workers int, job func(ctx context.Context, i int) error) []error {
-	return RunHooked(ctx, n, workers, job, Hooks{})
-}
 
 // WorkerShare splits gomaxprocs cores fairly across poolWorkers concurrent
 // jobs: each job gets gomaxprocs/poolWorkers cores, never fewer than one.
@@ -47,96 +29,4 @@ func WorkerShare(gomaxprocs, poolWorkers int) int {
 		return 1
 	}
 	return share
-}
-
-// Hooks observe the pool's scheduling decisions — the introspection points
-// the metrics layer turns into queue-depth and worker-utilisation gauges.
-// Either hook may be nil. Hooks are called from worker goroutines and must
-// be safe for concurrent use.
-type Hooks struct {
-	// Start is called when a worker picks job i up, with the number of
-	// submitted jobs not yet started (the queue depth behind it) and the
-	// number of workers now busy including this one.
-	Start func(i, queued, busy int)
-	// Done is called when job i returns, with its error and the number of
-	// workers still busy after it.
-	Done func(i int, err error, busy int)
-}
-
-// RunHooked is Run with scheduling hooks.
-func RunHooked(ctx context.Context, n, workers int, job func(ctx context.Context, i int) error, h Hooks) []error {
-	errs := make([]error, n)
-	if n == 0 {
-		return errs
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	// started counts jobs picked up, busy counts workers inside job; both
-	// only matter when hooks observe them.
-	var mu sync.Mutex
-	started, busy := 0, 0
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				// A job dispatched before the cancellation but picked up
-				// after it never runs, so it must not pass through the
-				// hooks either: it was never started and no worker went
-				// busy on it. Checking the context before the Start hook
-				// keeps the queue/busy gauges honest under cancel.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				if h.Start != nil || h.Done != nil {
-					mu.Lock()
-					started++
-					busy++
-					q, b := n-started, busy
-					mu.Unlock()
-					if h.Start != nil {
-						h.Start(i, q, b)
-					}
-				}
-				errs[i] = job(ctx, i)
-				if h.Start != nil || h.Done != nil {
-					mu.Lock()
-					busy--
-					b := busy
-					mu.Unlock()
-					if h.Done != nil {
-						h.Done(i, errs[i], b)
-					}
-				}
-			}
-		}()
-	}
-	// Feed jobs until the context dies; jobs never dispatched fail fast
-	// here instead of trickling one-by-one through the workers, so a
-	// cancelled batch tears down as quickly as its running jobs allow. The
-	// undispatched indices are untouched by any worker, so writing their
-	// errors from this goroutine is race-free.
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			for j := i; j < n; j++ {
-				errs[j] = ctx.Err()
-			}
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return errs
 }
