@@ -124,10 +124,15 @@ func removeSorted(list []int32, c int32) []int32 {
 // crosses the draw, with the last positive city as the r == total
 // fallback (aco.RouletteSelect semantics). A chosen city leaves both lists
 // by an in-order copy. The NN rule stages masked weights from the
-// pre-gathered wNN tensor and scans them the same way, so its only indexed
-// load is the tabu mask.
+// pre-gathered wNN tensor, which its first construction gathers and every
+// update refreshes, and scans them the same way, so its only indexed load
+// is the tabu mask.
 func (e *Engine) ConstructTours(v aco.Variant) {
 	start := time.Now()
+	if v == aco.NNListConstruction && e.wNN == nil {
+		e.wNN = make([]float32, e.n*e.nn)
+		e.refreshNN()
+	}
 	e.iteration++
 	e.forAnts(func(w, ant int) {
 		g := rng.FromState(rng.AntSeed(e.P.Seed, e.iteration, ant))

@@ -78,7 +78,7 @@ type Engine struct {
 	etaBeta []float32 // n×n precomputed η^β (zero diagonal)
 	weight  []float32 // n×n τ^α·η^β, the roulette weights
 	nnList  []int32   // n×nn nearest-neighbour lists
-	wNN     []float32 // n×nn weights gathered along nnList, refreshed per update
+	wNN     []float32 // n×nn weights gathered along nnList; nil until the NN rule first constructs
 	dist    []int32   // n×n int32 distances (aliases In.Matrix, read-only)
 
 	Tours   []int32 // m×n, row per ant
@@ -172,9 +172,6 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 	runtime.AddCleanup(e, func(p *workerPool) { p.close() }, e.pool)
 
 	e.nnList, e.cnn = d.List, d.CNN
-	if e.nnList != nil {
-		e.wNN = make([]float32, n*e.nn)
-	}
 	e.tau0 = aco.ASTau0(e.m, e.cnn)
 
 	e.mats = takeMatrices(n)
@@ -231,10 +228,12 @@ func (e *Engine) resetTau(tauAlpha, tau float32) {
 // refreshNN re-gathers the NN-list weight tensor wNN from the weight
 // matrix. Pheromone only changes between constructions, so gathering once
 // per update — n·nn indexed loads — turns the m·(n-1)·nn indexed loads of
-// an iteration's construction steps into sequential ones. ACS skips this
-// (its per-edge local update dirties weights mid-construction, so its
-// choice rule reads the weight matrix directly), and so does an engine
-// built without NN lists.
+// an iteration's construction steps into sequential ones. Only the NN
+// rule reads wNN, so its first construction allocates and gathers it
+// (ConstructTours), and until then every refresh is skipped: ACS never
+// allocates it (its per-edge local update dirties weights mid-construction,
+// so its choice rule reads the weight matrix directly), nor does a
+// full-rule engine, with or without 2-opt.
 func (e *Engine) refreshNN() {
 	if e.wNN == nil {
 		return

@@ -291,6 +291,55 @@ func TestTensorLocalSearchImproves(t *testing.T) {
 	}
 }
 
+// TestNNWeightsOnlyForNNRule: only the NN-list rule reads the gathered
+// weights wNN, so after two iterations neither the ACS engine nor a
+// full-rule engine with 2-opt, both built with NN lists, holds them, and
+// an NN-list engine's wNN is the weight matrix gathered along nnList.
+func TestNNWeightsOnlyForNNRule(t *testing.T) {
+	in := tsp.MustLoadBenchmark("kroC100")
+	p := aco.DefaultParams()
+	p.Ants = 10
+	d := in.Derive(p.NN, true)
+
+	acs, err := NewACS(in, aco.ACSParams{Params: p, Q0: 0.9, Xi: 0.1}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer acs.Close()
+	full, err := NewWithDerived(in, p, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	nn, err := NewWithDerived(in, p, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nn.Close()
+	for i := 0; i < 2; i++ {
+		acs.Iterate()
+		full.IterateWithLocalSearch(aco.FullProbabilistic)
+		nn.Iterate(aco.NNListConstruction)
+	}
+	if acs.wNN != nil {
+		t.Errorf("ACS engine holds %d gathered weights", len(acs.wNN))
+	}
+	if full.wNN != nil {
+		t.Errorf("full-rule 2-opt engine holds %d gathered weights", len(full.wNN))
+	}
+	n, k := in.N(), nn.nn
+	if len(nn.wNN) != n*k {
+		t.Fatalf("NN-list engine holds %d gathered weights, want %d", len(nn.wNN), n*k)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			if got, want := nn.wNN[i*k+j], nn.weight[i*n+int(nn.nnList[i*k+j])]; got != want {
+				t.Fatalf("wNN[%d][%d] = %v, want weight %v", i, j, got, want)
+			}
+		}
+	}
+}
+
 // TestRouletteMasked covers the cumulative-sum roulette edges: zero slots
 // (visited or zero-probability — the mask multiply has already run) can
 // never win, draws past the total settle on the last carrying slot, and a
