@@ -340,8 +340,10 @@ func (is *island) step() error {
 // RunIslands runs one colony per device with periodic ring migration,
 // stagnation restarts and per-island fault recovery, surviving the
 // permanent loss of islands down to cfg.MinIslands. Each device should be
-// an independent clone (cuda.Device.Clone or cuda.NewDevicePool) carrying
-// its own FaultPlan; devices are mutated by the run and must not be shared.
+// an independent clone (cuda.Device.Clone) carrying its own FaultPlan;
+// devices are mutated by the run and must not be shared. A respawned
+// island's replacement (cuda.Device.Respawn) takes its place in the run's
+// own copy of the slice, never in the caller's.
 //
 // The returned result carries the ensemble-best tour and an IslandReport
 // of per-island faults, restarts, migrations and quarantines. Errors other
@@ -357,7 +359,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 	}
 	cfg = cfg.withDefaults(in)
 	n := len(devices)
-	pool := cuda.PoolOf(devices)
+	devices = append([]*cuda.Device(nil), devices...)
 
 	// Every island's engine converts the distances to float32; refuse an
 	// instance beyond the exact-float32 range before any island steps, so
@@ -387,7 +389,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 			is.tr = trace.NewCollector()
 			is.tr.Begin(fmt.Sprintf("island-%d", i))
 		}
-		is.rc = NewRecoverer(pool.Get(i), in, ip, derived, cfg.Tour, cfg.Pher, cfg.Iterations, rec, is.tr, is.lg)
+		is.rc = NewRecoverer(devices[i], in, ip, derived, cfg.Tour, cfg.Pher, cfg.Iterations, rec, is.tr, is.lg)
 		if m := cfg.Metrics; m != nil {
 			id := strconv.Itoa(i)
 			is.stateG = m.Gauge("antgpu_island_state",
@@ -489,7 +491,8 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 				// Respawn: a fresh, healthy device (no fault plan — the
 				// replacement board is presumed good) takes the slot; the
 				// island resumes from its last checkpoint next iteration.
-				is.rc.Abandon(pool.Respawn(is.id, false))
+				devices[is.id] = devices[is.id].Respawn()
+				is.rc.Abandon(devices[is.id])
 				is.stats.Respawns++
 				is.state = IslandRespawned
 				is.respawnC.Inc()

@@ -353,6 +353,20 @@ func (d *Device) Reset() {
 	d.eccTargets = nil
 }
 
+// Respawn is the reset-respawn primitive of the island runtime's
+// degraded-fleet model: it Resets the lost board, dropping its sticky
+// poison, allocation accounting and ECC registry, and returns a fresh,
+// healthy Clone of it to take its place. The replacement carries no fault
+// plan — replacement hardware is presumed healthy — and keeps the Metrics
+// observer, so a respawned island keeps reporting to the same registry.
+func (d *Device) Respawn() *Device {
+	d.Reset()
+	fresh := d.Clone()
+	fresh.Metrics = d.Metrics
+	fresh.Faults = nil
+	return fresh
+}
+
 // poison records a sticky fault on the device context.
 func (d *Device) poison(sticky bool, err error) {
 	if !sticky {

@@ -53,17 +53,13 @@ func TestParseFaultSpecDieAt(t *testing.T) {
 	}
 }
 
-// TestDevicePoolRespawn: Respawn hands back a fresh healthy device —
-// poison, accounting and fault plan gone, hardware-metrics hook kept.
-func TestDevicePoolRespawn(t *testing.T) {
+// TestDeviceRespawn: Respawn resets the lost board and hands back a fresh
+// healthy clone — poison, accounting and fault plan gone, hardware-metrics
+// hook kept.
+func TestDeviceRespawn(t *testing.T) {
 	base := TeslaM2050()
 	base.Faults = &FaultPlan{DieAtLaunch: 1}
-	pool := NewDevicePool(base, 3)
-	if pool.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", pool.Size())
-	}
-
-	dev := pool.Get(1)
+	dev := base.Clone()
 	hw := &countingObserver{}
 	dev.Metrics = hw
 	if _, err := launchNoop(dev, nil); err != nil {
@@ -73,12 +69,12 @@ func TestDevicePoolRespawn(t *testing.T) {
 		t.Fatalf("want dead board, got %v", err)
 	}
 
-	fresh := pool.Respawn(1, false)
+	fresh := dev.Respawn()
 	if fresh == dev {
 		t.Fatal("Respawn returned the old device")
 	}
-	if pool.Get(1) != fresh {
-		t.Fatal("Respawn did not install the replacement in the slot")
+	if dev.Healthy() != nil {
+		t.Fatal("Respawn did not reset the old board")
 	}
 	if fresh.Faults != nil {
 		t.Fatal("replacement carries the dead board's fault plan")
@@ -91,12 +87,6 @@ func TestDevicePoolRespawn(t *testing.T) {
 	}
 	if _, err := launchNoop(fresh, nil); err != nil {
 		t.Fatalf("replacement launch: %v", err)
-	}
-
-	// keepFaults replays the slot's schedule from the start.
-	kept := pool.Respawn(2, true)
-	if kept.Faults == nil || kept.Faults.DieAtLaunch != 1 || kept.Faults.Launches() != 0 {
-		t.Fatalf("keepFaults plan = %+v, want reset clone of the original", kept.Faults)
 	}
 }
 
