@@ -462,10 +462,3 @@ func (c *Colony) RecordConvergence(conv *metrics.Convergence) {
 	conv.RecordIteration(float64(best), float64(sum)/float64(c.m), c.BestLen)
 	conv.RecordPheromone64(c.Pher, c.n)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
