@@ -41,6 +41,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -84,6 +85,10 @@ type report struct {
 	// view of the same jobs.
 	CorrectedJobLatency *latencySum   `json:"corrected_job_latency_seconds,omitempty"`
 	Drain               *drainSummary `json:"drain,omitempty"`
+	// NumCPU and GoMaxProcs record the host acoload ran on, which in
+	// self-hosted mode is also the service's.
+	NumCPU     int `json:"num_cpu"`
+	GoMaxProcs int `json:"gomaxprocs"`
 }
 
 type latencySum struct {
@@ -144,6 +149,8 @@ func run(args []string, stdout io.Writer) error {
 		Iterations: *f.iters,
 		Clients:    *f.clients,
 		Requests:   *f.requests,
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	body := fmt.Sprintf(`{"benchmark":%q,"iterations":%d}`, *f.bench, *f.iters)
 

@@ -35,7 +35,7 @@ func TestLoadRunSelfHosted(t *testing.T) {
 	if rep.Completed != 12 || rep.Failed != 0 {
 		t.Errorf("completed=%d failed=%d, want 12/0", rep.Completed, rep.Failed)
 	}
-	if rep.Clients != 4 || rep.Requests != 12 {
+	if rep.Clients != 4 || rep.Requests != 12 || rep.NumCPU < 1 || rep.GoMaxProcs < 1 {
 		t.Errorf("report shape %+v", rep)
 	}
 	if rep.Streamed == 0 {

@@ -49,6 +49,9 @@ type BatchResult struct {
 	Requests   int `json:"requests"`
 	Workers    int `json:"workers"`
 	Iterations int `json:"iterations"`
+	// NumCPU and GoMaxProcs record the host the batch ran on.
+	NumCPU     int `json:"num_cpu"`
+	GoMaxProcs int `json:"gomaxprocs"`
 
 	// SequentialSeconds and BatchSeconds are host wall-clock times for the
 	// same request list run through one-at-a-time Solve calls and through
@@ -103,7 +106,8 @@ func BatchThroughput(cfg BatchConfig) (*BatchResult, error) {
 		}
 	}
 
-	res := &BatchResult{Requests: len(reqs), Workers: cfg.Workers, Iterations: cfg.Iterations}
+	res := &BatchResult{Requests: len(reqs), Workers: cfg.Workers, Iterations: cfg.Iterations,
+		NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
 
 	seqStart := time.Now()
 	seq := make([]*antgpu.Result, len(reqs))
@@ -161,8 +165,8 @@ func (r *BatchResult) WriteJSON(w io.Writer) error {
 
 // Format writes a human-readable summary.
 func (r *BatchResult) Format(w io.Writer) {
-	fmt.Fprintf(w, "batch throughput: %d requests, %d workers, %d iterations each\n",
-		r.Requests, r.Workers, r.Iterations)
+	fmt.Fprintf(w, "batch throughput: %d requests, %d workers, %d iterations each, %d CPUs, GOMAXPROCS %d\n",
+		r.Requests, r.Workers, r.Iterations, r.NumCPU, r.GoMaxProcs)
 	fmt.Fprintf(w, "  sequential %.3f s | batch %.3f s | speed-up %.2fx | %.1f solves/s\n",
 		r.SequentialSeconds, r.BatchSeconds, r.Speedup, r.SolvesPerSec)
 	fmt.Fprintf(w, "  cache %d hits / %d misses (%.0f%% hit rate) | identical results: %v | %.3f simulated s\n",

@@ -27,6 +27,9 @@ func TestBatchThroughput(t *testing.T) {
 	if r.SimulatedSeconds <= 0 {
 		t.Error("no simulated time accumulated")
 	}
+	if r.NumCPU < 1 || r.GoMaxProcs < 1 {
+		t.Errorf("host shape not recorded: num_cpu %d, gomaxprocs %d", r.NumCPU, r.GoMaxProcs)
+	}
 	// The wall-clock speed-up needs real host parallelism; on single-core
 	// runners the scheduler can only break even, so the >= 2x acceptance
 	// bar applies from four schedulable CPUs up.
