@@ -130,25 +130,35 @@ func TestCacheAndMetricsUntouchedByCancelledSubmit(t *testing.T) {
 }
 
 // TestSolveBatchOneWorkerRunsInRequestOrder: a one-worker pool picks a
-// batch's requests up one at a time, each once, in request order.
+// batch's requests up one at a time, each once, in request order, and
+// submits the next only when the previous one is done, so none of them
+// waits in the pool's queue.
 func TestSolveBatchOneWorkerRunsInRequestOrder(t *testing.T) {
 	in, err := antgpu.LoadBenchmark("att48")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 1})
 	var order []int
+	maxQueued := 0
 	reqs := make([]antgpu.SolveRequest, 6)
 	for i := range reqs {
 		reqs[i] = antgpu.SolveRequest{Instance: in, Options: antgpu.SolveOptions{
 			Iterations: 1, Params: antgpu.Params{Seed: uint64(i + 1)},
-			OnIteration: func(antgpu.IterationEvent) { order = append(order, i) }}}
+			OnIteration: func(antgpu.IterationEvent) {
+				order = append(order, i)
+				maxQueued = max(maxQueued, pool.QueueDepth())
+			}}}
 	}
-	rep, err := antgpu.SolveBatch(context.Background(), reqs, antgpu.PoolOptions{Workers: 1})
+	rep, err := pool.SolveBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Errs() != 0 {
 		t.Fatalf("%d requests failed", rep.Errs())
+	}
+	if maxQueued != 0 {
+		t.Errorf("%d requests waited in the queue of a one-worker pool", maxQueued)
 	}
 	if len(order) != len(reqs) {
 		t.Fatalf("picked up %v, want each of %d requests once", order, len(reqs))
