@@ -170,6 +170,44 @@ func TestSolveBatchOneWorkerRunsInRequestOrder(t *testing.T) {
 	}
 }
 
+// TestSolveBatchCancelMidBatchFailsUnstartedRequests: cancelling the
+// context while a one-worker batch runs its first request fails every
+// request not yet picked up with context.Canceled, and none of them runs
+// an iteration.
+func TestSolveBatchCancelMidBatchFailsUnstartedRequests(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := make([]int, 10)
+	reqs := make([]antgpu.SolveRequest, len(events))
+	for i := range reqs {
+		reqs[i] = antgpu.SolveRequest{Instance: in, Options: antgpu.SolveOptions{
+			Iterations: 2, Params: antgpu.Params{Seed: uint64(i + 1)},
+			OnIteration: func(antgpu.IterationEvent) {
+				events[i]++
+				cancel()
+			}}}
+	}
+	rep, err := antgpu.SolveBatch(ctx, reqs, antgpu.PoolOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events[0] == 0 {
+		t.Fatal("the first request never ran an iteration")
+	}
+	for i := 1; i < len(reqs); i++ {
+		if !errors.Is(rep.Results[i].Err, context.Canceled) {
+			t.Errorf("request %d: err = %v, want context.Canceled", i, rep.Results[i].Err)
+		}
+		if events[i] != 0 {
+			t.Errorf("request %d ran %d iterations after the cancel", i, events[i])
+		}
+	}
+}
+
 // TestSolveBatchEmpty: a batch of no requests returns an empty report.
 func TestSolveBatchEmpty(t *testing.T) {
 	reg := antgpu.NewMetrics()
