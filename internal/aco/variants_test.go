@@ -154,12 +154,12 @@ func TestBranchingFactorDecreasesWithConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Uniform trails: every edge clears any λ-cut, so the factor is n-1.
-	start := metrics.LambdaBranching64(c.Pher, c.N())
+	_, start := metrics.PheromoneStats64(c.Pher, c.N())
 	if start != float64(c.N()-1) {
 		t.Fatalf("uniform branching factor = %v, want %d", start, c.N()-1)
 	}
 	c.Run(aco.NNListConstruction, 15)
-	after := metrics.LambdaBranching64(c.Pher, c.N())
+	_, after := metrics.PheromoneStats64(c.Pher, c.N())
 	if after >= start/2 {
 		t.Errorf("branching factor should collapse as trails concentrate: %v -> %v", start, after)
 	}

@@ -155,7 +155,7 @@ func (c *Convergence) RecordPheromone64(pher []float64, n int) {
 	if c == nil {
 		return
 	}
-	c.recordPheromone(Entropy64(pher, n), LambdaBranching64(pher, n))
+	c.recordPheromone(PheromoneStats64(pher, n))
 }
 
 // RecordPheromone32 publishes the stagnation statistics of an n×n float32
@@ -164,7 +164,7 @@ func (c *Convergence) RecordPheromone32(pher []float32, n int) {
 	if c == nil {
 		return
 	}
-	c.recordPheromone(Entropy32(pher, n), LambdaBranching32(pher, n))
+	c.recordPheromone(PheromoneStats32(pher, n))
 }
 
 func (c *Convergence) recordPheromone(entropy, lambda float64) {
@@ -193,91 +193,219 @@ func (c *Convergence) flush() {
 	}
 }
 
-// Entropy64 returns the mean normalised Shannon entropy of the rows of an
-// n×n pheromone matrix: each row's off-diagonal values are normalised to a
-// distribution, its entropy divided by log(n−1), and the rows averaged.
-// 1 means uniform trails, 0 means every city has a single dominant edge.
-func Entropy64(pher []float64, n int) float64 { return entropy(pher, n) }
-
-// Entropy32 is Entropy64 over float32 trails.
-func Entropy32(pher []float32, n int) float64 { return entropy(pher, n) }
-
-func entropy[T float32 | float64](pher []T, n int) float64 {
-	if n < 3 {
-		return 0
-	}
-	norm := math.Log(float64(n - 1))
-	total := 0.0
-	for i := 0; i < n; i++ {
-		row := pher[i*n : (i+1)*n]
-		sum := 0.0
-		for j, v := range row {
-			if j != i {
-				sum += float64(v)
-			}
-		}
-		if sum <= 0 {
-			continue
-		}
-		// Cells no ant has deposited on since τ0 evaporate to the same
-		// bits, so a row is mostly runs of equal cells: a cell equal to
-		// the previous one reuses its p·log p term. The terms are still
-		// subtracted one per cell in column order (a zero term for p <= 0
-		// leaves h unchanged), so h is bit-identical to computing every
-		// term.
-		h := 0.0
-		prev, term := T(math.NaN()), 0.0
-		for j, v := range row {
-			if j == i {
-				continue
-			}
-			if v != prev {
-				prev, term = v, 0
-				if p := float64(v) / sum; p > 0 {
-					term = p * math.Log(p)
-				}
-			}
-			h -= term
-		}
-		total += h / norm
-	}
-	return total / float64(n)
+// PheromoneStats64 returns both stagnation statistics of an n×n float64
+// pheromone matrix.
+//
+// The entropy is the mean normalised Shannon entropy of the rows: each
+// row's off-diagonal values are normalised to a distribution, its entropy
+// divided by log(n−1), and the rows averaged; 1 means uniform trails, 0
+// means every city has a single dominant edge. A row whose off-diagonal
+// sum is not positive adds 0. The λ-branching factor is, per city, the
+// number of edges whose trail is at least τmin + λ·(τmax − τmin) over that
+// city's row, averaged over cities.
+func PheromoneStats64(pher []float64, n int) (entropy, lambda float64) {
+	return pheromoneStats(pher, n)
 }
 
-// LambdaBranching64 returns the average λ-branching factor of an n×n
-// pheromone matrix: per city, the number of edges whose trail is at least
-// τmin + λ·(τmax − τmin) over that city's row, averaged over cities.
-func LambdaBranching64(pher []float64, n int) float64 { return lambdaBranching(pher, n) }
+// PheromoneStats32 is PheromoneStats64 over float32 trails.
+func PheromoneStats32(pher []float32, n int) (entropy, lambda float64) {
+	return pheromoneStats(pher, n)
+}
 
-// LambdaBranching32 is LambdaBranching64 over float32 trails.
-func LambdaBranching32(pher []float32, n int) float64 { return lambdaBranching(pher, n) }
+const (
+	// statsBlock is the number of rows pheromoneStats walks side by side.
+	statsBlock = 4
+	// statsChunk is the number of columns whose entropy terms pass B
+	// stages at a time, on the stack.
+	statsChunk = 128
+)
 
-func lambdaBranching[T float32 | float64](pher []T, n int) float64 {
+// pheromoneStats computes both statistics in two passes over each block
+// of statsBlock rows. Pass A sums each row's off-diagonal cells in column
+// order and takes their min and max. Pass B, a chunk of columns at a time,
+// stages each row's p·log p terms and counts its cells at or above the λ
+// cut, then subtracts the staged terms from the rows' entropies in column
+// order. A row's float64 chains are serial, but the block's rows are
+// independent, so their chains overlap in the pipeline. Every row still
+// performs its own operations in column order, so both results are
+// bit-identical to walking one row at a time.
+func pheromoneStats[T float32 | float64](pher []T, n int) (entropy, lambda float64) {
 	if n < 2 {
-		return 0
+		return 0, 0
 	}
-	total := 0
-	for i := 0; i < n; i++ {
-		row := pher[i*n : (i+1)*n]
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for j, v := range row {
-			if j == i {
-				continue
-			}
-			f := float64(v)
-			if f < lo {
-				lo = f
-			}
-			if f > hi {
-				hi = f
+	norm := math.Log(float64(n - 1))
+	total, count := 0.0, 0
+	var terms [statsBlock][statsChunk]float64
+	for i := 0; i < n; i += statsBlock {
+		rows := min(statsBlock, n-i) // the n mod statsBlock last rows go one at a time
+		block := pher[i*n : (i+rows)*n]
+		var st [statsBlock]rowStats
+		if rows == statsBlock {
+			sumMinMax4(&st, block, n, i)
+		} else {
+			for r := range rows {
+				st[r] = spanA(newRowA(), block[r*n:(r+1)*n], 0, n, i+r).stats()
 			}
 		}
-		cut := lo + LambdaBranchingFactor*(hi-lo)
-		for j, v := range row {
-			if j != i && float64(v) >= cut {
-				total++
+		var h [statsBlock]float64
+		for from := 0; from < n; from += statsChunk {
+			to := min(from+statsChunk, n)
+			for r := range rows {
+				stageTerms(&st[r], terms[r][:to-from], block[r*n+from:r*n+to], i+r-from)
+			}
+			if rows == statsBlock {
+				subtract4(&h, &terms, to-from)
+			} else {
+				for r := range rows {
+					for _, t := range terms[r][:to-from] {
+						h[r] -= t
+					}
+				}
 			}
 		}
+		for r := range rows {
+			// Only a row whose sum is not positive leaves the entropy
+			// out, so a NaN or +Inf sum still adds its row.
+			if !(st[r].sum <= 0) {
+				total += h[r] / norm
+			}
+			count += st[r].count
+		}
 	}
-	return float64(total) / float64(n)
+	if n < 3 {
+		total = 0 // a city with one edge has no entropy to normalise
+	}
+	return total / float64(n), float64(count) / float64(n)
+}
+
+// rowStats is one row's state for pass B: the sum and min of its
+// off-diagonal cells, the λ cut, the min's term, the last cell with its
+// term, and the count of cells at or above the cut.
+type rowStats struct {
+	sum, lo, cut, loTerm, prev, term float64
+	count                            int
+}
+
+// rowA is the pass-A state of one row while a pass runs: the running sum,
+// min and max of its off-diagonal cells.
+type rowA struct{ sum, lo, hi float64 }
+
+func newRowA() rowA { return rowA{lo: math.Inf(1), hi: math.Inf(-1)} }
+
+// add folds in the next cell. A NaN cell joins the sum but never the min
+// or max.
+func (a rowA) add(f float64) rowA {
+	a.sum += f
+	if f < a.lo {
+		a.lo = f
+	}
+	if f > a.hi {
+		a.hi = f
+	}
+	return a
+}
+
+// spanA folds in the cells of row[from:to], skipping the diagonal column
+// diag.
+func spanA[T float32 | float64](a rowA, row []T, from, to, diag int) rowA {
+	for j := from; j < to; j++ {
+		if j != diag {
+			a = a.add(float64(row[j]))
+		}
+	}
+	return a
+}
+
+// stats readies the row for pass B.
+func (a rowA) stats() rowStats {
+	st := rowStats{sum: a.sum, lo: a.lo, prev: math.NaN()}
+	st.cut = a.lo + LambdaBranchingFactor*(a.hi-a.lo)
+	st.loTerm = plogp(a.lo / a.sum)
+	return st
+}
+
+// sumMinMax4 runs pass A over the four rows from row i, held in block. The
+// block's diagonal cells lie in columns i to i+3: the columns before and
+// after them take all four rows at once, and those four columns go row by
+// row, each row skipping its own cell.
+func sumMinMax4[T float32 | float64](st *[statsBlock]rowStats, block []T, n, i int) {
+	r0, r1, r2, r3 := block[:n], block[n:2*n], block[2*n:3*n], block[3*n:4*n]
+	a0, a1, a2, a3 := newRowA(), newRowA(), newRowA(), newRowA()
+	for _, span := range [2][2]int{{0, i}, {i + statsBlock, n}} {
+		for j := span[0]; j < span[1]; j++ {
+			a0, a1 = a0.add(float64(r0[j])), a1.add(float64(r1[j]))
+			a2, a3 = a2.add(float64(r2[j])), a3.add(float64(r3[j]))
+		}
+		if span[0] == 0 {
+			d := i + statsBlock
+			a0, a1 = spanA(a0, r0, i, d, i), spanA(a1, r1, i, d, i+1)
+			a2, a3 = spanA(a2, r2, i, d, i+2), spanA(a3, r3, i, d, i+3)
+		}
+	}
+	*st = [statsBlock]rowStats{a0.stats(), a1.stats(), a2.stats(), a3.stats()}
+}
+
+// stageTerms writes into terms the entropy term of each cell of one row's
+// chunk of columns, 0 for the row's diagonal cell at chunk index diag, and
+// counts the chunk's off-diagonal cells at or above the cut. Cells no ant
+// has deposited on since τ0 evaporate to the same bits, the row's min, so
+// a row is mostly runs of equal cells: a cell equal to the previous one
+// reuses its term, and a cell equal to the min reuses the min's. A term
+// depends on the cell's value alone, so every staged term has the bits a
+// fresh computation would give. A float32 cell widens exactly, so
+// comparing widened cells compares the float32 values.
+func stageTerms[T float32 | float64](st *rowStats, terms []float64, cells []T, diag int) {
+	terms = terms[:len(cells)]
+	sum, cut, lo, loTerm := st.sum, st.cut, st.lo, st.loTerm
+	prev, term, count := st.prev, st.term, st.count
+	for c, x := range cells {
+		v := float64(x)
+		if v != prev {
+			prev = v
+			if v == lo {
+				term = loTerm
+			} else {
+				term = plogp(v / sum)
+			}
+		}
+		terms[c] = term
+		count += atLeast(v, cut)
+	}
+	if 0 <= diag && diag < len(cells) {
+		terms[diag] = 0
+		count -= atLeast(float64(cells[diag]), cut)
+	}
+	st.prev, st.term, st.count = prev, term, count
+}
+
+// subtract4 subtracts the first m staged terms of each of four rows from
+// the rows' entropies, in column order. Subtracting the diagonal cell's
+// +0 leaves an entropy's bits unchanged, whatever they are.
+func subtract4(h *[statsBlock]float64, terms *[statsBlock][statsChunk]float64, m int) {
+	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
+	t0 := terms[0][:m]
+	t1, t2, t3 := terms[1][:len(t0)], terms[2][:len(t0)], terms[3][:len(t0)]
+	for c := range t0 {
+		h0 -= t0[c]
+		h1 -= t1[c]
+		h2 -= t2[c]
+		h3 -= t3[c]
+	}
+	*h = [statsBlock]float64{h0, h1, h2, h3}
+}
+
+// plogp is the entropy term p·log p of a cell's share p, 0 unless p > 0.
+func plogp(p float64) float64 {
+	if p > 0 {
+		return p * math.Log(p)
+	}
+	return 0
+}
+
+// atLeast is 1 when v >= cut and 0 otherwise (NaN on either side is 0).
+func atLeast(v, cut float64) int {
+	if v >= cut {
+		return 1
+	}
+	return 0
 }

@@ -20,7 +20,7 @@ func uniform(n int, v float64) []float64 {
 
 func TestEntropyUniformIsOne(t *testing.T) {
 	for _, n := range []int{3, 10, 48} {
-		if got := Entropy64(uniform(n, 0.5), n); math.Abs(got-1) > 1e-12 {
+		if got, _ := PheromoneStats64(uniform(n, 0.5), n); math.Abs(got-1) > 1e-12 {
 			t.Errorf("n=%d: entropy of uniform matrix = %g, want 1", n, got)
 		}
 	}
@@ -37,7 +37,7 @@ func TestEntropyConvergedNearZero(t *testing.T) {
 	// A symmetric tour leaves two equal dominant edges per row (successor
 	// and predecessor), so the converged floor is log(2)/log(n-1), not 0.
 	floor := math.Log(2) / math.Log(float64(n-1))
-	if got := Entropy64(m, n); got > floor+1e-6 {
+	if got, _ := PheromoneStats64(m, n); got > floor+1e-6 {
 		t.Fatalf("entropy of converged matrix = %g, want <= floor %g", got, floor)
 	}
 }
@@ -45,7 +45,7 @@ func TestEntropyConvergedNearZero(t *testing.T) {
 func TestLambdaBranchingLimits(t *testing.T) {
 	n := 20
 	// Uniform trails: hi == lo, so every edge clears the cut — n-1 per city.
-	if got := LambdaBranching64(uniform(n, 0.5), n); got != float64(n-1) {
+	if _, got := PheromoneStats64(uniform(n, 0.5), n); got != float64(n-1) {
 		t.Fatalf("λ of uniform matrix = %g, want %d", got, n-1)
 	}
 	// Converged on one tour: exactly the two tour edges per city remain.
@@ -54,7 +54,7 @@ func TestLambdaBranchingLimits(t *testing.T) {
 		m[i*n+(i+1)%n] = 1
 		m[((i+1)%n)*n+i] = 1
 	}
-	if got := LambdaBranching64(m, n); got != 2 {
+	if _, got := PheromoneStats64(m, n); got != 2 {
 		t.Fatalf("λ of converged matrix = %g, want 2", got)
 	}
 }
@@ -68,11 +68,13 @@ func TestFloat32VariantsAgree(t *testing.T) {
 	for i, v := range m64 {
 		m32[i] = float32(v)
 	}
-	if e64, e32 := Entropy64(m64, n), Entropy32(m32, n); math.Abs(e64-e32) > 1e-6 {
-		t.Errorf("Entropy64 %g vs Entropy32 %g", e64, e32)
+	e64, l64 := PheromoneStats64(m64, n)
+	e32, l32 := PheromoneStats32(m32, n)
+	if math.Abs(e64-e32) > 1e-6 {
+		t.Errorf("entropy %g from float64 trails vs %g from float32", e64, e32)
 	}
-	if l64, l32 := LambdaBranching64(m64, n), LambdaBranching32(m32, n); l64 != l32 {
-		t.Errorf("LambdaBranching64 %g vs LambdaBranching32 %g", l64, l32)
+	if l64 != l32 {
+		t.Errorf("λ-branching %g from float64 trails vs %g from float32", l64, l32)
 	}
 }
 
@@ -89,7 +91,7 @@ func TestStagnationMonotonicity(t *testing.T) {
 		tour[i] = i
 	}
 
-	prevE, prevL := Entropy64(m, n), LambdaBranching64(m, n)
+	prevE, prevL := PheromoneStats64(m, n)
 	if math.Abs(prevE-1) > 1e-12 || prevL != n-1 {
 		t.Fatalf("uniform start: entropy %g λ %g, want 1 and %d", prevE, prevL, n-1)
 	}
@@ -102,7 +104,7 @@ func TestStagnationMonotonicity(t *testing.T) {
 			m[a*n+b] += 1
 			m[b*n+a] += 1
 		}
-		e, l := Entropy64(m, n), LambdaBranching64(m, n)
+		e, l := PheromoneStats64(m, n)
 		if e > prevE+1e-12 {
 			t.Fatalf("step %d: entropy rose %g -> %g on a stagnating run", step, prevE, e)
 		}
