@@ -60,12 +60,16 @@ func (sc *constructScratch) reset() {
 }
 
 // visit marks city c visited: it leaves the mask, the ascending list and
-// its class list.
-func (sc *constructScratch) visit(c int) {
+// its class list. at is c's index in the ascending list, or -1 to search
+// for it.
+func (sc *constructScratch) visit(c, at int) {
 	sc.mask[c] = 0
-	sc.unv = removeSorted(sc.unv, int32(c))
+	if at < 0 {
+		at, _ = slices.BinarySearch(sc.unv, int32(c))
+	}
+	sc.unv = deleteAt(sc.unv, at)
 	k := totalClass(c, len(sc.mask))
-	sc.cls[k] = removeSorted(sc.cls[k], int32(c))
+	sc.cls[k] = deleteAt(sc.cls[k], indexOf(sc.cls[k], int32(c)))
 }
 
 // total sums row over the unvisited cities: one accumulator per class
@@ -98,9 +102,23 @@ func (sc *constructScratch) total(row []float32) float32 {
 	return (t0 + t1) + (t2 + t3)
 }
 
-// removeSorted deletes c from an ascending list by an in-order copy.
-func removeSorted(list []int32, c int32) []int32 {
-	i, _ := slices.BinarySearch(list, c)
+// indexOf returns the index of c in an ascending list that holds it. The
+// binary search keeps c in list[lo:lo+n] and moves lo by arithmetic on
+// the sign of c − list[mid] instead of a branch, so no step can be
+// mispredicted (city indices are far below 2³¹, so the difference cannot
+// overflow).
+func indexOf(list []int32, c int32) int {
+	lo, n := 0, len(list)
+	for n > 1 {
+		half := n >> 1
+		lo += half &^ int((c-list[lo+half])>>31)
+		n -= half
+	}
+	return lo
+}
+
+// deleteAt deletes list[i] by an in-order copy, keeping the list ascending.
+func deleteAt(list []int32, i int) []int32 {
 	copy(list[i:], list[i+1:])
 	return list[:len(list)-1]
 }
@@ -113,7 +131,9 @@ func removeSorted(list []int32, c int32) []int32 {
 // shard over the worker pool — each worker builds its contiguous ant range
 // with its own scratch, and the best-so-far folds in afterwards in
 // ant-index order (reduceBest), keeping results bit-identical to the
-// serial loop for any worker count.
+// serial loop for any worker count. On the full rule a worker builds its
+// ants two at a time in lockstep (constructPairFull), and an odd last ant
+// alone.
 //
 // The full rule walks only the unvisited cities. Each worker keeps them as
 // an ascending list for the roulette scan and split into four class lists
@@ -122,8 +142,10 @@ func removeSorted(list []int32, c int32) []int32 {
 // instead of serialising on the add latency. The roulette scan then
 // accumulates the cumulative sum along the ascending list until it
 // crosses the draw, with the last positive city as the r == total
-// fallback (aco.RouletteSelect semantics). A chosen city leaves both lists
-// by an in-order copy. The NN rule stages masked weights from the
+// fallback (aco.RouletteSelect semantics), and returns the winner's index
+// in that list. A chosen city leaves both lists by an in-order copy, the
+// ascending list at that index and its class list where a binary search
+// finds it. The NN rule stages masked weights from the
 // pre-gathered wNN tensor, which its first construction gathers and every
 // update refreshes, and scans them the same way, so its only indexed load
 // is the tabu mask.
@@ -134,17 +156,88 @@ func (e *Engine) ConstructTours(v aco.Variant) {
 		e.refreshNN()
 	}
 	e.iteration++
-	e.forAnts(func(w, ant int) {
-		g := rng.FromState(rng.AntSeed(e.P.Seed, e.iteration, ant))
-		switch v {
-		case aco.NNListConstruction:
+	if v == aco.NNListConstruction {
+		e.forAnts(func(w, ant int) {
+			g := rng.FromState(rng.AntSeed(e.P.Seed, e.iteration, ant))
 			e.constructAntNN(ant, &g, &e.cs[w])
-		default:
-			e.constructAntFull(ant, &g, &e.cs[w])
-		}
-	})
+		})
+	} else {
+		e.pool.run(func(w int) {
+			lo, hi := shard(e.m, e.workers, w)
+			ant := lo
+			for ; ant+1 < hi; ant += 2 {
+				a, b := e.newWalk(ant, &e.cs[w]), e.newWalk(ant+1, &e.cs2[w])
+				e.constructPairFull(&a, &b)
+			}
+			if ant < hi {
+				a := e.newWalk(ant, &e.cs[w])
+				e.constructAntFull(&a)
+			}
+		})
+	}
 	e.reduceBest()
 	e.span("construct", time.Since(start).Seconds())
+}
+
+// fullWalk is one ant's full-rule construction in progress: its tour,
+// random stream and scratch, the current city and the length so far.
+type fullWalk struct {
+	ant    int
+	tour   []int32
+	g      rng.LCG
+	sc     *constructScratch
+	cur    int
+	length int64
+	row    []float32 // the current city's weight row
+}
+
+// newWalk starts ant's construction: it draws the start city and visits
+// it.
+func (e *Engine) newWalk(ant int, sc *constructScratch) fullWalk {
+	n := e.n
+	w := fullWalk{ant: ant, tour: e.Tours[ant*n : (ant+1)*n],
+		g: rng.FromState(rng.AntSeed(e.P.Seed, e.iteration, ant)), sc: sc}
+	sc.reset()
+	w.cur = w.g.Intn(n)
+	w.tour[0] = int32(w.cur)
+	sc.visit(w.cur, w.cur) // the full list holds city j at index j
+	return w
+}
+
+// draw totals the current row over the unvisited cities and, when the
+// total is positive, draws the roulette target r (ok reports whether it
+// did).
+func (w *fullWalk) draw(e *Engine) (r float64, ok bool) {
+	n := e.n
+	w.row = e.weight[w.cur*n : w.cur*n+n]
+	total := w.sc.total(w.row)
+	if !(total > 0) {
+		return 0, false
+	}
+	// The draw resolves in float64 against float32 partial sums so exact
+	// rows reproduce the colony's selection bit for bit.
+	return w.g.Float64() * float64(total), true
+}
+
+// step moves the ant to the city at index at of its unvisited list, or
+// to the best feasible city when at < 0.
+func (w *fullWalk) step(e *Engine, step, at int) {
+	var next int
+	if at >= 0 {
+		next = int(w.sc.unv[at])
+	} else {
+		next = e.bestFeasible(w.cur, w.sc.mask)
+	}
+	w.tour[step] = int32(next)
+	w.sc.visit(next, at)
+	w.length += int64(e.dist[w.cur*e.n+next])
+	w.cur = next
+}
+
+// finish closes the tour and records its length.
+func (w *fullWalk) finish(e *Engine) {
+	w.length += int64(e.dist[w.cur*e.n+int(w.tour[0])])
+	e.Lengths[w.ant] = w.length
 }
 
 // constructAntFull applies the random-proportional rule over the
@@ -156,36 +249,40 @@ func (e *Engine) ConstructTours(v aco.Variant) {
 // with an infinite or NaN weight would turn the masked total into NaN
 // (Inf·0); here it is simply absent, and selection stays proportional
 // over the unvisited cities, as in the float64 colony.
-func (e *Engine) constructAntFull(ant int, g *rng.LCG, sc *constructScratch) {
-	n := e.n
-	tour := e.Tours[ant*n : (ant+1)*n]
-	sc.reset()
-
-	cur := g.Intn(n)
-	tour[0] = int32(cur)
-	sc.visit(cur)
-	length := int64(0)
-
-	for step := 1; step < n; step++ {
-		row := e.weight[cur*n : cur*n+n]
-		total := sc.total(row)
-		next := -1
-		if total > 0 {
-			// The draw resolves in float64 against float32 partial sums so
-			// exact rows reproduce the colony's selection bit for bit.
-			r := g.Float64() * float64(total)
-			next = rouletteList(row, sc.unv, r)
+func (e *Engine) constructAntFull(w *fullWalk) {
+	for step := 1; step < e.n; step++ {
+		at := -1
+		if r, ok := w.draw(e); ok {
+			at = rouletteIndex(w.row, w.sc.unv, r)
 		}
-		if next < 0 {
-			next = e.bestFeasible(cur, sc.mask)
-		}
-		tour[step] = int32(next)
-		sc.visit(next)
-		length += int64(e.dist[cur*n+next])
-		cur = next
+		w.step(e, step, at)
 	}
-	length += int64(e.dist[cur*n+int(tour[0])])
-	e.Lengths[ant] = length
+	w.finish(e)
+}
+
+// constructPairFull is constructAntFull for two ants in lockstep. Both
+// have the same number of unvisited cities at every step, so one loop
+// runs both roulette scans, and the two float add chains, each at the add
+// latency on its own, overlap. Each ant draws, scans and moves exactly as
+// constructAntFull would have it do.
+func (e *Engine) constructPairFull(a, b *fullWalk) {
+	for step := 1; step < e.n; step++ {
+		atA, atB := -1, -1
+		rA, okA := a.draw(e)
+		rB, okB := b.draw(e)
+		switch {
+		case okA && okB:
+			atA, atB = rouletteIndex2(a.row, a.sc.unv, rA, b.row, b.sc.unv, rB)
+		case okA:
+			atA = rouletteIndex(a.row, a.sc.unv, rA)
+		case okB:
+			atB = rouletteIndex(b.row, b.sc.unv, rB)
+		}
+		a.step(e, step, atA)
+		b.step(e, step, atB)
+	}
+	a.finish(e)
+	b.finish(e)
 }
 
 // constructAntNN restricts the probabilistic choice to the nearest-
@@ -263,22 +360,72 @@ func rouletteMasked(mw []float32, r float64) int {
 	return last
 }
 
-// rouletteList is rouletteMasked over a gathered row: it scans the
-// weights of the listed cities in list order and returns the winning
-// city, or -1 when no listed city carries any probability.
-func rouletteList(row []float32, list []int32, r float64) int {
-	last := -1
-	acc := float32(0)
-	for _, j := range list {
-		if w := row[j]; w > 0 {
-			last = int(j)
-			acc += w
-			if float64(acc) >= r {
-				return int(j)
-			}
+// rouletteIndex is rouletteMasked over a gathered row of non-negative
+// weights: it resolves r against the running sum of the listed cities'
+// weights in list order and returns the winner's index in list, or -1
+// when no listed city carries probability. The scan adds every weight: a
+// zero weight adds +0, which leaves the sum's bits as they were, so the
+// sum at each positive weight is the one rouletteMasked would form. Two
+// edges are settled after the loop instead of tracking the last positive
+// weight per city. A zero weight can stop the scan only when r <= 0 (the
+// sum has not moved since it last fell short of r), and then the first
+// positive weight wins; a sum that never reaches r (a draw at a total
+// rounded in another order) goes to the last positive weight.
+func rouletteIndex(row []float32, list []int32, r float64) int {
+	return rouletteFrom(row, list, r, 0, 0)
+}
+
+// rouletteFrom is rouletteIndex resumed at index k with running sum acc.
+func rouletteFrom(row []float32, list []int32, r float64, k int, acc float32) int {
+	for ; k < len(list); k++ {
+		acc += row[list[k]]
+		if float64(acc) >= r {
+			return firstPositive(row, list, k)
 		}
 	}
-	return last
+	return lastPositive(row, list)
+}
+
+// rouletteIndex2 is rouletteIndex over two rows and lists of one length
+// in one loop, until either scan stops; the other resumes alone.
+func rouletteIndex2(rowA []float32, listA []int32, rA float64, rowB []float32, listB []int32, rB float64) (int, int) {
+	var accA, accB float32
+	listB = listB[:len(listA)]
+	for k, ja := range listA {
+		accA += rowA[ja]
+		accB += rowB[listB[k]]
+		doneA, doneB := float64(accA) >= rA, float64(accB) >= rB
+		switch {
+		case doneA && doneB:
+			return firstPositive(rowA, listA, k), firstPositive(rowB, listB, k)
+		case doneA:
+			return firstPositive(rowA, listA, k), rouletteFrom(rowB, listB, rB, k+1, accB)
+		case doneB:
+			return rouletteFrom(rowA, listA, rA, k+1, accA), firstPositive(rowB, listB, k)
+		}
+	}
+	return lastPositive(rowA, listA), lastPositive(rowB, listB)
+}
+
+// firstPositive returns the index of the first positive weight from
+// index k on, or -1.
+func firstPositive(row []float32, list []int32, k int) int {
+	for ; k < len(list); k++ {
+		if row[list[k]] > 0 {
+			return k
+		}
+	}
+	return -1
+}
+
+// lastPositive returns the index of the last positive weight, or -1.
+func lastPositive(row []float32, list []int32) int {
+	for k := len(list) - 1; k >= 0; k-- {
+		if row[list[k]] > 0 {
+			return k
+		}
+	}
+	return -1
 }
 
 // bestFeasible returns the unvisited city with the highest weight from

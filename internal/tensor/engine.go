@@ -19,9 +19,9 @@
 //     n×n matrices (16 MB at n = 1002). Close hands them to the next
 //     engine of the same n through an idle list that holds them weakly,
 //     so a garbage collection reclaims a set no engine took. The next
-//     engine rebuilds η^β, refills τ and the weights and clears Δ, so a
-//     server solving one size job after job allocates no n² memory at
-//     set-up (see matrices.go).
+//     engine rebuilds η^β and refills τ and the weights (Δ is zero unless
+//     an update panicked), so a server solving one size job after job
+//     allocates no n² memory at set-up (see matrices.go).
 //
 //   - Fused evaporate+deposit. Deposits scatter into a dense Δ buffer;
 //     one flat sweep then computes τ ← (1-ρ)τ + Δ, refreshes the weight,
@@ -99,17 +99,18 @@ type Engine struct {
 	delta   []float32 // n×n dense deposit buffer, zero between updates
 	touched []int32   // weight entries invalidated by deposits (α ≠ 1 only)
 
-	// mats owns tau, etaBeta, weight and delta until Close recycles it.
+	// mats owns tau, etaBeta, weight and delta, and the construction
+	// scratch, until Close recycles it.
 	mats *matrices
 
 	// Multicore state: the resolved worker count, the persistent pool, and
-	// one private scratch set per worker — ant-sharded kernels index their
-	// scratch by worker id, never sharing a mask, city list or 2-opt
-	// position table across goroutines.
+	// private scratch per worker — ant-sharded kernels index their scratch
+	// by worker id, never sharing a mask, city list or 2-opt position table
+	// across goroutines.
 	workers int
 	pool    *workerPool
-	cs      []constructScratch
-	ls      []twoOptScratch // allocated on first LocalSearchTours
+	cs, cs2 []constructScratch // cs2 serves the second ant of a full-rule pair
+	ls      []twoOptScratch    // allocated on first LocalSearchTours
 }
 
 // New creates a tensorized Ant System engine with pheromone initialised to
@@ -162,10 +163,6 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 	e.Lengths = make([]int64, e.m)
 	e.BestLen = math.MaxInt64
 	e.pool = newWorkerPool(e.workers)
-	e.cs = make([]constructScratch, e.workers)
-	for w := range e.cs {
-		e.cs[w] = newConstructScratch(n, e.nn)
-	}
 	// Backstop teardown: the pool's parked goroutines reference only the
 	// pool, so an unreachable engine is collectible and this cleanup
 	// releases them even when the caller never calls Close.
@@ -176,6 +173,8 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 
 	e.mats = takeMatrices(n)
 	e.tau, e.etaBeta, e.weight, e.delta = e.mats.tau, e.mats.etaBeta, e.mats.weight, e.mats.delta
+	cs := e.mats.constructScratch(2*e.workers, e.nn)
+	e.cs, e.cs2 = cs[:e.workers], cs[e.workers:]
 
 	// η^β once, in float64, rounded to float32 at the end. It depends only
 	// on the distance and every instance matrix is symmetric, so the upper
@@ -210,6 +209,7 @@ func (e *Engine) Close() {
 	putMatrices(e.mats)
 	e.mats = nil
 	e.tau, e.etaBeta, e.weight, e.delta = nil, nil, nil, nil
+	e.cs, e.cs2 = nil, nil
 }
 
 // resetTau sets every trail to tau and every weight to tauAlpha·η^β in one
@@ -290,11 +290,13 @@ func (e *Engine) UpdatePheromone() {
 }
 
 // scatterDeposit adds d on both directions of every edge of the tour into
-// the Δ buffer; track records the touched entries for the α ≠ 1
-// incremental weight invalidation (the MMAS clamp pass recomputes weights
-// wholesale instead and passes false).
+// the Δ buffer and marks the set dirty until the sweep re-zeroes Δ; track
+// records the touched entries for the α ≠ 1 incremental weight
+// invalidation (the MMAS clamp pass recomputes weights wholesale instead
+// and passes false).
 func (e *Engine) scatterDeposit(tour []int32, d float32, track bool) {
 	n := e.n
+	e.mats.dirty = true
 	prev := int(tour[n-1])
 	for i := 0; i < n; i++ {
 		c := int(tour[i])
@@ -322,6 +324,7 @@ func (e *Engine) applyUpdate() {
 				del[i] = 0
 			}
 		})
+		e.mats.dirty = false
 		e.refreshNN()
 		return
 	}
@@ -337,6 +340,7 @@ func (e *Engine) applyUpdate() {
 			del[i] = 0
 		}
 	})
+	e.mats.dirty = false
 	tau, w := e.tau, e.weight
 	if len(e.touched) >= len(tau)/2 {
 		// Dense deposits (the AS with m = n touches most of the matrix):

@@ -368,25 +368,29 @@ func TestRouletteMasked(t *testing.T) {
 // listed (unvisited) cities can win, whatever the weight of an unlisted
 // one; zero-weight cities are skipped; r = 0 takes the first positive
 // city and r = total the last; a list with no probability mass reports -1.
+// The scan returns the winner's index in the list.
 func TestRouletteList(t *testing.T) {
 	// cities 0 and 3 are visited (unlisted) and heavy; listed weights
 	// 0, 0.25, 0.125, 0 -> cum 0, 0.25, 0.375, 0.375
 	row := []float32{0.5, 0, 0.25, 9, 0.125, 0}
 	list := []int32{1, 2, 4, 5}
-	if got := rouletteList(row, list, 0); got != 2 {
-		t.Errorf("r = 0 selected %d, want first positive city 2", got)
+	for _, c := range []struct {
+		r    float64
+		want int // winning city
+		why  string
+	}{
+		{0, 2, "first positive city"},
+		{0.3, 4, "the crossing city"},
+		{0.375, 4, "last positive city at r = total (zero city 5 must not win)"},
+		{2.0, 4, "last positive city past the total"},
+	} {
+		at := rouletteIndex(row, list, c.r)
+		if at < 0 || list[at] != int32(c.want) {
+			t.Errorf("r = %v selected index %d, want city %d: %s", c.r, at, c.want, c.why)
+		}
 	}
-	if got := rouletteList(row, list, 0.3); got != 4 {
-		t.Errorf("r = 0.3 selected %d, want 4", got)
-	}
-	if got := rouletteList(row, list, 0.375); got != 4 {
-		t.Errorf("r = total selected %d, want last positive city 4 (zero city 5 must not win)", got)
-	}
-	if got := rouletteList(row, list, 2.0); got != 4 {
-		t.Errorf("overshooting r selected %d, want last positive city 4", got)
-	}
-	if got := rouletteList(row, []int32{1, 5}, 0); got != -1 {
-		t.Errorf("all-zero list selected %d, want -1", got)
+	if got := rouletteIndex(row, []int32{1, 5}, 0); got != -1 {
+		t.Errorf("all-zero list selected index %d, want -1", got)
 	}
 }
 

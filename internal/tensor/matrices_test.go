@@ -36,6 +36,22 @@ func idleCount(s *matrices) int {
 	return k
 }
 
+// closeClean closes e after checking that its set, unless marked dirty,
+// has an all-zero Δ: the next engine takes a clean set without clearing
+// it.
+func closeClean(t testing.TB, e *Engine) {
+	t.Helper()
+	if s := e.mats; s != nil && !s.dirty {
+		for i, v := range s.delta {
+			if v != 0 {
+				t.Errorf("set handed back clean with Δ[%d] = %v", i, v)
+				break
+			}
+		}
+	}
+	e.Close()
+}
+
 // sameN48 is a uniform 48-city instance: att48's size, other content.
 func sameN48(t *testing.T) *tsp.Instance {
 	t.Helper()
@@ -133,7 +149,7 @@ func TestRecycledMatricesMatchFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := solveSnapshot(e, step)
-		e.Close()
+		closeClean(t, e)
 		for _, c := range cases {
 			t.Run(alg.name+"/"+c.name, func(t *testing.T) {
 				drainIdle()
@@ -142,7 +158,7 @@ func TestRecycledMatricesMatchFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer e.Close()
+				defer closeClean(t, e)
 				if e.mats != s {
 					t.Fatal("engine did not take the idle set")
 				}
@@ -186,12 +202,45 @@ func usedSet(t *testing.T, in *tsp.Instance, beta float64, panicked bool) *matri
 		if !dirty {
 			t.Fatal("the panicked update left Δ clean; the case is vacuous")
 		}
+		if !s.dirty {
+			t.Fatal("the panicked update left the set marked clean")
+		}
 	}
-	e.Close()
+	closeClean(t, e)
 	if idleCount(s) != 1 {
 		t.Fatal("Close did not put the set on the idle list")
 	}
 	return s
+}
+
+// TestRecycledScratchFitsEngine: a set carries its construction scratch
+// to the next engine of its n, which may run more workers or a wider NN
+// list than the engine that left it; each rule then solves exactly as on
+// a fresh set.
+func TestRecycledScratchFitsEngine(t *testing.T) {
+	in := tsp.MustLoadBenchmark("att48")
+	run := func(nn, workers int, v aco.Variant) runSnapshot {
+		p := aco.DefaultParams()
+		p.Ants, p.NN, p.Workers = 9, nn, workers
+		e, err := New(in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeClean(t, e)
+		for i := 0; i < 3; i++ {
+			e.Iterate(v)
+		}
+		return snapshot(e, nil)
+	}
+	for _, v := range []aco.Variant{aco.FullProbabilistic, aco.NNListConstruction} {
+		drainIdle()
+		want := run(20, 3, v)
+		drainIdle()
+		run(8, 1, aco.NNListConstruction) // leaves one worker's scratch, sized for nn = 8
+		if d := runDiff(run(20, 3, v), want); d != "" {
+			t.Errorf("variant %v on recycled scratch: %s differs from the fresh run", v, d)
+		}
+	}
 }
 
 // TestCloseTwiceRecyclesOnce: a second Close neither puts the set on the
@@ -250,7 +299,7 @@ func TestConcurrentRecyclingMatchesSerial(t *testing.T) {
 		if err != nil {
 			return runSnapshot{}, err
 		}
-		defer e.Close()
+		defer closeClean(t, e)
 		for i := 0; i < 3; i++ {
 			step()
 		}

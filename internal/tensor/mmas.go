@@ -84,6 +84,7 @@ func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
 			}
 		})
 	}
+	m.mats.dirty = false
 	m.refreshNN()
 	m.span("update", time.Since(start).Seconds())
 }

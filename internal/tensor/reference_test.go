@@ -102,6 +102,30 @@ func refMaskedTotal(row, mask, mw []float32) float32 {
 	return (t0 + t1) + (t2 + t3)
 }
 
+// rouletteList is the list scan the full rule ran before it returned the
+// winner's index: it skips zero weights, tracks the last positive city
+// and returns the winning city, or -1 when no listed city carries any
+// probability.
+func rouletteList(row []float32, list []int32, r float64) int {
+	last := -1
+	acc := float32(0)
+	for _, j := range list {
+		if w := row[j]; w > 0 {
+			last = int(j)
+			acc += w
+			if float64(acc) >= r {
+				return int(j)
+			}
+		}
+	}
+	return last
+}
+
+// listWinner is the city at rouletteIndex's returned index, or -1.
+func listWinner(row []float32, list []int32, r float64) int {
+	return cityAt(list, rouletteIndex(row, list, r))
+}
+
 // refReverse flips length tour positions starting at position i (cyclic),
 // wrapping both cursors with % n.
 func refReverse(tour, pos []int32, i, length int) {
@@ -165,6 +189,76 @@ func identityInstances(t *testing.T) []*tsp.Instance {
 // AS without and with 2-opt, and MMAS, all on the full rule. β = 30
 // underflows most weights to zero, which drives the bestFeasible
 // fallback. Both sides run the production 2-opt, whose reversal
+// TestRouletteIndexMatchesListScan pins the index-returning scans to the
+// list scan they replaced, on random ascending lists over random rows with
+// zero weights (none, a few, half or all of a row's): at every draw at 0,
+// inside the range, at each running-sum boundary, at the list-order total
+// and past it, rouletteIndex picks the list scan's city, and so does each
+// half of rouletteIndex2 when it scans that list beside another of the
+// same length. A list without a positive weight gives -1 whatever the
+// draw.
+func TestRouletteIndexMatchesListScan(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(40)
+		l := r.Intn(n + 1)
+		zeros := []int{0, 8, 2, 1}[trial%4] // one weight in zeros is 0 (0: none)
+		rowA, listA, drawsA, totalA := randomScan(r, n, l, zeros)
+		rowB, listB, drawsB, _ := randomScan(r, n, l, zeros)
+		for _, d := range drawsA {
+			want := rouletteList(rowA, listA, d)
+			if got := listWinner(rowA, listA, d); got != want {
+				t.Fatalf("trial %d, list %v, weights %v, r=%v: index scan picked %d, list scan %d", trial, listA, rowA, d, got, want)
+			}
+			if totalA == 0 && want != -1 {
+				t.Fatalf("trial %d: list without a positive weight picked %d at r=%v", trial, want, d)
+			}
+			dB := drawsB[r.Intn(len(drawsB))]
+			atA, atB := rouletteIndex2(rowA, listA, d, rowB, listB, dB)
+			if got := cityAt(listA, atA); got != want {
+				t.Fatalf("trial %d, r=%v beside r=%v: the pair scan's first half picked %d, list scan %d", trial, d, dB, got, want)
+			}
+			if got, want := cityAt(listB, atB), rouletteList(rowB, listB, dB); got != want {
+				t.Fatalf("trial %d, r=%v beside r=%v: the pair scan's second half picked %d, list scan %d", trial, dB, d, got, want)
+			}
+		}
+	}
+}
+
+// randomScan returns a row of n weights spread over 2^±20, one in zeros
+// of them 0 (none when zeros is 0), an ascending list of l of its cities,
+// the list-order total, and the draws to try on it: 0, each running-sum
+// boundary and a point inside each step, just past the total, far past it
+// and +Inf.
+func randomScan(r *rand.Rand, n, l, zeros int) (row []float32, list []int32, draws []float64, total float32) {
+	row = make([]float32, n)
+	for j := range row {
+		row[j] = float32(math.Ldexp(r.Float64(), r.Intn(41)-20))
+		if zeros > 0 && r.Intn(zeros) == 0 {
+			row[j] = 0
+		}
+	}
+	for _, j := range r.Perm(n)[:l] {
+		list = append(list, int32(j))
+	}
+	slices.Sort(list)
+	draws = []float64{0}
+	for _, j := range list {
+		total += row[j]
+		draws = append(draws, float64(total), r.Float64()*float64(total))
+	}
+	draws = append(draws, math.Nextafter(float64(total), math.Inf(1)), 2*float64(total)+1, math.Inf(1))
+	return row, list, draws, total
+}
+
+// cityAt is list[at], or -1 for at < 0.
+func cityAt(list []int32, at int) int {
+	if at < 0 {
+		return -1
+	}
+	return int(list[at])
+}
+
 // TestReverseMatchesModReference pins to the % n reference.
 func TestFullRuleMatchesMaskedReference(t *testing.T) {
 	for _, in := range identityInstances(t) {
@@ -299,10 +393,12 @@ func matchReference(t *testing.T, in *tsp.Instance) {
 // every visit of random tours over random rows: the four-class total must
 // equal the masked four-accumulator total bit for bit, and the list scan
 // must pick the masked scan's city at r = 0, at r = total, at a random r
-// and at a cumulative-sum boundary. Weights spread over 2^±20, with some
-// zeros, so that any change of summation order shows in the rounding; a
-// whole-run comparison would miss most one-ulp differences, which move a
-// selection only when the draw lands within an ulp of a boundary.
+// and at a cumulative-sum boundary. Visits alternate, by trial, between
+// passing the city's index in the ascending list and searching for it.
+// Weights spread over 2^±20, with some zeros, so that any change of
+// summation order shows in the rounding; a whole-run comparison would
+// miss most one-ulp differences, which move a selection only when the
+// draw lands within an ulp of a boundary.
 func TestSelectionMatchesMaskedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 500, 501, 502, 503} {
@@ -338,11 +434,15 @@ func TestSelectionMatchesMaskedReference(t *testing.T) {
 				}
 				draws = append(draws, float64(acc))
 				for _, d := range draws {
-					if got, want := rouletteList(row, sc.unv, d), rouletteMasked(mw, d); got != want {
+					if got, want := listWinner(row, sc.unv, d), rouletteMasked(mw, d); got != want {
 						t.Fatalf("n=%d, %d unvisited, r=%v: scan picked %d, masked reference %d", n, len(sc.unv), d, got, want)
 					}
 				}
-				sc.visit(c)
+				at := -1 // the roulette's step passes c's index, the fallback's searches
+				if trial%2 == 0 {
+					at = slices.Index(sc.unv, int32(c))
+				}
+				sc.visit(c, at)
 				mask[c] = 0
 				if !slices.Equal(sc.mask, mask) {
 					t.Fatalf("n=%d: mask out of step after visiting %d", n, c)
