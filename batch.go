@@ -134,7 +134,11 @@ func NewPool(opts PoolOptions) *Pool {
 	}
 	p := &Pool{workers: workers, metrics: opts.Metrics, logger: opts.Logger, sem: make(chan struct{}, workers)}
 	if !opts.DisableCache {
-		p.cache = sched.NewCache()
+		p.cache = sched.NewCache(
+			p.metrics.Counter("antgpu_pool_cache_hits_total",
+				"Derived-data cache lookups that shared data already computed, by Submit and SolveBatch."),
+			p.metrics.Counter("antgpu_pool_cache_misses_total",
+				"Derived-data cache lookups that computed data, by Submit and SolveBatch."))
 	}
 	return p
 }
@@ -244,7 +248,9 @@ func (p *Pool) poolGauges() (queue, busy metrics.Gauge) {
 func (p *Pool) Metrics() *Metrics { return p.metrics }
 
 // CacheStats returns the pool's cumulative derived-data cache hit and miss
-// counts across all batches served.
+// counts across every Submit and SolveBatch call; a pool with a registry
+// exports the same counts as antgpu_pool_cache_hits_total and
+// antgpu_pool_cache_misses_total.
 func (p *Pool) CacheStats() (hits, misses int64) { return p.cache.Stats() }
 
 // SolveBatch runs every request through Submit and returns their results
@@ -290,12 +296,6 @@ func (p *Pool) SolveBatch(ctx context.Context, reqs []SolveRequest) (*BatchRepor
 	rep.WallSeconds = time.Since(start).Seconds()
 	hits1, misses1 := p.cache.Stats()
 	rep.CacheHits, rep.CacheMisses = hits1-hits0, misses1-misses0
-	if p.metrics != nil {
-		p.metrics.Counter("antgpu_pool_cache_hits_total",
-			"Derived-data cache hits across all batches.").Add(float64(rep.CacheHits))
-		p.metrics.Counter("antgpu_pool_cache_misses_total",
-			"Derived-data cache misses across all batches.").Add(float64(rep.CacheMisses))
-	}
 
 	var merged *trace.Collector
 	for i, it := range rep.Results {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"antgpu/internal/metrics"
 	"antgpu/internal/tsp"
 )
 
@@ -44,15 +45,22 @@ type Cache struct {
 	hits    atomic.Int64
 	misses  atomic.Int64
 
+	// hitCount and missCount count the same lookups as hits and misses,
+	// as each one happens, on a metrics registry (no-ops when zero).
+	hitCount, missCount metrics.Counter
+
 	// derive and attach compute a miss: tsp.Instance.Derive and
 	// tsp.Derived.WithLists, which tests replace to count or fail them.
 	derive func(in *tsp.Instance, nn int, lists bool) *tsp.Derived
 	attach func(d *tsp.Derived, in *tsp.Instance) *tsp.Derived
 }
 
-// NewCache returns an empty derived-data cache.
-func NewCache() *Cache {
+// NewCache returns an empty derived-data cache that also adds every hit
+// and miss to the given counters as it happens; zero-valued counters count
+// nothing.
+func NewCache(hits, misses metrics.Counter) *Cache {
 	return &Cache{entries: make(map[cacheKey]*cacheEntry),
+		hitCount: hits, missCount: misses,
 		derive: (*tsp.Instance).Derive, attach: (*tsp.Derived).WithLists}
 }
 
@@ -79,15 +87,21 @@ func (c *Cache) Derived(in *tsp.Instance, nn int, lists bool) *tsp.Derived {
 	defer e.mu.Unlock()
 	switch {
 	case e.d == nil:
-		c.misses.Add(1)
+		c.miss()
 		e.d = c.derive(in, nn, lists)
 	case lists && e.d.List == nil:
-		c.misses.Add(1)
+		c.miss()
 		e.d = c.attach(e.d, in)
 	default:
 		c.hits.Add(1)
+		c.hitCount.Inc()
 	}
 	return e.d
+}
+
+func (c *Cache) miss() {
+	c.misses.Add(1)
+	c.missCount.Inc()
 }
 
 // Stats returns the cumulative hit and miss counts. A miss is a Derived

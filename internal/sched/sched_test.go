@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"antgpu/internal/metrics"
 	"antgpu/internal/tsp"
 )
 
@@ -19,7 +20,7 @@ func loadInstance(t *testing.T, name string) *tsp.Instance {
 }
 
 func TestCacheHitsAndMisses(t *testing.T) {
-	c := NewCache()
+	c := NewCache(metrics.Counter{}, metrics.Counter{})
 	in := loadInstance(t, "att48")
 	d1 := c.Derived(in, 30, true)
 	if d1 == nil || d1.N != in.N() || d1.List == nil {
@@ -68,7 +69,7 @@ func TestCacheNilReceiverComputesFresh(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache()
+	c := NewCache(metrics.Counter{}, metrics.Counter{})
 	in := loadInstance(t, "kroC100")
 	const goroutines = 16
 	results := make([]*tsp.Derived, goroutines)
@@ -99,7 +100,7 @@ func TestCacheSingleflight(t *testing.T) {
 // compute C^nn and the NN lists; the counters are atomic, so concurrent
 // tests may read them after their goroutines have finished.
 func countingCache() (c *Cache, cnn, lists *atomic.Int32) {
-	c, cnn, lists = NewCache(), new(atomic.Int32), new(atomic.Int32)
+	c, cnn, lists = NewCache(metrics.Counter{}, metrics.Counter{}), new(atomic.Int32), new(atomic.Int32)
 	c.derive = func(in *tsp.Instance, nn int, withLists bool) *tsp.Derived {
 		cnn.Add(1)
 		if withLists {
@@ -199,7 +200,7 @@ func TestCacheConcurrentMixedRequests(t *testing.T) {
 // entry this failed: the Once completed despite the panic, and every later
 // request for the key got nil forever.
 func TestCachePanicDoesNotPoisonEntry(t *testing.T) {
-	c := NewCache()
+	c := NewCache(metrics.Counter{}, metrics.Counter{})
 	in := loadInstance(t, "att48")
 	calls := 0
 	c.derive = func(in *tsp.Instance, nn int, lists bool) *tsp.Derived {
@@ -231,7 +232,7 @@ func TestCachePanicDoesNotPoisonEntry(t *testing.T) {
 // lists leaves the entry's list-less value in place; list-less requests
 // keep sharing it and the next request with lists attaches them.
 func TestCacheAttachPanicDoesNotPoisonEntry(t *testing.T) {
-	c := NewCache()
+	c := NewCache(metrics.Counter{}, metrics.Counter{})
 	in := loadInstance(t, "att48")
 	calls := 0
 	c.attach = func(d *tsp.Derived, in *tsp.Instance) *tsp.Derived {

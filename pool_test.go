@@ -263,3 +263,69 @@ func TestSolveBatchMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheCountersCountEveryLookup: the pool's cache counters count every
+// derived-data lookup as it happens, whichever entry point made it, so
+// they equal CacheStats after Submit calls alone and after two concurrent
+// batches on the same pool.
+func TestCacheCountersCountEveryLookup(t *testing.T) {
+	att, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kro, err := antgpu.LoadBenchmark("kroC100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := antgpu.NewMetrics()
+	pool := antgpu.NewPool(antgpu.PoolOptions{Workers: 2, Metrics: reg})
+	req := func(in *antgpu.Instance) antgpu.SolveRequest {
+		return antgpu.SolveRequest{Instance: in, Options: antgpu.SolveOptions{
+			Iterations: 1, Params: antgpu.Params{Ants: 4}}}
+	}
+	check := func(when string, wantHits, wantMisses int64) {
+		t.Helper()
+		hits, misses := pool.CacheStats()
+		if hits != wantHits || misses != wantMisses {
+			t.Fatalf("%s: CacheStats = %d hits / %d misses, want %d / %d", when, hits, misses, wantHits, wantMisses)
+		}
+		for _, c := range []struct {
+			family string
+			want   int64
+		}{{"antgpu_pool_cache_hits_total", hits}, {"antgpu_pool_cache_misses_total", misses}} {
+			if reg.Snapshot().Family(c.family) == nil {
+				t.Fatalf("%s: %s is not exported", when, c.family)
+			}
+			if v := seriesValue(reg, c.family, ""); v != float64(c.want) {
+				t.Errorf("%s: %s = %v, CacheStats %d", when, c.family, v, c.want)
+			}
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		if _, err := pool.Submit(context.Background(), req(att), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("three Submit calls", 2, 1)
+
+	batches := [][]antgpu.SolveRequest{
+		{req(att), req(kro), req(att), req(kro)},
+		{req(kro), req(att), req(kro), req(kro)},
+	}
+	var wg sync.WaitGroup
+	for _, reqs := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := pool.SolveBatch(context.Background(), reqs)
+			if err != nil {
+				t.Error(err)
+			} else if rep.Errs() != 0 {
+				t.Errorf("batch: %d failed requests", rep.Errs())
+			}
+		}()
+	}
+	wg.Wait()
+	check("two concurrent batches", 9, 2)
+}
