@@ -2,6 +2,8 @@ package antgpu_test
 
 import (
 	"bufio"
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -161,9 +163,9 @@ func goldenLine(in *antgpu.Instance, c goldenCell) (string, error) {
 }
 
 // goldenKinds are the first fields that mark a table row as belonging to
-// TestGoldenMMASSchedule, TestGoldenFaults or TestGoldenIslands rather than
-// to the main sweep.
-var goldenKinds = map[string]bool{"schedule": true, "fault": true, "islands": true}
+// TestGoldenMMASSchedule, TestGoldenFaults, TestGoldenIslands or
+// TestGoldenTraces rather than to the main sweep.
+var goldenKinds = map[string]bool{"schedule": true, "fault": true, "islands": true, "trace": true}
 
 // readGolden loads the committed table rows of one kind, keyed by their
 // first keyLen fields: the sweep's cells for kind "", or the rows whose
@@ -518,5 +520,123 @@ func checkGoldenLine(t *testing.T, want map[string]string, keyLen int, got strin
 	}
 	if got != w {
 		t.Errorf("result changed\n got: %s\nwant: %s", got, w)
+	}
+}
+
+// goldenTraceCell is one profiled run of TestGoldenTraces: its name in the
+// table, whether its trace carries host wall-clock time (the tensor
+// backend), and the run that returns the trace.
+type goldenTraceCell struct {
+	name      string
+	wallClock bool
+	run       func(*antgpu.Instance) (*antgpu.Trace, error)
+}
+
+// goldenTraceCells lists the profiled sweep on att48, seed 1: every cell of
+// the main sweep (every solvable pair, AS with 2-opt on each backend, both
+// construction rules on cpu and tensor) at its 4 iterations, the
+// die-failover fault cell of TestGoldenFaults at 4 iterations, and a
+// 3-island SolveIslands run with transient faults and one island killed and
+// respawned.
+func goldenTraceCells() []goldenTraceCell {
+	var cells []goldenTraceCell
+	for _, c := range goldenCells() {
+		if c.instance != "att48" || c.seed != 1 {
+			continue
+		}
+		c := c
+		cells = append(cells, goldenTraceCell{strings.ReplaceAll(c.key(), " ", "/"), c.backend == antgpu.BackendTensor,
+			func(in *antgpu.Instance) (*antgpu.Trace, error) {
+				res, err := antgpu.Solve(in, antgpu.SolveOptions{
+					Algorithm: c.alg, Backend: c.backend, Iterations: goldenIterations,
+					Params: antgpu.Params{Seed: c.seed}, Variant: c.variant, LocalSearch: c.ls, Profile: true,
+				})
+				if err != nil {
+					return nil, err
+				}
+				return res.Trace, nil
+			}})
+	}
+	cells = append(cells, goldenTraceCell{"att48/1/gpu/as/die-failover", false,
+		func(in *antgpu.Instance) (*antgpu.Trace, error) {
+			res, err := antgpu.Solve(in, antgpu.SolveOptions{
+				Backend: antgpu.BackendGPU, Iterations: goldenIterations, Params: antgpu.Params{Seed: 1},
+				Faults: &antgpu.FaultPlan{DieAtLaunch: 12}, Recovery: &antgpu.RecoveryOptions{MaxConsecutiveFaults: 2},
+				Profile: true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			if r := res.Recovery; !r.Degraded || r.Resets == 0 {
+				return nil, fmt.Errorf("solve no longer resets and fails over: %+v", r)
+			}
+			return res.Trace, nil
+		}})
+	cells = append(cells, goldenTraceCell{"att48/1/islands/respawn", false,
+		func(in *antgpu.Instance) (*antgpu.Trace, error) {
+			res, err := antgpu.SolveIslands(in, antgpu.IslandOptions{
+				Islands: 3, Iterations: goldenIterations, Params: antgpu.Params{Seed: 1},
+				MigrationEvery: 2, StagnationIters: 2,
+				Faults:       &antgpu.FaultPlan{Seed: 20, LaunchRate: 0.02, ECCRate: 0.01},
+				IslandFaults: []*antgpu.FaultPlan{nil, {DieAtLaunch: 14}},
+				Respawn:      true, Profile: true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			if res.Report.Islands[1].Respawns != 1 {
+				return nil, fmt.Errorf("island 1 no longer respawns: %+v", res.Report.Islands[1])
+			}
+			return res.Trace, nil
+		}})
+	return cells
+}
+
+// goldenTraceLine runs one trace cell and renders its table line: the key
+// ("trace", cell name), the event count and a SHA-256 digest — of the whole
+// Chrome trace export, or, for a wall-clock trace, of its event name and
+// category sequence.
+func goldenTraceLine(in *antgpu.Instance, c goldenTraceCell) (string, error) {
+	tr, err := c.run(in)
+	if err != nil {
+		return "", err
+	}
+	var buf bytes.Buffer
+	if c.wallClock {
+		for _, ev := range tr.Events() {
+			fmt.Fprintf(&buf, "%s %s\n", ev.Name, ev.Cat)
+		}
+	} else if err := tr.WriteChromeTrace(&buf); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("trace %s %d %x", c.name, len(tr.Events()), sha256.Sum256(buf.Bytes())), nil
+}
+
+// TestGoldenTraces pins the profiler's view of every pair: the Chrome trace
+// of each simulated-clock run byte for byte, and the phase and kernel
+// sequence of each tensor run, whose leaves carry host wall-clock time.
+func TestGoldenTraces(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden table is pinned on amd64; other ports may fuse multiply-adds")
+	}
+	want := readGolden(t, "trace", 2)
+	cells := goldenTraceCells()
+	if len(want) != len(cells) {
+		t.Errorf("%s has %d trace cells, the sweep has %d", goldenPath, len(want), len(cells))
+	}
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			got, err := goldenTraceLine(in, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGoldenLine(t, want, 2, got)
+		})
 	}
 }
