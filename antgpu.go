@@ -563,9 +563,7 @@ func cpuEngine(c *aco.Colony, tr *trace.Collector, iterate func()) *engine {
 // gpuEngine adapts a simulated-GPU engine. Its seconds are the summed
 // simulated kernel time of every iteration.
 func gpuEngine(e *core.Engine, tr *trace.Collector, free func(), iterate func() (*core.IterationResult, error)) *engine {
-	if tr != nil {
-		e.SetTracer(tr)
-	}
+	e.SetTracer(tr)
 	secs := 0.0
 	return &engine{
 		step: func() error {
@@ -573,7 +571,7 @@ func gpuEngine(e *core.Engine, tr *trace.Collector, free func(), iterate func() 
 			if err != nil {
 				return err
 			}
-			secs += res.Construct.Seconds() + res.Update.Seconds()
+			secs += res.Seconds()
 			return nil
 		},
 		best:    e.Best,
@@ -664,14 +662,11 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if err != nil {
 			return nil, err
 		}
+		iterate := func() { c.Iterate(v) }
 		if opts.LocalSearch {
-			return cpuEngine(c, tr, func() {
-				c.ConstructTours(v)
-				c.LocalSearchTours(c.Ants())
-				c.UpdatePheromone()
-			}), nil
+			iterate = func() { c.IterateWithLocalSearch(v) }
 		}
-		return cpuEngine(c, tr, func() { c.Iterate(v) }), nil
+		return cpuEngine(c, tr, iterate), nil
 	case pair{BackendCPU, AlgorithmACS}:
 		a, err := aco.NewACSColony(in, acs, d)
 		if err != nil {

@@ -249,7 +249,7 @@ func tracedRun(stdout io.Writer, dev *antgpu.Device, in *antgpu.Instance, p antg
 		if err != nil {
 			return err
 		}
-		total += res.Construct.Seconds() + res.Update.Seconds()
+		total += res.Seconds()
 		_, best := e.Best()
 		fmt.Fprintf(stdout, "iter %3d: best %8d | construct %8.3f ms | update %8.3f ms\n",
 			i, best, res.Construct.Millis(), res.Update.Millis())

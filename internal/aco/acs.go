@@ -249,7 +249,7 @@ func powAlpha(x, p float64) float64 {
 
 // Iterate runs one full ACS iteration.
 func (a *ACS) Iterate() {
-	defer a.phase("iteration")()
+	defer a.Tracer.Phase("iteration")()
 	a.ConstructTours()
 	a.GlobalUpdate()
 }

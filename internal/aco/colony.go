@@ -169,16 +169,6 @@ func (c *Colony) cpuSpan(name string, mtr *Meter) {
 	c.Tracer.Span(name, DefaultCPU().Seconds(mtr))
 }
 
-// phase opens a grouping span on the tracer and returns its closer; both
-// are no-ops without a tracer, so call sites read `defer c.phase("name")()`.
-func (c *Colony) phase(name string) func() {
-	if c.Tracer == nil {
-		return func() {}
-	}
-	c.Tracer.Begin(name)
-	return c.Tracer.End
-}
-
 // heuristic returns η(i,j)^β with the ACOTSP guard against zero distances.
 func (c *Colony) heuristic(d int32) float64 {
 	return 1.0 / (float64(d) + 0.1)
@@ -420,7 +410,7 @@ func (c *Colony) DepositAnts(count int) {
 // UpdatePheromone runs the full pheromone stage: evaporation, deposit, and
 // — as in ACOTSP — recomputation of the choice information.
 func (c *Colony) UpdatePheromone() {
-	defer c.phase("update")()
+	defer c.Tracer.Phase("update")()
 	c.Evaporate()
 	c.Deposit()
 	c.ComputeChoiceInfo()
@@ -428,8 +418,18 @@ func (c *Colony) UpdatePheromone() {
 
 // Iterate runs one full Ant System iteration.
 func (c *Colony) Iterate(v Variant) {
-	defer c.phase("iteration")()
+	defer c.Tracer.Phase("iteration")()
 	c.ConstructTours(v)
+	c.UpdatePheromone()
+}
+
+// IterateWithLocalSearch is Iterate with 2-opt applied to every ant's tour
+// between construction and the pheromone update — the AS + local-search
+// configuration of ACOTSP.
+func (c *Colony) IterateWithLocalSearch(v Variant) {
+	defer c.Tracer.Phase("iteration")()
+	c.ConstructTours(v)
+	c.LocalSearchTours(c.m)
 	c.UpdatePheromone()
 }
 

@@ -174,7 +174,7 @@ func (m *MMAS) resetTrails() {
 // the deposit of the one depositing tour of the given length, trail
 // clamping, and the choice recomputation.
 func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
-	defer m.phase("update")()
+	defer m.Tracer.Phase("update")()
 	m.Evaporate()
 	m.depositTour(tour, 1/float64(length))
 
@@ -196,7 +196,7 @@ func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
 // Iterate runs one full MMAS iteration with the given construction
 // variant.
 func (m *MMAS) Iterate(v Variant) {
-	defer m.phase("iteration")()
+	defer m.Tracer.Phase("iteration")()
 	m.ConstructTours(v)
 	useBest, reset := m.Next(m.BestLen)
 	ant := IterationBest(m.Lengths)

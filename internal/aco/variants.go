@@ -63,7 +63,7 @@ func NewEASColony(in *tsp.Instance, p Params, d *tsp.Derived) (*EAS, error) {
 // UpdatePheromone applies the AS update plus the elitist bonus on the
 // best-so-far tour, weighted e = m.
 func (e *EAS) UpdatePheromone() {
-	defer e.phase("update")()
+	defer e.Tracer.Phase("update")()
 	e.Evaporate()
 	e.Deposit()
 	if e.BestTour != nil {
@@ -86,7 +86,7 @@ func (c *Colony) depositTour(tour []int32, delta float64) {
 
 // Iterate runs one full EAS iteration.
 func (e *EAS) Iterate(v Variant) {
-	defer e.phase("iteration")()
+	defer e.Tracer.Phase("iteration")()
 	e.ConstructTours(v)
 	e.UpdatePheromone()
 }
@@ -111,7 +111,7 @@ func NewRankColony(in *tsp.Instance, p Params, d *tsp.Derived) (*RankAS, error) 
 
 // UpdatePheromone applies the rank-based update.
 func (r *RankAS) UpdatePheromone() {
-	defer r.phase("update")()
+	defer r.Tracer.Phase("update")()
 	r.Evaporate()
 	ranked := RankedAnts(r.Lengths)
 	r.PheromoneMeter.Ops += float64(r.m) * 12 // sort cost, ~m log m
@@ -128,7 +128,7 @@ func (r *RankAS) UpdatePheromone() {
 
 // Iterate runs one full ASrank iteration.
 func (r *RankAS) Iterate(v Variant) {
-	defer r.phase("iteration")()
+	defer r.Tracer.Phase("iteration")()
 	r.ConstructTours(v)
 	r.UpdatePheromone()
 }

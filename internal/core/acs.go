@@ -68,7 +68,7 @@ func (a *ACSEngine) Free() {
 // local pheromone updates.
 func (a *ACSEngine) ConstructTours() (*StageResult, error) {
 	e := a.Engine
-	defer e.span("construct")()
+	defer e.Tracer.Phase("construct")()
 	e.iteration++
 	stage := &StageResult{}
 
@@ -289,7 +289,7 @@ func (a *ACSEngine) localUpdate(t *cuda.Thread, i, j int, xi, tau0, alpha, beta 
 // update kernel: one thread per edge of the best tour.
 func (a *ACSEngine) GlobalUpdate() (*StageResult, error) {
 	e := a.Engine
-	defer e.span("update")()
+	defer e.Tracer.Phase("update")()
 	best, bestLen := e.Best()
 	if best == nil {
 		return nil, fmt.Errorf("core: ACS global update before any ReadBest")
@@ -333,21 +333,5 @@ func (a *ACSEngine) GlobalUpdate() (*StageResult, error) {
 
 // Iterate runs one full GPU ACS iteration and returns its stages.
 func (a *ACSEngine) Iterate() (*IterationResult, error) {
-	if a.SampleBudget > 0 {
-		return nil, fmt.Errorf("core: ACS Iterate needs full functional execution; clear SampleBudget")
-	}
-	defer a.span("iteration")()
-	construct, err := a.ConstructTours()
-	if err != nil {
-		return nil, err
-	}
-	ant, l, err := a.ReadBest()
-	if err != nil {
-		return nil, err
-	}
-	update, err := a.GlobalUpdate()
-	if err != nil {
-		return nil, err
-	}
-	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
+	return a.iterate(a.ConstructTours, func(int) (*StageResult, error) { return a.GlobalUpdate() })
 }

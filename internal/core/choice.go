@@ -16,7 +16,7 @@ const choiceBlock = 256
 // Accesses are perfectly coalesced and the kernel is compute-bound on the
 // two powf calls.
 func (e *Engine) ChoiceKernel() (*cuda.LaunchResult, error) {
-	defer e.span("choice")()
+	defer e.Tracer.Phase("choice")()
 	n := e.n
 	cells := n * n
 	alpha := float32(e.P.Alpha)

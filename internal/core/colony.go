@@ -13,7 +13,7 @@ import (
 // kernel itself — so stage times compose the same way the paper's Table II
 // rows do.
 func (e *Engine) ConstructTours(v TourVersion) (*StageResult, error) {
-	defer e.span("construct")()
+	defer e.Tracer.Phase("construct")()
 	e.iteration++
 	stage := &StageResult{}
 
@@ -85,7 +85,7 @@ func (e *Engine) ReadBest() (int, int64, error) {
 // Best returns the best tour seen by ReadBest so far and its length.
 func (e *Engine) Best() ([]int32, int64) { return e.bestTour, e.bestLen }
 
-// IterationResult reports the stages of one full GPU Ant System iteration.
+// IterationResult reports the stages of one full GPU iteration.
 type IterationResult struct {
 	Construct *StageResult
 	Update    *StageResult
@@ -93,20 +93,21 @@ type IterationResult struct {
 	BestLen   int64
 }
 
-// Millis returns the total simulated iteration time.
-func (r *IterationResult) Millis() float64 {
-	return r.Construct.Millis() + r.Update.Millis()
+// Seconds returns the total simulated iteration time.
+func (r *IterationResult) Seconds() float64 {
+	return r.Construct.Seconds() + r.Update.Seconds()
 }
 
-// Iterate runs one full iteration — tour construction, best tracking,
-// pheromone update — with the selected kernel versions. Sampling must be
-// disabled (SampleBudget = 0) for the colony loop to be functional.
-func (e *Engine) Iterate(tv TourVersion, pv PherVersion) (*IterationResult, error) {
+// iterate is the iteration skeleton every GPU algorithm runs: inside one
+// "iteration" span it runs construct, scans the tours with ReadBest and
+// runs update with the iteration-best ant. Sampling must be disabled
+// (SampleBudget = 0), since sampled launches leave most tours unbuilt.
+func (e *Engine) iterate(construct func() (*StageResult, error), update func(ant int) (*StageResult, error)) (*IterationResult, error) {
 	if e.SampleBudget > 0 {
 		return nil, fmt.Errorf("core: Iterate needs full functional execution; clear SampleBudget (%d)", e.SampleBudget)
 	}
-	defer e.span("iteration")()
-	construct, err := e.ConstructTours(tv)
+	defer e.Tracer.Phase("iteration")()
+	c, err := construct()
 	if err != nil {
 		return nil, err
 	}
@@ -114,11 +115,18 @@ func (e *Engine) Iterate(tv TourVersion, pv PherVersion) (*IterationResult, erro
 	if err != nil {
 		return nil, err
 	}
-	update, err := e.UpdatePheromone(pv)
+	u, err := update(ant)
 	if err != nil {
 		return nil, err
 	}
-	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
+	return &IterationResult{Construct: c, Update: u, BestAnt: ant, BestLen: l}, nil
+}
+
+// Iterate runs one full iteration — tour construction, best tracking,
+// pheromone update — with the selected kernel versions.
+func (e *Engine) Iterate(tv TourVersion, pv PherVersion) (*IterationResult, error) {
+	return e.iterate(func() (*StageResult, error) { return e.ConstructTours(tv) },
+		func(int) (*StageResult, error) { return e.UpdatePheromone(pv) })
 }
 
 // Run executes iters full iterations and returns the best tour found, its
@@ -130,7 +138,7 @@ func (e *Engine) Run(tv TourVersion, pv PherVersion, iters int) ([]int32, int64,
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		total += res.Construct.Seconds() + res.Update.Seconds()
+		total += res.Seconds()
 	}
 	tour, l := e.Best()
 	return tour, l, total, nil

@@ -347,16 +347,6 @@ func (e *Engine) RecordConvergence(conv *metrics.Convergence) {
 	conv.RecordPheromone32(e.pher.Data(), e.n)
 }
 
-// span opens a phase span on the tracer and returns its closer; both are
-// no-ops without a tracer, so call sites read `defer e.span("name")()`.
-func (e *Engine) span(name string) func() {
-	if e.Tracer == nil {
-		return func() {}
-	}
-	e.Tracer.Begin(name)
-	return e.Tracer.End
-}
-
 // heuristicF32 mirrors aco.Colony's η guard for float32 device math.
 func heuristicF32(d float32) float32 { return 1.0 / (d + 0.1) }
 

@@ -326,9 +326,7 @@ func (is *island) step() error {
 		is.sinceImprove = 0
 		is.stats.Restarts++
 		is.restartC.Inc()
-		if is.tr != nil {
-			is.tr.Span("island:restart", 0)
-		}
+		is.tr.Span("island:restart", 0)
 		if is.lg.Enabled(slog.LevelInfo) {
 			is.lg.Event(is.ctx, obslog.EvRestart,
 				slog.Int("iter", is.rc.Iterations()), slog.Int64("best_len", is.bestLen))
@@ -497,7 +495,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 				is.state = IslandRespawned
 				is.respawnC.Inc()
 				is.stateG.Set(float64(IslandRespawned))
-				is.rc.traceFault("island:respawn", 0)
+				is.tr.Fault("island:respawn", 0)
 				if is.lg.Enabled(slog.LevelInfo) {
 					is.lg.Event(is.ctx, obslog.EvRespawn,
 						slog.Int("fleet_iter", it+1), slog.Int("respawns", is.stats.Respawns))
@@ -509,7 +507,7 @@ func RunIslands(ctx context.Context, devices []*cuda.Device, in *tsp.Instance, p
 				is.stats.QuarantineIteration = it + 1
 				is.quarC.Inc()
 				is.stateG.Set(float64(IslandQuarantined))
-				is.rc.traceFault("island:quarantine", 0)
+				is.tr.Fault("island:quarantine", 0)
 				active--
 				activeG.Set(float64(active))
 				if is.lg.Enabled(slog.LevelInfo) {
@@ -635,9 +633,7 @@ func migrateRing(islands []*island, weight float64) {
 		recv.rc.Checkpoint()
 		recv.stats.MigrationsAccepted++
 		recv.migAccC.Inc()
-		if recv.tr != nil {
-			recv.tr.Span("island:migration-accept", 0)
-		}
+		recv.tr.Span("island:migration-accept", 0)
 		if recv.lg.Enabled(slog.LevelInfo) {
 			recv.lg.Event(recv.ctx, obslog.EvMigration,
 				slog.String("outcome", "accepted"), slog.Int64("adopted_len", off.l))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"antgpu/internal/aco"
 	"antgpu/internal/cuda"
 	"antgpu/internal/tsp"
@@ -82,29 +80,15 @@ func (m *MMASEngine) clampKernel() (*cuda.LaunchResult, error) {
 // Iterate runs one full GPU MMAS iteration, constructing with tour kernel
 // tv, and returns its stages.
 func (m *MMASEngine) Iterate(tv TourVersion) (*IterationResult, error) {
-	if m.SampleBudget > 0 {
-		return nil, fmt.Errorf("core: MMAS Iterate needs full functional execution; clear SampleBudget")
-	}
 	e := m.Engine
-	defer m.span("iteration")()
-
-	construct, err := e.ConstructTours(tv)
-	if err != nil {
-		return nil, err
-	}
-	ant, iterBestLen, err := e.ReadBest()
-	if err != nil {
-		return nil, err
-	}
-	best, bestLen := e.Best()
-	useBest, reset := m.Next(bestLen)
-	tour, length := e.Tour(ant), iterBestLen
-	if useBest {
-		tour, length = best, bestLen
-	}
-
-	update, err := func() (*StageResult, error) {
-		defer m.span("update")()
+	return e.iterate(func() (*StageResult, error) { return e.ConstructTours(tv) }, func(ant int) (*StageResult, error) {
+		best, bestLen := e.Best()
+		useBest, reset := m.Next(bestLen)
+		tour, length := e.Tour(ant), e.lastBest
+		if useBest {
+			tour, length = best, bestLen
+		}
+		defer e.Tracer.Phase("update")()
 		update := &StageResult{}
 		evap, err := e.EvaporateKernel()
 		if err != nil {
@@ -130,12 +114,7 @@ func (m *MMASEngine) Iterate(tv TourVersion) (*IterationResult, error) {
 			update.add(reset)
 		}
 		return update, nil
-	}()
-	if err != nil {
-		return nil, err
-	}
-
-	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: iterBestLen}, nil
+	})
 }
 
 // BoundsValid reports whether every device trail lies in [τmin, τmax]

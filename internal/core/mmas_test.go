@@ -42,7 +42,7 @@ func TestMMASEngineBoundsHoldAcrossIterations(t *testing.T) {
 			if !m.BoundsValid() {
 				t.Fatalf("%s iteration %d: trails escaped [τmin, τmax]", dev.Name, i+1)
 			}
-			if res.Millis() <= 0 {
+			if res.Seconds() <= 0 {
 				t.Errorf("%s: non-positive iteration time", dev.Name)
 			}
 		}

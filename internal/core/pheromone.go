@@ -13,7 +13,7 @@ import (
 // (1) and (2); the scatter-to-gather versions fold evaporation into their
 // per-cell kernels.
 func (e *Engine) EvaporateKernel() (*cuda.LaunchResult, error) {
-	defer e.span("evaporation")()
+	defer e.Tracer.Phase("evaporation")()
 	cells := e.n * e.n
 	factor := float32(1 - e.P.Rho)
 	grid := (cells + choiceBlock - 1) / choiceBlock
@@ -59,7 +59,7 @@ func (e *Engine) EvaporateKernel() (*cuda.LaunchResult, error) {
 // is first loaded cooperatively into shared memory (version 1); otherwise
 // every thread loads its two tour entries from global memory (version 2).
 func (e *Engine) depositAtomic(staged bool) (*cuda.LaunchResult, error) {
-	defer e.span("deposit")()
+	defer e.Tracer.Phase("deposit")()
 	n, m := e.n, e.m
 	threads := e.theta
 	chunks := (n + threads - 1) / threads
@@ -186,7 +186,7 @@ type scatterPlan struct {
 // may sample every antStride-th ant; the engine rescales the meters so the
 // reported launch cost is exact in expectation (see rescaleAnts).
 func (e *Engine) pherScatterGather(v PherVersion) (*cuda.LaunchResult, error) {
-	defer e.span("reduction")()
+	defer e.Tracer.Phase("reduction")()
 	n, m := e.n, e.m
 	plan := scatterPlan{version: v}
 	switch v {
@@ -483,9 +483,7 @@ func (e *Engine) pherScatterGather(v PherVersion) (*cuda.LaunchResult, error) {
 	}
 	if antStride > 1 {
 		rescaleAnts(res, e.Dev, &cfg, float64(m)/float64(scanned))
-		if e.Tracer != nil {
-			e.Tracer.AmendLastKernel(res)
-		}
+		e.Tracer.AmendLastKernel(res)
 	}
 	return res, nil
 }
@@ -525,7 +523,7 @@ func upperTriangle(k, n int) (int, int) {
 // UpdatePheromone runs one full pheromone-update stage with the selected
 // version and returns the kernels launched.
 func (e *Engine) UpdatePheromone(v PherVersion) (*StageResult, error) {
-	defer e.span("update")()
+	defer e.Tracer.Phase("update")()
 	stage := &StageResult{}
 	switch v {
 	case PherAtomicShared, PherAtomic:

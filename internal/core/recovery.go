@@ -234,12 +234,10 @@ func (r *Recoverer) attempt() error {
 		if err != nil {
 			return err
 		}
-		if r.tr != nil {
-			e.SetTracer(r.tr)
-		}
+		e.SetTracer(r.tr)
 		r.eng = e
 		if r.cp != nil {
-			r.traceFault("recovery:replay", 0)
+			r.tr.Fault("recovery:replay", 0)
 			if err := e.Restore(r.cp); err != nil {
 				return err
 			}
@@ -249,7 +247,7 @@ func (r *Recoverer) attempt() error {
 	if err != nil {
 		return err
 	}
-	r.secs += res.Construct.Seconds() + res.Update.Seconds()
+	r.secs += res.Seconds()
 	return nil
 }
 
@@ -263,7 +261,7 @@ func (r *Recoverer) onFault(ctx context.Context, err error) error {
 	}
 	r.rep.Faults++
 	r.consecutive++
-	r.traceFault("fault:"+faultName(err), 0)
+	r.tr.Fault("fault:"+faultName(err), 0)
 	if r.lg.Enabled(slog.LevelInfo) {
 		r.lg.Event(obslog.WithAttempt(ctx, r.consecutive), obslog.EvFault,
 			slog.String("kind", faultName(err)), slog.Int("iter", r.done),
@@ -276,7 +274,7 @@ func (r *Recoverer) onFault(ctx context.Context, err error) error {
 	backoff := r.opts.BackoffMS * math.Pow(2, float64(r.consecutive-1)) / 1e3
 	r.secs += backoff
 	r.rep.BackoffSeconds += backoff
-	r.traceFault("recovery:backoff", backoff)
+	r.tr.Fault("recovery:backoff", backoff)
 	if r.lg.Enabled(slog.LevelInfo) {
 		r.lg.Event(obslog.WithAttempt(ctx, r.consecutive), obslog.EvRetry,
 			slog.Int("iter", r.done), slog.Float64("backoff_s", backoff))
@@ -291,7 +289,7 @@ func (r *Recoverer) onFault(ctx context.Context, err error) error {
 		r.dev.Reset()
 		r.eng = nil
 		r.rep.Resets++
-		r.traceFault("recovery:device-reset", 0)
+		r.tr.Fault("recovery:device-reset", 0)
 		if r.lg.Enabled(slog.LevelInfo) {
 			r.lg.Event(obslog.WithAttempt(ctx, r.consecutive), obslog.EvReset,
 				slog.Int("iter", r.done))
@@ -321,7 +319,7 @@ func (r *Recoverer) failover(ctx context.Context) error {
 	}
 	r.rep.Degraded = true
 	r.rep.FailoverIteration = r.done
-	r.traceFault("recovery:failover-cpu", 0)
+	r.tr.Fault("recovery:failover-cpu", 0)
 	if r.lg.Enabled(slog.LevelInfo) {
 		r.lg.Event(ctx, obslog.EvFailover, slog.Int("gpu_iters", r.done),
 			slog.Int("remaining", r.iters-r.done))
@@ -344,12 +342,6 @@ func (r *Recoverer) failover(ctx context.Context) error {
 	c.ResetMeters()
 	r.cpu = c
 	return r.Step(ctx)
-}
-
-func (r *Recoverer) traceFault(name string, secs float64) {
-	if r.tr != nil {
-		r.tr.Fault(name, secs)
-	}
 }
 
 // Engine returns the GPU engine of the last committed iteration, or nil

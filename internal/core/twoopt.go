@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"antgpu/internal/cuda"
@@ -22,7 +21,7 @@ import (
 // LocalSearchKernel improves every ant's tour in place and refreshes the
 // device length buffer. It must run after an unsampled construction stage.
 func (e *Engine) LocalSearchKernel() (*StageResult, error) {
-	defer e.span("2-opt")()
+	defer e.Tracer.Phase("2-opt")()
 	if e.posBuf == nil {
 		var err error
 		if e.posBuf, err = e.Dev.MallocI32("positions", e.m*e.n); err != nil {
@@ -440,26 +439,16 @@ func (e *Engine) LocalSearchKernel() (*StageResult, error) {
 // ant, best tracking and the pheromone update — the AS + local search
 // configuration of ACOTSP.
 func (e *Engine) IterateWithLocalSearch(tv TourVersion, pv PherVersion) (*IterationResult, error) {
-	if e.SampleBudget > 0 {
-		return nil, fmt.Errorf("core: IterateWithLocalSearch needs full functional execution; clear SampleBudget")
-	}
-	defer e.span("iteration")()
-	construct, err := e.ConstructTours(tv)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := e.LocalSearchKernel()
-	if err != nil {
-		return nil, err
-	}
-	construct.Kernels = append(construct.Kernels, ls.Kernels...)
-	ant, l, err := e.ReadBest()
-	if err != nil {
-		return nil, err
-	}
-	update, err := e.UpdatePheromone(pv)
-	if err != nil {
-		return nil, err
-	}
-	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
+	return e.iterate(func() (*StageResult, error) {
+		construct, err := e.ConstructTours(tv)
+		if err != nil {
+			return nil, err
+		}
+		ls, err := e.LocalSearchKernel()
+		if err != nil {
+			return nil, err
+		}
+		construct.Kernels = append(construct.Kernels, ls.Kernels...)
+		return construct, nil
+	}, func(int) (*StageResult, error) { return e.UpdatePheromone(pv) })
 }

@@ -21,7 +21,7 @@ func (e *Engine) DepositTourKernel(tour []int32, delta float64, name string) (*c
 	if len(tour) != n {
 		return nil, fmt.Errorf("core: deposit tour has %d cities, want %d", len(tour), n)
 	}
-	defer e.span("deposit")()
+	defer e.Tracer.Phase("deposit")()
 	if e.depositDev == nil {
 		var err error
 		if e.depositDev, err = e.Dev.MallocI32("deposit-tour", n); err != nil {
@@ -67,29 +67,19 @@ func NewEASEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Deriv
 // AS construction and update plus the elitist bonus deposit, weighted
 // e = m, on the best-so-far tour.
 func (e *EASEngine) Iterate(tv TourVersion) (*IterationResult, error) {
-	if e.SampleBudget > 0 {
-		return nil, fmt.Errorf("core: EAS Iterate needs full functional execution; clear SampleBudget")
-	}
-	defer e.span("iteration")()
-	construct, err := e.ConstructTours(tv)
-	if err != nil {
-		return nil, err
-	}
-	ant, l, err := e.ReadBest()
-	if err != nil {
-		return nil, err
-	}
-	update, err := e.UpdatePheromone(PherAtomicShared)
-	if err != nil {
-		return nil, err
-	}
-	best, bestLen := e.Best()
-	bonus, err := e.DepositTourKernel(best, float64(e.m)/float64(bestLen), "eas-elite")
-	if err != nil {
-		return nil, err
-	}
-	update.add(bonus)
-	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
+	return e.iterate(func() (*StageResult, error) { return e.ConstructTours(tv) }, func(int) (*StageResult, error) {
+		update, err := e.UpdatePheromone(PherAtomicShared)
+		if err != nil {
+			return nil, err
+		}
+		best, bestLen := e.Best()
+		bonus, err := e.DepositTourKernel(best, float64(e.m)/float64(bestLen), "eas-elite")
+		if err != nil {
+			return nil, err
+		}
+		update.add(bonus)
+		return update, nil
+	})
 }
 
 // RankEngine runs the Rank-based Ant System on the simulated device.
@@ -115,20 +105,8 @@ func NewRankEngine(dev *cuda.Device, in *tsp.Instance, p aco.Params, d *tsp.Deri
 // contended atomic deposit of plain AS disappears entirely, as only a
 // handful of tours deposit).
 func (r *RankEngine) Iterate(tv TourVersion) (*IterationResult, error) {
-	if r.SampleBudget > 0 {
-		return nil, fmt.Errorf("core: ASrank Iterate needs full functional execution; clear SampleBudget")
-	}
-	defer r.span("iteration")()
-	construct, err := r.ConstructTours(tv)
-	if err != nil {
-		return nil, err
-	}
-	ant, l, err := r.ReadBest()
-	if err != nil {
-		return nil, err
-	}
-	update, err := func() (*StageResult, error) {
-		defer r.span("update")()
+	return r.iterate(func() (*StageResult, error) { return r.ConstructTours(tv) }, func(int) (*StageResult, error) {
+		defer r.Tracer.Phase("update")()
 		update := &StageResult{}
 		evap, err := r.EvaporateKernel()
 		if err != nil {
@@ -155,9 +133,5 @@ func (r *RankEngine) Iterate(tv TourVersion) (*IterationResult, error) {
 		}
 		update.add(dep)
 		return update, nil
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return &IterationResult{Construct: construct, Update: update, BestAnt: ant, BestLen: l}, nil
+	})
 }

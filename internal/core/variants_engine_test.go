@@ -27,7 +27,7 @@ func iterateN(e algorithmEngine, tv core.TourVersion, iters int) ([]int32, int64
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		secs += res.Construct.Seconds() + res.Update.Seconds()
+		secs += res.Seconds()
 	}
 	tour, l := e.Best()
 	return tour, l, secs, nil

@@ -1,8 +1,6 @@
 package tensor
 
 import (
-	"time"
-
 	"antgpu/internal/aco"
 	"antgpu/internal/rng"
 	"antgpu/internal/tsp"
@@ -54,14 +52,12 @@ func NewACS(in *tsp.Instance, p aco.ACSParams, d *tsp.Derived) (*ACS, error) {
 // ant), so ACS and the parallel variants share one stream model.
 func (a *ACS) ConstructTours() {
 	e := a.Engine
-	start := time.Now()
 	e.iteration++
 	for ant := 0; ant < e.m; ant++ {
 		g := rng.FromState(rng.AntSeed(e.P.Seed, e.iteration, ant))
 		a.constructAnt(ant, &g)
 	}
 	e.reduceBest()
-	e.span("construct", time.Since(start).Seconds())
 }
 
 func (a *ACS) constructAnt(ant int, g *rng.LCG) {
@@ -170,7 +166,6 @@ func (a *ACS) GlobalUpdate() {
 	if e.BestTour == nil {
 		return
 	}
-	start := time.Now()
 	n := e.n
 	f := float32(1 - e.P.Rho)
 	delta := float32(e.P.Rho / float64(e.BestLen))
@@ -185,15 +180,9 @@ func (a *ACS) GlobalUpdate() {
 		e.weight[c*n+prev] = wv
 		prev = c
 	}
-	e.span("update", time.Since(start).Seconds())
 }
 
 // Iterate runs one full ACS iteration.
 func (a *ACS) Iterate() {
-	if a.Tracer != nil {
-		a.Tracer.Begin("iteration")
-		defer a.Tracer.End()
-	}
-	a.ConstructTours()
-	a.GlobalUpdate()
+	a.iterate(a.ConstructTours, nil, a.GlobalUpdate)
 }

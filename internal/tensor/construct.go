@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"slices"
-	"time"
 
 	"antgpu/internal/aco"
 	"antgpu/internal/rng"
@@ -150,7 +149,6 @@ func deleteAt(list []int32, i int) []int32 {
 // update refreshes, and scans them the same way, so its only indexed load
 // is the tabu mask.
 func (e *Engine) ConstructTours(v aco.Variant) {
-	start := time.Now()
 	if v == aco.NNListConstruction && e.wNN == nil {
 		e.wNN = make([]float32, e.n*e.nn)
 		e.refreshNN()
@@ -176,7 +174,6 @@ func (e *Engine) ConstructTours(v aco.Variant) {
 		})
 	}
 	e.reduceBest()
-	e.span("construct", time.Since(start).Seconds())
 }
 
 // fullWalk is one ant's full-rule construction in progress: its tour,

@@ -91,8 +91,9 @@ type Engine struct {
 	tau0      float64
 	cnn       int64 // greedy NN tour length (variant τ0 / τmax derivations)
 
-	// Tracer, when non-nil, records construct/update phases. The tensor
-	// engine is a real host engine, so spans carry wall-clock seconds.
+	// Tracer, when non-nil, records each iteration's span and its
+	// construct, 2-opt and update leaves. The tensor engine is a real host
+	// engine, so the leaves carry wall-clock seconds.
 	Tracer *trace.Collector
 
 	// scratch (reused across ants and iterations; no per-iteration allocs)
@@ -265,20 +266,12 @@ func (e *Engine) Tau0() float64 { return e.tau0 }
 // size, so a caller that keeps τ past Close must copy it first.
 func (e *Engine) Tau() []float32 { return e.tau }
 
-// span records a finished phase on the tracer with wall-clock seconds.
-func (e *Engine) span(name string, seconds float64) {
-	if e.Tracer != nil {
-		e.Tracer.Span(name, seconds)
-	}
-}
-
 // UpdatePheromone runs the fused Ant System pheromone stage: the deposits
 // of all ants scatter into the dense Δ buffer, then one flat sweep applies
 // τ ← (1-ρ)τ + Δ, refreshes the weight matrix, and re-zeroes Δ. The
 // scatter stays serial in ant order — float32 accumulation order is part
 // of the result — while the sweep row-shards over the pool.
 func (e *Engine) UpdatePheromone() {
-	start := time.Now()
 	n := e.n
 	for ant := 0; ant < e.m; ant++ {
 		tour := e.Tours[ant*n : (ant+1)*n]
@@ -286,7 +279,6 @@ func (e *Engine) UpdatePheromone() {
 		e.scatterDeposit(tour, d, e.P.Alpha != 1)
 	}
 	e.applyUpdate()
-	e.span("update", time.Since(start).Seconds())
 }
 
 // scatterDeposit adds d on both directions of every edge of the tour into
@@ -383,23 +375,36 @@ func (e *Engine) RecordConvergence(conv *metrics.Convergence) {
 	conv.RecordPheromone32(e.tau, e.n)
 }
 
+// iterate is the iteration skeleton every tensor algorithm runs: inside one
+// "iteration" span it runs construct, localSearch when it is non-nil, and
+// update, recording each on the tracer as a leaf of host wall-clock
+// seconds.
+func (e *Engine) iterate(construct, localSearch, update func()) {
+	defer e.Tracer.Phase("iteration")()
+	e.timed("construct", construct)
+	if localSearch != nil {
+		e.timed("2-opt", localSearch)
+	}
+	e.timed("update", update)
+}
+
+// timed runs stage and records its wall-clock seconds as a leaf named name.
+func (e *Engine) timed(name string, stage func()) {
+	start := time.Now()
+	stage()
+	e.Tracer.Span(name, time.Since(start).Seconds())
+}
+
 // Iterate runs one full Ant System iteration.
 func (e *Engine) Iterate(v aco.Variant) {
-	if e.Tracer != nil {
-		e.Tracer.Begin("iteration")
-		defer e.Tracer.End()
-	}
-	e.ConstructTours(v)
-	e.UpdatePheromone()
+	e.iterate(func() { e.ConstructTours(v) }, nil, e.UpdatePheromone)
 }
 
 // IterateWithLocalSearch is Iterate with the vectorised 2-opt pass applied
 // to every ant's tour between construction and the pheromone update — the
 // AS + local-search configuration of ACOTSP.
 func (e *Engine) IterateWithLocalSearch(v aco.Variant) {
-	e.ConstructTours(v)
-	e.LocalSearchTours()
-	e.UpdatePheromone()
+	e.iterate(func() { e.ConstructTours(v) }, e.LocalSearchTours, e.UpdatePheromone)
 }
 
 // Run executes iters iterations and returns the best tour found and its

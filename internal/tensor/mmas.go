@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"time"
 
 	"antgpu/internal/aco"
 	"antgpu/internal/tsp"
@@ -45,7 +44,6 @@ func (m *MMAS) resetTrails() {
 // depositing tour's Δ scatters first, then a single traversal evaporates,
 // deposits, clamps and refreshes the weight cell by cell.
 func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
-	start := time.Now()
 	m.scatterDeposit(tour, float32(1/float64(length)), false)
 
 	// The sweep is cell-independent (the clamp is per entry), so it
@@ -86,27 +84,23 @@ func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
 	}
 	m.mats.dirty = false
 	m.refreshNN()
-	m.span("update", time.Since(start).Seconds())
 }
 
 // Iterate runs one full MMAS iteration with the given construction
 // variant.
 func (m *MMAS) Iterate(v aco.Variant) {
-	if m.Tracer != nil {
-		m.Tracer.Begin("iteration")
-		defer m.Tracer.End()
-	}
-	m.ConstructTours(v)
-	useBest, reset := m.Next(m.BestLen)
-	ant := aco.IterationBest(m.Lengths)
-	tour, length := m.Tours[ant*m.n:(ant+1)*m.n], m.Lengths[ant]
-	if useBest {
-		tour, length = m.BestTour, m.BestLen
-	}
-	m.UpdatePheromone(tour, length)
-	if reset {
-		m.resetTrails()
-	}
+	m.iterate(func() { m.ConstructTours(v) }, nil, func() {
+		useBest, reset := m.Next(m.BestLen)
+		ant := aco.IterationBest(m.Lengths)
+		tour, length := m.Tours[ant*m.n:(ant+1)*m.n], m.Lengths[ant]
+		if useBest {
+			tour, length = m.BestTour, m.BestLen
+		}
+		m.UpdatePheromone(tour, length)
+		if reset {
+			m.resetTrails()
+		}
+	})
 }
 
 // BoundsValid reports whether every trail lies in [τmin, τmax] within a

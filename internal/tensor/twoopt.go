@@ -1,7 +1,5 @@
 package tensor
 
-import "time"
-
 // Vectorised 2-opt in the tensor engine's idiom: instead of ACOTSP's
 // first-improvement walk that interleaves a gain computation with an early
 // exit on every candidate, each direction around a city runs as two flat
@@ -29,7 +27,6 @@ type twoOptScratch struct {
 // best-so-far folds in afterwards in ant-index order (reduceBest), so the
 // outcome is bit-identical for any worker count.
 func (e *Engine) LocalSearchTours() {
-	start := time.Now()
 	if e.ls == nil {
 		e.ls = make([]twoOptScratch, e.workers)
 		for w := range e.ls {
@@ -44,7 +41,6 @@ func (e *Engine) LocalSearchTours() {
 		}
 	})
 	e.reduceBest()
-	e.span("2-opt", time.Since(start).Seconds())
 }
 
 // twoOpt improves one tour in place until no candidate move improves it,

@@ -7,8 +7,11 @@
 // plus per-kernel summary tables — the per-kernel cost breakdown the
 // paper's Tables II-IV are built from.
 //
-// All timestamps are simulated device time, never wall-clock, so two runs
-// with the same seed produce byte-identical traces.
+// The simulated GPU and the CPU colony stamp every event with simulated or
+// modelled time, never wall-clock, so two of their runs with the same seed
+// produce byte-identical traces. The tensor engine runs natively on the
+// host: its construct, 2-opt and update leaves carry host wall-clock
+// seconds, so its traces repeat only their event sequence.
 package trace
 
 import (
@@ -41,7 +44,9 @@ type KernelDetail struct {
 // Collector accumulates events on a per-engine simulated timeline. It is
 // not safe for concurrent use: engines issue launches and spans serially,
 // mirroring a single CUDA stream. The zero value is NOT ready to use;
-// call NewCollector.
+// call NewCollector. A nil *Collector is a disabled profiler: Begin, End,
+// Phase, Span, Fault and AmendLastKernel do nothing on it, so engines call
+// them unguarded.
 type Collector struct {
 	clock  float64
 	events []Event
@@ -84,6 +89,9 @@ func (c *Collector) ObserveLaunch(cfg *cuda.LaunchConfig, res *cuda.LaunchResult
 // Begin opens a phase span at the current simulated time. Spans nest; every
 // Begin must be paired with an End.
 func (c *Collector) Begin(name string) {
+	if c == nil {
+		return
+	}
 	c.events = append(c.events, Event{Name: name, Cat: "phase", Start: c.clock, Dur: -1})
 	c.open = append(c.open, len(c.events)-1)
 }
@@ -92,7 +100,7 @@ func (c *Collector) Begin(name string) {
 // time of everything recorded inside it. End without a matching Begin is a
 // no-op.
 func (c *Collector) End() {
-	if len(c.open) == 0 {
+	if c == nil || len(c.open) == 0 {
 		return
 	}
 	i := c.open[len(c.open)-1]
@@ -100,9 +108,22 @@ func (c *Collector) End() {
 	c.events[i].Dur = c.clock - c.events[i].Start
 }
 
+// Phase opens a phase span and returns its closer, so call sites read
+// `defer tr.Phase("name")()`.
+func (c *Collector) Phase(name string) func() {
+	if c == nil {
+		return func() {}
+	}
+	c.Begin(name)
+	return c.End
+}
+
 // Span records a leaf interval of the given simulated duration — the
 // modelled CPU colony stages use it — and advances the clock.
 func (c *Collector) Span(name string, seconds float64) {
+	if c == nil {
+		return
+	}
 	if seconds < 0 {
 		seconds = 0
 	}
@@ -114,6 +135,9 @@ func (c *Collector) Span(name string, seconds float64) {
 // duration — the fault-tolerant runtime uses it for injected faults,
 // retry backoff, device resets and CPU failover — and advances the clock.
 func (c *Collector) Fault(name string, seconds float64) {
+	if c == nil {
+		return
+	}
 	if seconds < 0 {
 		seconds = 0
 	}
@@ -127,6 +151,9 @@ func (c *Collector) Fault(name string, seconds float64) {
 // scatter-to-gather kernels) use it so the timeline matches what they
 // report.
 func (c *Collector) AmendLastKernel(res *cuda.LaunchResult) {
+	if c == nil {
+		return
+	}
 	for i := len(c.events) - 1; i >= 0; i-- {
 		e := &c.events[i]
 		if e.Cat != "kernel" {

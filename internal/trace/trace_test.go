@@ -70,6 +70,33 @@ func TestCollectorClockAndSpans(t *testing.T) {
 	}
 }
 
+// A nil collector is a disabled profiler: every recording method does
+// nothing on it, and Phase hands back a closer that does nothing either.
+func TestNilCollectorRecordsNothing(t *testing.T) {
+	var c *trace.Collector
+	c.Begin("iteration")
+	c.Span("host", 1e-3)
+	c.Fault("fault:launch", 1e-3)
+	_, res := fakeLaunch("k", 1e-3)
+	c.AmendLastKernel(res)
+	c.End()
+	c.Phase("update")()
+}
+
+// Phase opens a span that its closer ends, covering what was recorded in
+// between.
+func TestPhaseClosesItsSpan(t *testing.T) {
+	c := trace.NewCollector()
+	end := c.Phase("update")
+	c.Span("deposit", 2e-3)
+	end()
+	c.Span("after", 1e-3)
+	ev := c.Events()
+	if len(ev) != 3 || ev[0].Name != "update" || ev[0].Cat != "phase" || ev[0].Dur != 2e-3 {
+		t.Fatalf("events %v, want an update phase of 2 ms around the deposit", ev)
+	}
+}
+
 func TestAmendLastKernelRewritesTimeline(t *testing.T) {
 	c := trace.NewCollector()
 	cfg, res := fakeLaunch("scan", 1e-3)

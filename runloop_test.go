@@ -64,6 +64,69 @@ func TestEveryPairEmitsEvents(t *testing.T) {
 	}
 }
 
+// TestEveryPairTraces profiles every pair through the one run loop and
+// checks that its trace delimits iterations alike: exactly one closed
+// "iteration" span per iteration, each containing a construct and an update
+// event, and a 2-opt event when the solve runs local search. An event
+// belongs to the span it was recorded in: after the span opened, before the
+// next iteration's span, and no later than the span's end. CI runs it
+// under -race.
+func TestEveryPairTraces(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 3
+	for _, opts := range runLoopPairs() {
+		name := fmt.Sprintf("%v/%v", opts.Backend, opts.Algorithm)
+		if opts.LocalSearch {
+			name += "+ls"
+		}
+		t.Run(name, func(t *testing.T) {
+			opts.Iterations = iters
+			opts.Params = antgpu.Params{Seed: 3, Ants: 10}
+			opts.ACS.Ants, opts.MMAS.Ants = 10, 10
+			opts.Profile = true
+			res, err := antgpu.Solve(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"construct", "update"}
+			if opts.LocalSearch {
+				want = append(want, "2-opt")
+			}
+			evs := res.Trace.Events()
+			spans := 0
+			for i, it := range evs {
+				if it.Name != "iteration" || it.Cat != "phase" {
+					continue
+				}
+				spans++
+				if it.Dur < 0 {
+					t.Errorf("iteration span %d left open", spans)
+					continue
+				}
+				end := it.Start + it.Dur
+				inside := map[string]bool{}
+				for _, ev := range evs[i+1:] {
+					if ev.Name == "iteration" || ev.Start > end*(1+1e-12) {
+						break
+					}
+					inside[ev.Name] = true
+				}
+				for _, name := range want {
+					if !inside[name] {
+						t.Errorf("iteration span %d holds no %s event", spans, name)
+					}
+				}
+			}
+			if spans != iters {
+				t.Errorf("%d iteration spans for %d iterations", spans, iters)
+			}
+		})
+	}
+}
+
 // TestInvalidAlgorithmOptions: local search with a non-AS algorithm and an
 // unknown algorithm fail with ErrInvalidParams on every backend instead of
 // running something else.
