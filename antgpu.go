@@ -513,10 +513,7 @@ func SolveContext(ctx context.Context, in *Instance, opts SolveOptions) (res *Re
 func gpuVersions(opts SolveOptions, in *Instance) (TourVersion, PherVersion) {
 	tv, pv := opts.Tour, opts.Pher
 	if tv == 0 {
-		tv = TourNNSharedTexture
-		if in.N() <= 500 {
-			tv = TourDataParallelTexture
-		}
+		tv = core.DefaultTourVersion(in.N())
 	}
 	if pv == 0 {
 		pv = PherAtomicShared

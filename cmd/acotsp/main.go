@@ -236,7 +236,7 @@ func tracedRun(stdout io.Writer, dev *antgpu.Device, in *antgpu.Instance, p antg
 	}
 	tv := antgpu.TourVersion(tourV)
 	if tv == 0 {
-		tv = antgpu.TourNNSharedTexture
+		tv = core.DefaultTourVersion(in.N())
 	}
 	pv := antgpu.PherVersion(pherV)
 	if pv == 0 {

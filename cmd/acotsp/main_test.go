@@ -125,6 +125,24 @@ func TestSmokeIterLogWithProfile(t *testing.T) {
 	}
 }
 
+// The per-iteration log drives the engine directly; with no -tour it must
+// still pick the facade's kernels and so solve the same run.
+func TestIterLogSolvesTheSameRun(t *testing.T) {
+	args := []string{"-bench", "att48", "-iters", "5", "-backend", "gpu"}
+	var plain, traced bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-trace"), &traced); err != nil {
+		t.Fatal(err)
+	}
+	resultRE := regexp.MustCompile(`best tour length: .*\n.* time: .*\n`)
+	want, got := resultRE.FindString(plain.String()), resultRE.FindString(traced.String())
+	if want == "" || got != want {
+		t.Fatalf("-trace reports\n%s\nthe plain run\n%s", got, want)
+	}
+}
+
 func TestRunRejectsMissingInstance(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(nil, &out); err == nil {

@@ -103,11 +103,7 @@ func (c IslandConfig) withDefaults(in *tsp.Instance) IslandConfig {
 		c.Iterations = 20
 	}
 	if c.Tour == 0 {
-		if in.N() <= 500 {
-			c.Tour = TourDataParallelTexture
-		} else {
-			c.Tour = TourNNSharedTexture
-		}
+		c.Tour = DefaultTourVersion(in.N())
 	}
 	if c.Pher == 0 {
 		c.Pher = PherAtomicShared

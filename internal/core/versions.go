@@ -54,6 +54,16 @@ const (
 	TourDataParallelTexture
 )
 
+// DefaultTourVersion is the paper's construction kernel for an n-city
+// instance: the data-parallel kernel up to 500 cities, the NN-list kernel
+// beyond, both reading through the texture cache.
+func DefaultTourVersion(n int) TourVersion {
+	if n <= 500 {
+		return TourDataParallelTexture
+	}
+	return TourNNSharedTexture
+}
+
 // TourVersions lists all tour-construction versions in Table II order.
 var TourVersions = []TourVersion{
 	TourBaseline, TourChoiceKernel, TourDeviceRNG, TourNNList,
