@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"antgpu"
 	"antgpu/internal/aco"
 	"antgpu/internal/core"
 	"antgpu/internal/cuda"
@@ -13,7 +14,9 @@ import (
 // ConvergenceSeries tracks best-so-far tour length against iteration count
 // for the CPU Ant System and the GPU algorithm variants, on one instance.
 // Columns are iteration checkpoints; values are best/greedy ratios, so the
-// rows of different algorithms are directly comparable.
+// rows of different algorithms are directly comparable. Every row is one
+// antgpu.Solve at the default parameters, read at the checkpoints through
+// its OnIteration events.
 func ConvergenceSeries(dev *cuda.Device, instName string, checkpoints []int) (*Table, error) {
 	start := time.Now()
 	in, err := tsp.LoadBenchmark(instName)
@@ -23,7 +26,6 @@ func ConvergenceSeries(dev *cuda.Device, instName string, checkpoints []int) (*T
 	if len(checkpoints) == 0 {
 		checkpoints = []int{1, 5, 10, 20, 40, 80}
 	}
-	last := checkpoints[len(checkpoints)-1]
 	greedy := float64(in.TourLength(in.NearestNeighbourTour(0)))
 
 	labels := make([]string, len(checkpoints))
@@ -36,85 +38,35 @@ func ConvergenceSeries(dev *cuda.Device, instName string, checkpoints []int) (*T
 		Instances: labels,
 	}
 
-	// Each runner advances one iteration per call and reports best-so-far.
-	type stepper func() (int64, error)
-	series := func(name string, step stepper) error {
+	gpu := func(o antgpu.SolveOptions) antgpu.SolveOptions {
+		o.Backend, o.Device = antgpu.BackendGPU, dev
+		return o
+	}
+	series := []struct {
+		name string
+		opts antgpu.SolveOptions
+	}{
+		{"AS, sequential CPU", antgpu.SolveOptions{Variant: aco.NNListConstruction}},
+		{"AS, GPU (v8 + atomic)", gpu(antgpu.SolveOptions{Tour: core.TourDataParallelTexture, Pher: core.PherAtomicShared})},
+		{"ACS, GPU", gpu(antgpu.SolveOptions{Algorithm: antgpu.AlgorithmACS})},
+		{"MMAS, GPU", gpu(antgpu.SolveOptions{Algorithm: antgpu.AlgorithmMMAS, Tour: core.TourNNShared})},
+	}
+	for _, s := range series {
 		vals := make([]float64, len(checkpoints))
 		k := 0
-		for it := 1; it <= last && k < len(checkpoints); it++ {
-			best, err := step()
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			if it == checkpoints[k] {
-				vals[k] = float64(best) / greedy
+		opts := s.opts
+		opts.Iterations = checkpoints[len(checkpoints)-1]
+		opts.OnIteration = func(ev antgpu.IterationEvent) {
+			if k < len(checkpoints) && ev.Iteration == checkpoints[k] {
+				vals[k] = float64(ev.BestSoFar) / greedy
 				k++
 			}
 		}
-		t.AddRow(name, vals)
-		return nil
-	}
-
-	cpu, err := aco.New(in, aco.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	if err := series("AS, sequential CPU", func() (int64, error) {
-		cpu.Iterate(aco.NNListConstruction)
-		return cpu.BestLen, nil
-	}); err != nil {
-		return nil, err
-	}
-
-	gpu, err := core.NewEngine(dev, in, aco.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	defer gpu.Free()
-	if err := series("AS, GPU (v8 + atomic)", func() (int64, error) {
-		res, err := gpu.Iterate(core.TourDataParallelTexture, core.PherAtomicShared)
-		if err != nil {
-			return 0, err
+		if _, err := antgpu.Solve(in, opts); err != nil {
+			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
-		_ = res
-		_, best := gpu.Best()
-		return best, nil
-	}); err != nil {
-		return nil, err
+		t.AddRow(s.name, vals)
 	}
-
-	acsP := aco.DefaultACSParams()
-	acs, err := core.NewACSEngine(dev, in, acsP, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer acs.Free()
-	if err := series("ACS, GPU", func() (int64, error) {
-		if _, err := acs.Iterate(); err != nil {
-			return 0, err
-		}
-		_, best := acs.Best()
-		return best, nil
-	}); err != nil {
-		return nil, err
-	}
-
-	mmasP := aco.DefaultMMASParams()
-	mmas, err := core.NewMMASEngine(dev, in, mmasP, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer mmas.Free()
-	if err := series("MMAS, GPU", func() (int64, error) {
-		if _, err := mmas.Iterate(core.TourNNShared); err != nil {
-			return 0, err
-		}
-		_, best := mmas.Best()
-		return best, nil
-	}); err != nil {
-		return nil, err
-	}
-
 	t.HostSeconds = time.Since(start).Seconds()
 	return t, nil
 }
