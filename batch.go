@@ -30,14 +30,6 @@ type PoolOptions struct {
 	// Submit and SolveBatch call on the pool. Zero selects
 	// runtime.GOMAXPROCS(0) — one worker per schedulable CPU.
 	Workers int
-	// DisableCache turns off the shared derived-data cache, making every
-	// solve recompute its instance's greedy-NN tour length, and its NN
-	// lists when it reads them. Results are identical either way; the
-	// cache keeps an entry per distinct instance and NN width for the
-	// pool's lifetime, a few words for one no solve has asked lists of and
-	// an n×nn NN list once one has, so disable it only to bound memory
-	// when a pool sees an unbounded instance stream.
-	DisableCache bool
 	// Metrics, when non-nil, collects the pool's runtime telemetry (queue
 	// depth, busy workers, request and cache counters) and is inherited by
 	// every request whose own SolveOptions.Metrics is nil, so one registry
@@ -132,15 +124,14 @@ func NewPool(opts PoolOptions) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, metrics: opts.Metrics, logger: opts.Logger, sem: make(chan struct{}, workers)}
-	if !opts.DisableCache {
-		p.cache = sched.NewCache(
-			p.metrics.Counter("antgpu_pool_cache_hits_total",
+	return &Pool{
+		workers: workers, metrics: opts.Metrics, logger: opts.Logger, sem: make(chan struct{}, workers),
+		cache: sched.NewCache(
+			opts.Metrics.Counter("antgpu_pool_cache_hits_total",
 				"Derived-data cache lookups that shared data already computed, by Submit and SolveBatch."),
-			p.metrics.Counter("antgpu_pool_cache_misses_total",
-				"Derived-data cache lookups that computed data, by Submit and SolveBatch."))
+			opts.Metrics.Counter("antgpu_pool_cache_misses_total",
+				"Derived-data cache lookups that computed data, by Submit and SolveBatch.")),
 	}
-	return p
 }
 
 // Workers returns the pool's resolved worker bound.

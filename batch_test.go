@@ -319,31 +319,6 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// Disabling the cache must not change results.
-func TestSolveBatchCacheDisabled(t *testing.T) {
-	reqs := batchRequests(t)[:3]
-	cached, err := antgpu.SolveBatch(context.Background(), reqs, antgpu.PoolOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := antgpu.SolveBatch(context.Background(), reqs,
-		antgpu.PoolOptions{Workers: 2, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uncached.CacheHits != 0 || uncached.CacheMisses != 0 {
-		t.Errorf("disabled cache reported traffic: %d hits, %d misses",
-			uncached.CacheHits, uncached.CacheMisses)
-	}
-	for i := range reqs {
-		a, b := cached.Results[i].Result, uncached.Results[i].Result
-		if a.BestLen != b.BestLen || !reflect.DeepEqual(a.BestTour, b.BestTour) ||
-			a.SimulatedSeconds != b.SimulatedSeconds {
-			t.Errorf("request %d: cached and uncached batches diverge", i)
-		}
-	}
-}
-
 // Per-request failures must not fail the batch, and results stay in
 // request order.
 func TestSolveBatchPerRequestErrors(t *testing.T) {
