@@ -659,11 +659,10 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if err != nil {
 			return nil, err
 		}
-		iterate := func() { c.Iterate(v) }
 		if opts.LocalSearch {
-			iterate = func() { c.IterateWithLocalSearch(v) }
+			return cpuEngine(c, tr, func() { c.IterateWithLocalSearch(v) }), nil
 		}
-		return cpuEngine(c, tr, iterate), nil
+		return cpuEngine(c, tr, func() { c.Iterate(v) }), nil
 	case pair{BackendCPU, AlgorithmACS}:
 		a, err := aco.NewACSColony(in, acs, d)
 		if err != nil {
