@@ -281,10 +281,13 @@ type SolveOptions struct {
 	// AS + local-search configuration of ACOTSP. Supported for AlgorithmAS
 	// on every backend; any other algorithm fails with ErrInvalidParams.
 	LocalSearch bool
-	// Profile records every kernel launch and algorithm phase on a
-	// simulated timeline; the collector is returned in Result.Trace. The
-	// run stays deterministic: profiling only observes, it never perturbs
-	// the simulated clock or the tours.
+	// Profile records every iteration's phases, and on the GPU backend
+	// every kernel launch, on one timeline; the collector is returned in
+	// Result.Trace. Profiling only observes: it never perturbs the tours or
+	// SimulatedSeconds. The gpu and cpu timelines run on simulated and
+	// modelled time, so same-seed traces are byte-identical; the tensor
+	// backend's construct, 2-opt and update leaves carry host wall-clock
+	// seconds, so only its event sequence repeats.
 	Profile bool
 	// Faults injects deterministic device faults into the simulated GPU
 	// (the plan is cloned, so the same options value always reproduces the
@@ -344,7 +347,9 @@ type Result struct {
 	// the modelled CPU time (CPU backend) or the host wall-clock time
 	// (tensor backend) of all iterations. Engine set-up is excluded.
 	SimulatedSeconds float64
-	// Trace holds the profiling timeline when SolveOptions.Profile is set.
+	// Trace holds the profiling timeline when SolveOptions.Profile is set:
+	// simulated or modelled time on the gpu and cpu backends, host
+	// wall-clock leaves on the tensor backend.
 	Trace *Trace
 	// Recovery reports the fault-tolerant runtime's activity when the solve
 	// ran through it (SolveOptions.Faults or SolveOptions.Recovery set).

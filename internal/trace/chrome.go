@@ -8,9 +8,11 @@ import (
 // Chrome trace-event export. The format is the Trace Event Format consumed
 // by Perfetto (ui.perfetto.dev) and chrome://tracing: a JSON object with a
 // traceEvents array of "X" (complete) events whose ts/dur are microseconds.
-// Timestamps come from the simulated clock, so the export is byte-identical
-// across runs of the same seed. Marshalling goes through structs (fixed
-// field order) — no maps — to keep the byte stream deterministic.
+// Timestamps come from the collector's clock, so the export of a simulated
+// or modelled timeline is byte-identical across runs of the same seed (a
+// tensor timeline carries host wall-clock leaves). Marshalling goes
+// through structs (fixed field order) — no maps — to keep the byte stream
+// deterministic.
 
 // chromeEvent is one Trace Event Format entry.
 type chromeEvent struct {
