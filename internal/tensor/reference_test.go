@@ -12,9 +12,11 @@ import (
 	"antgpu/internal/tsp"
 )
 
-// Reference kernels: the dense masked full rule and the modulo 2-opt
-// reversal, kept verbatim as the baselines that the compacted rule and the
-// wrap-around reversal must reproduce bit for bit.
+// Reference kernels: the dense masked full rule, the modulo 2-opt
+// reversal and the pheromone update on a dense Δ buffer of its own, kept
+// verbatim as the baselines that the compacted rule, the wrap-around
+// reversal and the update that scatters into the weight matrix must
+// reproduce bit for bit.
 
 // refScratch is one worker's scratch for refConstructAntFull.
 type refScratch struct {
@@ -158,6 +160,147 @@ func refIterateMMAS(m *MMAS, sc []refScratch) {
 	if reset {
 		m.resetTrails()
 	}
+}
+
+// refDelta is the reference update's state: the n×n deposit buffer Δ,
+// zero between updates, and the weight entries the deposits invalidate
+// (α ≠ 1 only).
+type refDelta struct {
+	delta   []float32
+	touched []int32
+}
+
+func newRefDelta(e *Engine) *refDelta {
+	return &refDelta{delta: make([]float32, e.n*e.n)}
+}
+
+// refUpdatePheromone is UpdatePheromone on the dense Δ buffer: the
+// deposits of all ants scatter into Δ, then one flat sweep applies
+// τ ← (1-ρ)τ + Δ, refreshes the weight matrix, and re-zeroes Δ.
+func refUpdatePheromone(e *Engine, r *refDelta) {
+	n := e.n
+	for ant := 0; ant < e.m; ant++ {
+		tour := e.Tours[ant*n : (ant+1)*n]
+		d := float32(1.0 / float64(e.Lengths[ant]))
+		refScatterDeposit(e, r, tour, d, e.P.Alpha != 1)
+	}
+	refApplyUpdate(e, r)
+}
+
+// refScatterDeposit adds d on both directions of every edge of the tour
+// into Δ; track records the touched entries for the α ≠ 1 incremental
+// weight invalidation.
+func refScatterDeposit(e *Engine, r *refDelta, tour []int32, d float32, track bool) {
+	n := e.n
+	prev := int(tour[n-1])
+	for i := 0; i < n; i++ {
+		c := int(tour[i])
+		r.delta[prev*n+c] += d
+		r.delta[c*n+prev] = r.delta[prev*n+c]
+		if track {
+			r.touched = append(r.touched, int32(prev*n+c), int32(c*n+prev))
+		}
+		prev = c
+	}
+}
+
+// refApplyUpdate is the fused evaporate+deposit sweep over τ, weight and Δ.
+func refApplyUpdate(e *Engine, r *refDelta) {
+	f := float32(1 - e.P.Rho)
+	if e.P.Alpha == 1 {
+		e.forSpan(len(e.tau), func(lo, hi int) {
+			tau, w, eb, del := e.tau[lo:hi], e.weight[lo:hi], e.etaBeta[lo:hi], r.delta[lo:hi]
+			for i := range tau {
+				t := tau[i]*f + del[i]
+				tau[i] = t
+				w[i] = t * eb[i]
+				del[i] = 0
+			}
+		})
+		e.refreshNN()
+		return
+	}
+	s := float32(math.Pow(float64(f), e.P.Alpha))
+	e.forSpan(len(e.tau), func(lo, hi int) {
+		tau, w, del := e.tau[lo:hi], e.weight[lo:hi], r.delta[lo:hi]
+		for i := range tau {
+			tau[i] = tau[i]*f + del[i]
+			w[i] *= s
+			del[i] = 0
+		}
+	})
+	tau, w := e.tau, e.weight
+	if len(r.touched) >= len(tau)/2 {
+		e.forSpan(len(w), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				w[i] = powF32(tau[i], e.P.Alpha) * e.etaBeta[i]
+			}
+		})
+	} else {
+		for _, idx := range r.touched {
+			w[idx] = powF32(tau[idx], e.P.Alpha) * e.etaBeta[idx]
+		}
+	}
+	r.touched = r.touched[:0]
+	e.refreshNN()
+}
+
+// refUpdateMMAS is MMAS.UpdatePheromone on the dense Δ buffer: the
+// depositing tour's Δ scatters first, then a single traversal evaporates,
+// deposits, clamps and refreshes the weight cell by cell.
+func refUpdateMMAS(m *MMAS, r *refDelta, tour []int32, length int64) {
+	refScatterDeposit(m.Engine, r, tour, float32(1/float64(length)), false)
+	f := float32(1 - m.P.Rho)
+	tmin, tmax := float32(m.TauMin), float32(m.TauMax)
+	if m.P.Alpha == 1 {
+		m.forSpan(len(m.tau), func(lo, hi int) {
+			tau, w, eb, del := m.tau[lo:hi], m.weight[lo:hi], m.etaBeta[lo:hi], r.delta[lo:hi]
+			for i := range tau {
+				t := tau[i]*f + del[i]
+				if t < tmin {
+					t = tmin
+				} else if t > tmax {
+					t = tmax
+				}
+				tau[i] = t
+				w[i] = t * eb[i]
+				del[i] = 0
+			}
+		})
+	} else {
+		alpha := m.P.Alpha
+		m.forSpan(len(m.tau), func(lo, hi int) {
+			tau, w, eb, del := m.tau[lo:hi], m.weight[lo:hi], m.etaBeta[lo:hi], r.delta[lo:hi]
+			for i := range tau {
+				t := tau[i]*f + del[i]
+				if t < tmin {
+					t = tmin
+				} else if t > tmax {
+					t = tmax
+				}
+				tau[i] = t
+				w[i] = powF32(t, alpha) * eb[i]
+				del[i] = 0
+			}
+		})
+	}
+	m.refreshNN()
+}
+
+// refDeposits returns the Δ that the reference scatter builds from the
+// engine's current tours.
+func refDeposits(e *Engine) []float32 {
+	r := newRefDelta(e)
+	n := e.n
+	for ant := 0; ant < e.m; ant++ {
+		refScatterDeposit(e, r, e.Tours[ant*n:(ant+1)*n], float32(1.0/float64(e.Lengths[ant])), false)
+	}
+	return r.delta
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 // identityInstances are the byte-identity suite's instances: four TSPLIB
@@ -581,5 +724,106 @@ func TestFullRuleNonFiniteVisitedWeight(t *testing.T) {
 	}
 	if !differs {
 		t.Error("the compacted rule matched the masked reference on every seed; the Inf·0 regime was not reached")
+	}
+}
+
+// TestUpdateMatchesDenseDeltaReference steps the production engine beside
+// one whose pheromone updates run the dense-Δ reference and demands the
+// same bits in τ, the weights and wNN, and the same tours, after each of
+// three updates: AS with α = 1, AS with α ≠ 1 and deposits below, at and
+// above the dense threshold 2·n·m ≥ ⌊n²/2⌋ (m = 5, ⌊n/4⌋ and ⌊n/4⌋+1),
+// and MMAS with α = 1 and α ≠ 1, whose schedule deposits the
+// iteration-best tour in updates 1 and 3 and the best-so-far in update 2.
+// Every case runs at 1, 2 and 3 workers on att48, kroC100 and a 257-city
+// instance, on the NN rule, so wNN is gathered after every update.
+func TestUpdateMatchesDenseDeltaReference(t *testing.T) {
+	gen, err := tsp.Generate(tsp.GenSpec{Name: "gen257", N: 257, Type: tsp.Euc2D, Seed: 257})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := []*tsp.Instance{tsp.MustLoadBenchmark("att48"), tsp.MustLoadBenchmark("kroC100"), gen}
+	configs := []struct {
+		name  string
+		mmas  bool
+		alpha float64
+		ants  func(n int) int
+	}{
+		{"AS/alpha=1", false, 1, func(int) int { return 25 }},
+		{"AS/alpha=1.3/m=5", false, 1.3, func(int) int { return 5 }},
+		{"AS/alpha=0.5/m=n/4", false, 0.5, func(n int) int { return n / 4 }},
+		{"AS/alpha=2/m=n/4+1", false, 2, func(n int) int { return n/4 + 1 }},
+		{"MMAS/alpha=1", true, 1, func(int) int { return 13 }},
+		{"MMAS/alpha=1.5", true, 1.5, func(int) int { return 13 }},
+	}
+	for _, in := range ins {
+		for _, c := range configs {
+			for _, workers := range []int{1, 2, 3} {
+				label := fmt.Sprintf("%s/%s/w=%d", in.Name, c.name, workers)
+				p := aco.Params{Alpha: c.alpha, Beta: 2, Rho: 0.5, Ants: c.ants(in.N()), NN: 20, Seed: 3, Workers: workers}
+				got, want, stepGot, stepWant := updatePair(t, in, p, c.mmas)
+				for it := 1; it <= 3; it++ {
+					stepGot()
+					stepWant()
+					switch {
+					case !slices.Equal(got.Tours, want.Tours):
+						t.Fatalf("%s update %d: tours differ from the dense-Δ reference run", label, it)
+					case !sameBits(got.tau, want.tau):
+						t.Fatalf("%s update %d: tau differs from the dense-Δ reference", label, it)
+					case !sameBits(got.weight, want.weight):
+						t.Fatalf("%s update %d: weights differ from the dense-Δ reference", label, it)
+					case got.wNN == nil || !sameBits(got.wNN, want.wNN):
+						t.Fatalf("%s update %d: wNN differs from the dense-Δ reference", label, it)
+					}
+				}
+				got.Close()
+				want.Close()
+			}
+		}
+	}
+}
+
+// updatePair builds two engines with the same parameters and the steps
+// that iterate them on the NN rule: the first with the production update,
+// the second with the dense-Δ reference.
+func updatePair(t *testing.T, in *tsp.Instance, p aco.Params, mmas bool) (got, want *Engine, stepGot, stepWant func()) {
+	t.Helper()
+	v := aco.NNListConstruction
+	if mmas {
+		mp := aco.MMASParams{Params: p, BestEvery: 2, StagnationReset: 3}
+		mg, err := NewMMAS(in, mp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mw, err := NewMMAS(in, mp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newRefDelta(mw.Engine)
+		return mg.Engine, mw.Engine, func() { mg.Iterate(v) }, func() {
+			mw.ConstructTours(v)
+			useBest, reset := mw.Next(mw.BestLen)
+			ant := aco.IterationBest(mw.Lengths)
+			tour, length := mw.Tours[ant*mw.n:(ant+1)*mw.n], mw.Lengths[ant]
+			if useBest {
+				tour, length = mw.BestTour, mw.BestLen
+			}
+			refUpdateMMAS(mw, r, tour, length)
+			if reset {
+				mw.resetTrails()
+			}
+		}
+	}
+	eg, err := New(in, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ew, err := New(in, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRefDelta(ew)
+	return eg, ew, func() { eg.Iterate(v) }, func() {
+		ew.ConstructTours(v)
+		refUpdatePheromone(ew, r)
 	}
 }
