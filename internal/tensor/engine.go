@@ -15,19 +15,23 @@
 //     uniform factor (1-ρ)^α (exact algebra: ((1-ρ)τ)^α = (1-ρ)^α·τ^α)
 //     and recompute only the entries invalidated by deposits.
 //
-//   - Recycled matrices. τ, η^β, the weights and Δ are the engine's four
-//     n×n matrices (16 MB at n = 1002). Close hands them to the next
+//   - Recycled matrices. τ, η^β and the weights are the engine's three
+//     n×n matrices (12 MB at n = 1002). Close hands them to the next
 //     engine of the same n through an idle list that holds them weakly,
 //     so a garbage collection reclaims a set no engine took. The next
-//     engine rebuilds η^β and refills τ and the weights (Δ is zero unless
-//     an update panicked), so a server solving one size job after job
-//     allocates no n² memory at set-up (see matrices.go).
+//     engine rebuilds η^β and refills τ and the weights, so a server
+//     solving one size job after job allocates no n² memory at set-up
+//     (see matrices.go).
 //
-//   - Fused evaporate+deposit. Deposits scatter into a dense Δ buffer;
-//     one flat sweep then computes τ ← (1-ρ)τ + Δ, refreshes the weight,
-//     and re-zeroes Δ — a single traversal of each matrix in index order,
-//     which is what the hardware prefetcher and the Go auto-vectoriser
-//     both want. There is no separate "compute choice info" stage.
+//   - Fused evaporate+deposit, with the weights as the deposit buffer.
+//     Nothing reads the weights between an iteration's last construction
+//     and the update, which rewrites every one of them, so the update
+//     clears them and scatters the deposits into them as the dense Δ; one
+//     flat sweep then computes τ ← (1-ρ)τ + Δ and overwrites each Δ with
+//     its cell's new weight — a single traversal of each matrix in index
+//     order, which is what the hardware prefetcher and the Go
+//     auto-vectoriser both want. There is no separate "compute choice
+//     info" stage.
 //
 //   - Batched roulette via cumulative-sum rows. The selection
 //     probabilities of one construction step are a cumulative sum over
@@ -96,12 +100,13 @@ type Engine struct {
 	// engine, so the leaves carry wall-clock seconds.
 	Tracer *trace.Collector
 
-	// scratch (reused across ants and iterations; no per-iteration allocs)
-	delta   []float32 // n×n dense deposit buffer, zero between updates
-	touched []int32   // weight entries invalidated by deposits (α ≠ 1 only)
+	// touched lists the cells the deposits hit, each with its new τ, on
+	// the one update path that keeps the other weights (α ≠ 1, sparse
+	// deposits); reused across iterations.
+	touched []touchedCell
 
-	// mats owns tau, etaBeta, weight and delta, and the construction
-	// scratch, until Close recycles it.
+	// mats owns tau, etaBeta and weight, and the construction scratch,
+	// until Close recycles it.
 	mats *matrices
 
 	// Multicore state: the resolved worker count, the persistent pool, and
@@ -173,7 +178,7 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 	e.tau0 = aco.ASTau0(e.m, e.cnn)
 
 	e.mats = takeMatrices(n)
-	e.tau, e.etaBeta, e.weight, e.delta = e.mats.tau, e.mats.etaBeta, e.mats.weight, e.mats.delta
+	e.tau, e.etaBeta, e.weight = e.mats.tau, e.mats.etaBeta, e.mats.weight
 	cs := e.mats.constructScratch(2*e.workers, e.nn)
 	e.cs, e.cs2 = cs[:e.workers], cs[e.workers:]
 
@@ -209,7 +214,7 @@ func (e *Engine) Close() {
 	}
 	putMatrices(e.mats)
 	e.mats = nil
-	e.tau, e.etaBeta, e.weight, e.delta = nil, nil, nil, nil
+	e.tau, e.etaBeta, e.weight = nil, nil, nil
 	e.cs, e.cs2 = nil, nil
 }
 
@@ -266,92 +271,118 @@ func (e *Engine) Tau0() float64 { return e.tau0 }
 // size, so a caller that keeps τ past Close must copy it first.
 func (e *Engine) Tau() []float32 { return e.tau }
 
-// UpdatePheromone runs the fused Ant System pheromone stage: the deposits
-// of all ants scatter into the dense Δ buffer, then one flat sweep applies
-// τ ← (1-ρ)τ + Δ, refreshes the weight matrix, and re-zeroes Δ. The
+// UpdatePheromone runs the fused Ant System pheromone stage with the
+// weight matrix as the dense deposit buffer Δ: it clears the weights,
+// scatters the deposits of all ants into them, then one flat sweep applies
+// τ ← (1-ρ)τ + Δ and overwrites each cell's Δ with its new weight. The
 // scatter stays serial in ant order — float32 accumulation order is part
-// of the result — while the sweep row-shards over the pool.
+// of the result — while the sweep row-shards over the pool. The clear is
+// one memclr: it is bound by memory bandwidth, so sharding it would only
+// add a pool round trip. With α ≠ 1 and deposits on under half the cells,
+// the untouched weights keep their values instead (updateSparse).
 func (e *Engine) UpdatePheromone() {
-	n := e.n
-	for ant := 0; ant < e.m; ant++ {
-		tour := e.Tours[ant*n : (ant+1)*n]
-		d := float32(1.0 / float64(e.Lengths[ant]))
-		e.scatterDeposit(tour, d, e.P.Alpha != 1)
-	}
-	e.applyUpdate()
-}
-
-// scatterDeposit adds d on both directions of every edge of the tour into
-// the Δ buffer and marks the set dirty until the sweep re-zeroes Δ; track
-// records the touched entries for the α ≠ 1 incremental weight
-// invalidation (the MMAS clamp pass recomputes weights wholesale instead
-// and passes false).
-func (e *Engine) scatterDeposit(tour []int32, d float32, track bool) {
-	n := e.n
-	e.mats.dirty = true
-	prev := int(tour[n-1])
-	for i := 0; i < n; i++ {
-		c := int(tour[i])
-		e.delta[prev*n+c] += d
-		e.delta[c*n+prev] = e.delta[prev*n+c]
-		if track {
-			e.touched = append(e.touched, int32(prev*n+c), int32(c*n+prev))
-		}
-		prev = c
-	}
-}
-
-// applyUpdate is the fused evaporate+deposit sweep over τ, weight and Δ —
-// RNG-free and cell-independent, so it row-shards over the pool.
-func (e *Engine) applyUpdate() {
-	f := float32(1 - e.P.Rho)
-	if e.P.Alpha == 1 {
-		// The hot path: one traversal, two multiply-adds per cell, no pow.
-		e.forSpan(len(e.tau), func(lo, hi int) {
-			tau, w, eb, del := e.tau[lo:hi], e.weight[lo:hi], e.etaBeta[lo:hi], e.delta[lo:hi]
-			for i := range tau {
-				t := tau[i]*f + del[i]
-				tau[i] = t
-				w[i] = t * eb[i]
-				del[i] = 0
-			}
-		})
-		e.mats.dirty = false
-		e.refreshNN()
+	alpha := e.P.Alpha
+	// The ants deposit on 2·n·m cells, a cell two ants cross counted twice.
+	if alpha != 1 && 2*e.n*e.m < len(e.tau)/2 {
+		e.updateSparse()
 		return
 	}
-	// General α: τ updates as usual; untouched weights scale by the exact
-	// identity ((1-ρ)τ)^α = (1-ρ)^α·τ^α; entries hit by a deposit lose
-	// that identity and are recomputed from τ (incremental invalidation).
-	s := float32(math.Pow(float64(f), e.P.Alpha))
-	e.forSpan(len(e.tau), func(lo, hi int) {
-		tau, w, del := e.tau[lo:hi], e.weight[lo:hi], e.delta[lo:hi]
-		for i := range tau {
-			tau[i] = tau[i]*f + del[i]
-			w[i] *= s
-			del[i] = 0
-		}
-	})
-	e.mats.dirty = false
-	tau, w := e.tau, e.weight
-	if len(e.touched) >= len(tau)/2 {
-		// Dense deposits (the AS with m = n touches most of the matrix):
-		// a full recompute is cheaper than chasing the invalidation list.
-		e.forSpan(len(w), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				w[i] = powF32(tau[i], e.P.Alpha) * e.etaBeta[i]
+	clear(e.weight)
+	e.depositAnts()
+	f := float32(1 - e.P.Rho)
+	if alpha == 1 {
+		// The hot path: one traversal, two multiply-adds per cell, no pow.
+		e.forSpan(len(e.tau), func(lo, hi int) {
+			tau, w, eb := e.tau[lo:hi], e.weight[lo:hi], e.etaBeta[lo:hi]
+			for i := range tau {
+				t := tau[i]*f + w[i]
+				tau[i] = t
+				w[i] = t * eb[i]
 			}
 		})
 	} else {
-		// The invalidation list may repeat an index (two ants crossing one
-		// edge), so this stays serial; each write is idempotent but a
-		// concurrent duplicate would still be a racing write.
-		for _, idx := range e.touched {
-			w[idx] = powF32(tau[idx], e.P.Alpha) * e.etaBeta[idx]
+		// Dense deposits (the AS with m = n touches most of the matrix):
+		// recomputing every weight is cheaper than chasing the cells.
+		e.forSpan(len(e.tau), func(lo, hi int) {
+			tau, w, eb := e.tau[lo:hi], e.weight[lo:hi], e.etaBeta[lo:hi]
+			for i := range tau {
+				t := tau[i]*f + w[i]
+				tau[i] = t
+				w[i] = powF32(t, alpha) * eb[i]
+			}
+		})
+	}
+	e.refreshNN()
+}
+
+// touchedCell is one cell a deposit hit, with the τ the update gives it.
+type touchedCell struct {
+	cell int32
+	tau  float32
+}
+
+// updateSparse is the α ≠ 1 update for deposits on under half the cells.
+// Untouched weights scale by the exact identity ((1-ρ)τ)^α = (1-ρ)^α·τ^α,
+// so only the touched cells serve as Δ: it zeroes them, scatters into
+// them and stores each one's new τ = (1-ρ)τ + Δ; the sweep then
+// evaporates τ and scales every weight, and last the touched cells get
+// their τ and a weight recomputed from it. The list repeats a cell that
+// two ants cross, which gets the same values both times; the passes over
+// it stay serial, since a concurrent duplicate would still be a racing
+// write.
+func (e *Engine) updateSparse() {
+	n, w := e.n, e.weight
+	e.touched = e.touched[:0]
+	for ant := 0; ant < e.m; ant++ {
+		tour := e.Tours[ant*n : (ant+1)*n]
+		prev := int(tour[n-1])
+		for _, c := range tour {
+			a, b := prev*n+int(c), int(c)*n+prev
+			w[a], w[b] = 0, 0
+			e.touched = append(e.touched, touchedCell{cell: int32(a)}, touchedCell{cell: int32(b)})
+			prev = int(c)
 		}
 	}
-	e.touched = e.touched[:0]
+	e.depositAnts()
+	f := float32(1 - e.P.Rho)
+	for k, c := range e.touched {
+		e.touched[k].tau = e.tau[c.cell]*f + w[c.cell]
+	}
+	s := float32(math.Pow(float64(f), e.P.Alpha))
+	e.forSpan(len(e.tau), func(lo, hi int) {
+		tau, w := e.tau[lo:hi], e.weight[lo:hi]
+		for i := range tau {
+			tau[i] *= f
+			w[i] *= s
+		}
+	})
+	for _, c := range e.touched {
+		e.tau[c.cell] = c.tau
+		w[c.cell] = powF32(c.tau, e.P.Alpha) * e.etaBeta[c.cell]
+	}
 	e.refreshNN()
+}
+
+// depositAnts scatters every ant's deposit into the weight matrix, in ant
+// order.
+func (e *Engine) depositAnts() {
+	for ant := 0; ant < e.m; ant++ {
+		e.deposit(e.Tours[ant*e.n:(ant+1)*e.n], e.Lengths[ant])
+	}
+}
+
+// deposit adds 1/length on both directions of every edge of the tour into
+// the weight matrix, which the update uses as Δ: the cell in the walked
+// direction accumulates and its mirror copies it.
+func (e *Engine) deposit(tour []int32, length int64) {
+	n, w := e.n, e.weight
+	d := float32(1.0 / float64(length))
+	prev := int(tour[n-1])
+	for _, c := range tour {
+		w[prev*n+int(c)] += d
+		w[int(c)*n+prev] = w[prev*n+int(c)]
+		prev = int(c)
+	}
 }
 
 // RecordConvergence publishes the latest iteration to conv exactly like

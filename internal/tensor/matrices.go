@@ -6,16 +6,15 @@ import (
 	"weak"
 )
 
-// matrices is one engine's four n×n float32 matrices: τ, η^β, the roulette
-// weights and the deposit buffer Δ. Closed engines hand their set to the
-// next engine of the same n, which rebuilds η^β and refills τ and the
-// weights. Δ is zero between updates: a deposit scatter sets dirty and the
-// sweep that re-zeroes Δ clears it, so only an update that panicked in
-// between leaves a set dirty, and only a dirty set's Δ needs clearing.
+// matrices is one engine's three n×n float32 matrices: τ, η^β and the
+// roulette weights, which each pheromone update also uses as its deposit
+// buffer Δ. Closed engines hand their set to the next engine of the same
+// n, which rebuilds η^β and refills τ and the weights, so whatever the
+// previous engine left there, a panicked update's deposits included, is
+// overwritten before it is read.
 type matrices struct {
-	n                           int
-	tau, etaBeta, weight, delta []float32
-	dirty                       bool
+	n                    int
+	tau, etaBeta, weight []float32
 
 	// scratch is the construction scratch of the engines that held the
 	// set. Every construction resets what it reads, so the next engine of
@@ -33,10 +32,9 @@ var idle struct {
 }
 
 // takeMatrices returns the most recently closed engine's idle n×n set (the
-// one likeliest still in cache) with Δ zero, clearing it only when the
-// set is dirty. It allocates a zeroed set when no idle set of that n is
-// left. A recycled set's τ, η^β and weights hold the previous engine's
-// values.
+// one likeliest still in cache), or allocates a set when no idle set of
+// that n is left. A recycled set's τ, η^β and weights hold the previous
+// engine's values.
 func takeMatrices(n int) *matrices {
 	idle.mu.Lock()
 	var s *matrices
@@ -55,12 +53,7 @@ func takeMatrices(n int) *matrices {
 			tau:     make([]float32, n*n),
 			etaBeta: make([]float32, n*n),
 			weight:  make([]float32, n*n),
-			delta:   make([]float32, n*n),
 		}
-	}
-	if s.dirty {
-		clear(s.delta)
-		s.dirty = false
 	}
 	return s
 }

@@ -36,22 +36,6 @@ func idleCount(s *matrices) int {
 	return k
 }
 
-// closeClean closes e after checking that its set, unless marked dirty,
-// has an all-zero Δ: the next engine takes a clean set without clearing
-// it.
-func closeClean(t testing.TB, e *Engine) {
-	t.Helper()
-	if s := e.mats; s != nil && !s.dirty {
-		for i, v := range s.delta {
-			if v != 0 {
-				t.Errorf("set handed back clean with Δ[%d] = %v", i, v)
-				break
-			}
-		}
-	}
-	e.Close()
-}
-
 // sameN48 is a uniform 48-city instance: att48's size, other content.
 func sameN48(t *testing.T) *tsp.Instance {
 	t.Helper()
@@ -127,7 +111,8 @@ func runDiff(got, want runSnapshot) string {
 // built on a fresh set, in four cases of what the set held: the same
 // instance and β, another instance of the same n, another β, and the
 // matrices of an AS engine on the same instance and β that panicked
-// between its deposit scatter and its sweep (Δ left dirty).
+// between its deposit scatter and its sweep (deposit sums left in the
+// weights).
 func TestRecycledMatricesMatchFresh(t *testing.T) {
 	att, other := tsp.MustLoadBenchmark("att48"), sameN48(t)
 	const beta = 2.0
@@ -149,7 +134,7 @@ func TestRecycledMatricesMatchFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := solveSnapshot(e, step)
-		closeClean(t, e)
+		e.Close()
 		for _, c := range cases {
 			t.Run(alg.name+"/"+c.name, func(t *testing.T) {
 				drainIdle()
@@ -158,7 +143,7 @@ func TestRecycledMatricesMatchFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer closeClean(t, e)
+				defer e.Close()
 				if e.mats != s {
 					t.Fatal("engine did not take the idle set")
 				}
@@ -171,8 +156,9 @@ func TestRecycledMatricesMatchFresh(t *testing.T) {
 }
 
 // usedSet runs an AS engine on in at β for two iterations, optionally
-// panicking inside a third update after the deposit scatter, closes it
-// and returns its matrix set, now idle.
+// panicking inside a third update after the deposit scatter, which leaves
+// the deposit sums in the set's weight matrix, closes it and returns its
+// matrix set, now idle.
 func usedSet(t *testing.T, in *tsp.Instance, beta float64, panicked bool) *matrices {
 	t.Helper()
 	e, step, err := recycleAlgs[0].run(in, beta)
@@ -195,18 +181,11 @@ func usedSet(t *testing.T, in *tsp.Instance, beta float64, panicked bool) *matri
 			}()
 			e.UpdatePheromone()
 		}()
-		dirty := false
-		for _, v := range s.delta {
-			dirty = dirty || v != 0
-		}
-		if !dirty {
-			t.Fatal("the panicked update left Δ clean; the case is vacuous")
-		}
-		if !s.dirty {
-			t.Fatal("the panicked update left the set marked clean")
+		if !sameBits(s.weight, refDeposits(e)) {
+			t.Fatal("the panicked update did not leave the deposit sums in the weights; the case is vacuous")
 		}
 	}
-	closeClean(t, e)
+	e.Close()
 	if idleCount(s) != 1 {
 		t.Fatal("Close did not put the set on the idle list")
 	}
@@ -226,7 +205,7 @@ func TestRecycledScratchFitsEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer closeClean(t, e)
+		defer e.Close()
 		for i := 0; i < 3; i++ {
 			e.Iterate(v)
 		}
@@ -260,7 +239,7 @@ func TestCloseTwiceRecyclesOnce(t *testing.T) {
 	if k := idleCount(s); k != 1 {
 		t.Fatalf("set on the idle list %d times after two Closes, want once", k)
 	}
-	if e.Tau() != nil || e.weight != nil || e.etaBeta != nil || e.delta != nil {
+	if e.Tau() != nil || e.weight != nil || e.etaBeta != nil {
 		t.Fatal("closed engine still references the recycled matrices")
 	}
 	if e.BestTour == nil || e.BestLen <= 0 {
@@ -299,7 +278,7 @@ func TestConcurrentRecyclingMatchesSerial(t *testing.T) {
 		if err != nil {
 			return runSnapshot{}, err
 		}
-		defer closeClean(t, e)
+		defer e.Close()
 		for i := 0; i < 3; i++ {
 			step()
 		}

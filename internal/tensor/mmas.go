@@ -40,21 +40,23 @@ func (m *MMAS) resetTrails() {
 	m.resetTau(float32(powOf(m.P.Alpha)(m.TauMax)), float32(m.TauMax))
 }
 
-// UpdatePheromone applies the MMAS pheromone stage as one fused sweep: the
-// depositing tour's Δ scatters first, then a single traversal evaporates,
-// deposits, clamps and refreshes the weight cell by cell.
+// UpdatePheromone applies the MMAS pheromone stage as one fused sweep,
+// with the weight matrix as Δ: the weights are cleared and the depositing
+// tour scatters into them, then a single traversal evaporates, deposits,
+// clamps and overwrites each cell's Δ with its refreshed weight.
 func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
-	m.scatterDeposit(tour, float32(1/float64(length)), false)
+	clear(m.weight)
+	m.deposit(tour, length)
 
 	// The sweep is cell-independent (the clamp is per entry), so it
-	// row-shards over the pool like the AS applyUpdate.
+	// row-shards over the pool like the AS sweep.
 	f := float32(1 - m.P.Rho)
 	tmin, tmax := float32(m.TauMin), float32(m.TauMax)
 	if m.P.Alpha == 1 {
 		m.forSpan(len(m.tau), func(lo, hi int) {
-			tau, w, eb, del := m.tau[lo:hi], m.weight[lo:hi], m.etaBeta[lo:hi], m.delta[lo:hi]
+			tau, w, eb := m.tau[lo:hi], m.weight[lo:hi], m.etaBeta[lo:hi]
 			for i := range tau {
-				t := tau[i]*f + del[i]
+				t := tau[i]*f + w[i]
 				if t < tmin {
 					t = tmin
 				} else if t > tmax {
@@ -62,15 +64,14 @@ func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
 				}
 				tau[i] = t
 				w[i] = t * eb[i]
-				del[i] = 0
 			}
 		})
 	} else {
 		alpha := m.P.Alpha
 		m.forSpan(len(m.tau), func(lo, hi int) {
-			tau, w, eb, del := m.tau[lo:hi], m.weight[lo:hi], m.etaBeta[lo:hi], m.delta[lo:hi]
+			tau, w, eb := m.tau[lo:hi], m.weight[lo:hi], m.etaBeta[lo:hi]
 			for i := range tau {
-				t := tau[i]*f + del[i]
+				t := tau[i]*f + w[i]
 				if t < tmin {
 					t = tmin
 				} else if t > tmax {
@@ -78,11 +79,9 @@ func (m *MMAS) UpdatePheromone(tour []int32, length int64) {
 				}
 				tau[i] = t
 				w[i] = powF32(t, alpha) * eb[i]
-				del[i] = 0
 			}
 		})
 	}
-	m.mats.dirty = false
 	m.refreshNN()
 }
 

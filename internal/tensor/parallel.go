@@ -21,8 +21,9 @@ import (
 //     order after the barrier, keeping the serial loop's
 //     first-ant-wins-ties rule — the tensor analogue of the island
 //     model's island-id-order reduction.
-//   - Order-sensitive kernels stay serial: the dense-Δ deposit scatter
-//     (float32 accumulation order is part of the result) and the whole
+//   - Order-sensitive kernels stay serial: the deposit scatter into the
+//     weight matrix, which the update clears to serve as the dense Δ
+//     (float32 accumulation order is part of the result), and the whole
 //     ACS construction (its per-edge local update makes each ant read
 //     the trails the previous ants wrote — sequential semantics by
 //     definition, as in Skinderowicz's GPU ACS, which only parallelizes
