@@ -11,6 +11,11 @@ import (
 // keeps the paper's m = n; 25 is ACOTSP's default colony size, the
 // few-ant regime where the colony's choice-info recomputation dominates
 // (see internal/bench.Tensor for the sweep these spot benchmarks back).
+// The tensor side resets τ to τ0 before each op, outside the timer: with
+// few ants, an untouched trail shrinks by 1-ρ at every update and its
+// float32 weight, then the trail itself, pass through the subnormal range,
+// where each update and construction runs several times slower, so an op
+// count past about 50 would time that window instead of the iteration.
 func benchIterate(b *testing.B, name string, v aco.Variant, ants int, tensorSide bool) {
 	b.Helper()
 	in := tsp.MustLoadBenchmark(name)
@@ -23,6 +28,9 @@ func benchIterate(b *testing.B, name string, v aco.Variant, ants int, tensorSide
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			resetTau0(e)
+			b.StartTimer()
 			e.Iterate(v)
 		}
 		return
@@ -102,6 +110,26 @@ func BenchmarkLocalSearchM25(b *testing.B) {
 		b.StartTimer()
 		e.LocalSearchTours()
 	}
+}
+
+// BenchmarkUpdatePheromoneM25 times the AS pheromone update over 25
+// full-rule tours, resetting τ to τ0 before each op so every op updates
+// the same trails.
+func BenchmarkUpdatePheromoneM25(b *testing.B) {
+	e := benchEngineM25(b)
+	e.ConstructTours(aco.FullProbabilistic)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		resetTau0(e)
+		b.StartTimer()
+		e.UpdatePheromone()
+	}
+}
+
+// resetTau0 sets every trail of an AS engine back to τ0, as New does.
+func resetTau0(e *Engine) {
+	e.resetTau(float32(powOf(e.P.Alpha)(e.tau0)), float32(e.tau0))
 }
 
 // BenchmarkNewWithDerivedM25 times the engine-large job's engine set-up:
