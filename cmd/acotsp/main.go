@@ -73,6 +73,9 @@ func run(args []string, stdout io.Writer) error {
 	if *traceOut != "" {
 		*profile = true
 	}
+	if *iterLog && *runs > 1 {
+		return fmt.Errorf("-runs is not supported with -trace (the traced run drives one engine directly)")
+	}
 	var reg *antgpu.Metrics
 	if *metricsOut != "" {
 		if *iterLog {
@@ -166,7 +169,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "device: %s\n", dev)
 		if *iterLog && opts.Algorithm == antgpu.AlgorithmAS {
-			return tracedRun(stdout, dev, in, p, *tourV, *pherV, *iters, *profile, *tourOut, *traceOut)
+			return tracedRun(stdout, dev, in, p, *tourV, *pherV, *iters, *ls, *profile, *tourOut, *traceOut)
 		}
 		opts.Backend, opts.Device, opts.Faults = antgpu.BackendGPU, dev, faults
 		opts.Tour, opts.Pher = antgpu.TourVersion(*tourV), antgpu.PherVersion(*pherV)
@@ -221,9 +224,10 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // tracedRun drives the GPU Ant System engine directly, logging every
-// iteration's best length and stage times.
+// iteration's best length and stage times; ls adds the 2-opt pass, whose
+// kernels the construct stage carries.
 func tracedRun(stdout io.Writer, dev *antgpu.Device, in *antgpu.Instance, p antgpu.Params,
-	tourV, pherV, iters int, profile bool, tourOut, traceOut string) error {
+	tourV, pherV, iters int, ls, profile bool, tourOut, traceOut string) error {
 	e, err := core.NewEngine(dev, in, p)
 	if err != nil {
 		return err
@@ -243,9 +247,13 @@ func tracedRun(stdout io.Writer, dev *antgpu.Device, in *antgpu.Instance, p antg
 		pv = antgpu.PherAtomicShared
 	}
 	fmt.Fprintf(stdout, "kernels: %v / %v\n", tv, pv)
+	iterate := e.Iterate
+	if ls {
+		iterate = e.IterateWithLocalSearch
+	}
 	total := 0.0
 	for i := 1; i <= iters; i++ {
-		res, err := e.Iterate(tv, pv)
+		res, err := iterate(tv, pv)
 		if err != nil {
 			return err
 		}

@@ -126,20 +126,31 @@ func TestSmokeIterLogWithProfile(t *testing.T) {
 }
 
 // The per-iteration log drives the engine directly; with no -tour it must
-// still pick the facade's kernels and so solve the same run.
+// still pick the facade's kernels, and with -ls step the 2-opt iteration,
+// and so solve the same run.
 func TestIterLogSolvesTheSameRun(t *testing.T) {
-	args := []string{"-bench", "att48", "-iters", "5", "-backend", "gpu"}
-	var plain, traced bytes.Buffer
-	if err := run(args, &plain); err != nil {
-		t.Fatal(err)
+	for _, extra := range [][]string{nil, {"-ls"}} {
+		args := append([]string{"-bench", "att48", "-iters", "5", "-backend", "gpu"}, extra...)
+		var plain, traced bytes.Buffer
+		if err := run(args, &plain); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append(args, "-trace"), &traced); err != nil {
+			t.Fatal(err)
+		}
+		resultRE := regexp.MustCompile(`best tour length: .*\n.* time: .*\n`)
+		want, got := resultRE.FindString(plain.String()), resultRE.FindString(traced.String())
+		if want == "" || got != want {
+			t.Fatalf("%v: -trace reports\n%s\nthe plain run\n%s", extra, got, want)
+		}
 	}
-	if err := run(append(args, "-trace"), &traced); err != nil {
-		t.Fatal(err)
-	}
-	resultRE := regexp.MustCompile(`best tour length: .*\n.* time: .*\n`)
-	want, got := resultRE.FindString(plain.String()), resultRE.FindString(traced.String())
-	if want == "" || got != want {
-		t.Fatalf("-trace reports\n%s\nthe plain run\n%s", got, want)
+}
+
+// The per-iteration log solves one seed, so it refuses -runs.
+func TestIterLogRejectsRuns(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-bench", "att48", "-iters", "2", "-backend", "gpu", "-runs", "2", "-trace"}, &out); err == nil {
+		t.Fatal("-runs 2 with -trace should fail")
 	}
 }
 
