@@ -150,7 +150,7 @@ func deleteAt(list []int32, i int) []int32 {
 // is the tabu mask.
 func (e *Engine) ConstructTours(v aco.Variant) {
 	if v == aco.NNListConstruction && e.wNN == nil {
-		e.wNN = make([]float32, e.n*e.nn)
+		e.wNN = e.mats.nnWeights(e.nn)
 		e.refreshNN()
 	}
 	e.iteration++

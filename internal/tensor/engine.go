@@ -15,13 +15,15 @@
 //     uniform factor (1-ρ)^α (exact algebra: ((1-ρ)τ)^α = (1-ρ)^α·τ^α)
 //     and recompute only the entries invalidated by deposits.
 //
-//   - Recycled matrices. τ, η^β and the weights are the engine's three
-//     n×n matrices (12 MB at n = 1002). Close hands them to the next
+//   - Recycled matrices, one shared η^β. τ and the weights are the
+//     engine's two n×n matrices (8 MB at n = 1002). Close hands them, with
+//     the tours, lengths and every scratch buffer of the job, to the next
 //     engine of the same n through an idle list that holds them weakly,
-//     so a garbage collection reclaims a set no engine took. The next
-//     engine rebuilds η^β and refills τ and the weights, so a server
-//     solving one size job after job allocates no n² memory at set-up
-//     (see matrices.go).
+//     so a garbage collection reclaims a set no engine took. η^β (4 MB at
+//     n = 1002) is one read-only table per (instance, β), shared by every
+//     live engine of that key and filled by the first. So a server solving
+//     one size job after job allocates nothing n-sized at set-up, and one
+//     solving one instance fills η^β once (see matrices.go).
 //
 //   - Fused evaporate+deposit, with the weights as the deposit buffer.
 //     Nothing reads the weights between an iteration's last construction
@@ -79,12 +81,14 @@ type Engine struct {
 	n, m, nn int
 
 	tau     []float32 // n×n pheromone τ
-	etaBeta []float32 // n×n precomputed η^β (zero diagonal)
+	etaBeta []float32 // n×n precomputed η^β (zero diagonal; the shared table, read-only)
 	weight  []float32 // n×n τ^α·η^β, the roulette weights
 	nnList  []int32   // n×nn nearest-neighbour lists
 	wNN     []float32 // n×nn weights gathered along nnList; nil until the NN rule first constructs
 	dist    []int32   // n×n int32 distances (aliases In.Matrix, read-only)
 
+	// Tours and Lengths come from the recycled matrix set, so Close drops
+	// them; BestTour is the engine's own and stays readable.
 	Tours   []int32 // m×n, row per ant
 	Lengths []int64 // m exact tour lengths
 
@@ -102,12 +106,14 @@ type Engine struct {
 
 	// touched lists the cells the deposits hit, each with its new τ, on
 	// the one update path that keeps the other weights (α ≠ 1, sparse
-	// deposits); reused across iterations.
+	// deposits); nil until that path first runs, then reused.
 	touched []touchedCell
 
-	// mats owns tau, etaBeta and weight, and the construction scratch,
-	// until Close recycles it.
+	// mats owns tau, weight, Tours, Lengths, wNN, touched and the
+	// per-worker scratch until Close recycles it; eta owns etaBeta, shared
+	// with the other live engines of this instance and β.
 	mats *matrices
+	eta  *etaTable
 
 	// Multicore state: the resolved worker count, the persistent pool, and
 	// private scratch per worker — ant-sharded kernels index their scratch
@@ -116,7 +122,7 @@ type Engine struct {
 	workers int
 	pool    *workerPool
 	cs, cs2 []constructScratch // cs2 serves the second ant of a full-rule pair
-	ls      []twoOptScratch    // allocated on first LocalSearchTours
+	ls      []twoOptScratch    // taken from mats on first LocalSearchTours
 }
 
 // New creates a tensorized Ant System engine with pheromone initialised to
@@ -165,8 +171,6 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 			d.N, d.NN, n, e.nn)
 	}
 	e.dist = in.Matrix()
-	e.Tours = make([]int32, e.m*n)
-	e.Lengths = make([]int64, e.m)
 	e.BestLen = math.MaxInt64
 	e.pool = newWorkerPool(e.workers)
 	// Backstop teardown: the pool's parked goroutines reference only the
@@ -178,44 +182,36 @@ func newEngine(in *tsp.Instance, p aco.Params, d *tsp.Derived) (*Engine, error) 
 	e.tau0 = aco.ASTau0(e.m, e.cnn)
 
 	e.mats = takeMatrices(n)
-	e.tau, e.etaBeta, e.weight = e.mats.tau, e.mats.etaBeta, e.mats.weight
+	e.tau, e.weight = e.mats.tau, e.mats.weight
+	e.Tours, e.Lengths = e.mats.toursFor(e.m)
 	cs := e.mats.constructScratch(2*e.workers, e.nn)
 	e.cs, e.cs2 = cs[:e.workers], cs[e.workers:]
-
-	// η^β once, in float64, rounded to float32 at the end. It depends only
-	// on the distance and every instance matrix is symmetric, so the upper
-	// triangle is computed and mirrored. The diagonal stays zero (no set
-	// ever writes it) so a city can never be its own roulette winner — the
-	// colony zeroes the same cells in its choice matrix.
-	pow := powOf(p.Beta)
-	for i := 0; i < n; i++ {
-		drow := e.dist[i*n : (i+1)*n]
-		for j := i + 1; j < n; j++ {
-			v := float32(pow(1.0 / (float64(drow[j]) + 0.1)))
-			e.etaBeta[i*n+j] = v
-			e.etaBeta[j*n+i] = v
-		}
-	}
+	e.eta = takeEta(in, p.Beta)
+	e.etaBeta = e.eta.v
 	return e, nil
 }
 
-// Close releases the engine's worker goroutines and hands its n×n matrices
-// to the next engine of the same size, which then skips their allocation
-// and zeroing. Call it once the solve is done: an engine dropped without
-// Close still has its goroutines torn down when it becomes unreachable
-// (runtime.AddCleanup), but its matrices are garbage. Close leaves the
-// matrix fields nil, so a closed engine can never read or write the
-// matrices of the solve that takes them next; BestTour, BestLen, Tours and
-// Lengths stay readable. A second Close does nothing.
+// Close releases the engine's worker goroutines and its hold on the η^β
+// table, and hands its n×n matrices, tours, lengths and scratch to the
+// next engine of the same size, which then skips their allocation. Call it
+// once the solve is done: an engine dropped without Close still has its
+// goroutines torn down when it becomes unreachable (runtime.AddCleanup),
+// but its buffers are garbage. Close leaves every recycled field nil,
+// Tours and Lengths included, so a closed engine can never read or write
+// the buffers of the solve that takes them next; only BestTour and
+// BestLen, which the engine owns, stay readable. A second Close does
+// nothing.
 func (e *Engine) Close() {
 	e.pool.close()
 	if e.mats == nil {
 		return
 	}
 	putMatrices(e.mats)
-	e.mats = nil
-	e.tau, e.etaBeta, e.weight = nil, nil, nil
-	e.cs, e.cs2 = nil, nil
+	releaseEta(e.eta)
+	e.mats, e.eta = nil, nil
+	e.tau, e.etaBeta, e.weight, e.wNN = nil, nil, nil, nil
+	e.Tours, e.Lengths, e.touched = nil, nil, nil
+	e.cs, e.cs2, e.ls = nil, nil, nil
 }
 
 // resetTau sets every trail to tau and every weight to tauAlpha·η^β in one
@@ -235,11 +231,11 @@ func (e *Engine) resetTau(tauAlpha, tau float32) {
 // matrix. Pheromone only changes between constructions, so gathering once
 // per update — n·nn indexed loads — turns the m·(n-1)·nn indexed loads of
 // an iteration's construction steps into sequential ones. Only the NN
-// rule reads wNN, so its first construction allocates and gathers it
-// (ConstructTours), and until then every refresh is skipped: ACS never
-// allocates it (its per-edge local update dirties weights mid-construction,
-// so its choice rule reads the weight matrix directly), nor does a
-// full-rule engine, with or without 2-opt.
+// rule reads wNN, so its first construction takes it from the matrix set
+// and gathers it (ConstructTours), and until then every refresh is
+// skipped: ACS never takes it (its per-edge local update dirties weights
+// mid-construction, so its choice rule reads the weight matrix directly),
+// nor does a full-rule engine, with or without 2-opt.
 func (e *Engine) refreshNN() {
 	if e.wNN == nil {
 		return
@@ -332,6 +328,9 @@ type touchedCell struct {
 // write.
 func (e *Engine) updateSparse() {
 	n, w := e.n, e.weight
+	if e.touched == nil {
+		e.touched = e.mats.touchedCells(2 * n * e.m)
+	}
 	e.touched = e.touched[:0]
 	for ant := 0; ant < e.m; ant++ {
 		tour := e.Tours[ant*n : (ant+1)*n]

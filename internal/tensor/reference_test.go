@@ -711,16 +711,16 @@ func TestFullRuleNonFiniteVisitedWeight(t *testing.T) {
 			t.Fatal(err)
 		}
 		refConstructTours(ref, newRefScratch(ref))
-		ref.Close()
 		fresh, err := New(in, a.P)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh.ConstructTours(aco.FullProbabilistic)
-		fresh.Close()
 		if !slices.Equal(ref.Tours, fresh.Tours) {
 			differs = true
 		}
+		ref.Close()
+		fresh.Close()
 	}
 	if !differs {
 		t.Error("the compacted rule matched the masked reference on every seed; the Inf·0 regime was not reached")

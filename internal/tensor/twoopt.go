@@ -28,10 +28,7 @@ type twoOptScratch struct {
 // outcome is bit-identical for any worker count.
 func (e *Engine) LocalSearchTours() {
 	if e.ls == nil {
-		e.ls = make([]twoOptScratch, e.workers)
-		for w := range e.ls {
-			e.ls[w] = twoOptScratch{pos: make([]int32, e.n), dlb: make([]bool, e.n)}
-		}
+		e.ls = e.mats.twoOptScratch(e.workers)
 	}
 	n := e.n
 	e.forAnts(func(w, ant int) {
