@@ -714,11 +714,10 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if err != nil {
 			return nil, err
 		}
-		iterate := func() (*core.IterationResult, error) { return e.Iterate(tv, pv) }
 		if opts.LocalSearch {
-			iterate = func() (*core.IterationResult, error) { return e.IterateWithLocalSearch(tv, pv) }
+			return gpuEngine(e, tr, e.Free, func() (*core.IterationResult, error) { return e.IterateWithLocalSearch(tv, pv) }), nil
 		}
-		return gpuEngine(e, tr, e.Free, iterate), nil
+		return gpuEngine(e, tr, e.Free, func() (*core.IterationResult, error) { return e.Iterate(tv, pv) }), nil
 	case pair{BackendGPU, AlgorithmACS}:
 		a, err := core.NewACSEngine(gpuDevice(ctx, opts), in, acs, d)
 		if err != nil {
@@ -749,11 +748,10 @@ func newEngine(ctx context.Context, in *Instance, opts SolveOptions, tr *trace.C
 		if err != nil {
 			return nil, err
 		}
-		iterate := func() { e.Iterate(v) }
 		if opts.LocalSearch {
-			iterate = func() { e.IterateWithLocalSearch(v) }
+			return tensorEngine(e, tr, func() { e.IterateWithLocalSearch(v) }), nil
 		}
-		return tensorEngine(e, tr, iterate), nil
+		return tensorEngine(e, tr, func() { e.Iterate(v) }), nil
 	case pair{BackendTensor, AlgorithmACS}:
 		a, err := tensor.NewACS(in, acs, d)
 		if err != nil {
