@@ -7,7 +7,7 @@
 //	acotsp -bench att48 -iters 50                       # CPU baseline
 //	acotsp -bench pr1002 -backend gpu -device m2050     # GPU, defaults
 //	acotsp -file my.tsp -backend gpu -tour 7 -pher 1    # explicit kernels
-//	acotsp -bench kroC100 -trace                        # per-iteration log
+//	acotsp -bench kroC100 -backend gpu -trace           # per-iteration log
 //	acotsp -bench att48 -backend gpu -profile \
 //	       -traceout trace.json                         # profiler + Perfetto
 //	acotsp -bench att48 -backend gpu \
@@ -48,7 +48,7 @@ func run(args []string, stdout io.Writer) error {
 		variant   = fs.String("variant", "nn", "CPU construction: nn or full")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		ants      = fs.Int("ants", 0, "ant count m (0 = one per city)")
-		iterLog   = fs.Bool("trace", false, "log per-iteration best and stage times (gpu backend)")
+		iterLog   = fs.Bool("trace", false, "log per-iteration best and stage times (gpu backend, AS only)")
 		alg       = fs.String("alg", "as", "algorithm: as, acs, mmas, eas or rank")
 		ls        = fs.Bool("ls", false, "apply 2-opt local search to every ant's tour (AS only)")
 		runs      = fs.Int("runs", 1, "independent runs with consecutive seeds, solved concurrently; reports the best")
@@ -150,12 +150,13 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown algorithm %q (want as, acs, mmas, eas or rank)", *alg)
 	}
 
+	if *iterLog && (*backend != "gpu" || opts.Algorithm != antgpu.AlgorithmAS) {
+		return fmt.Errorf("-trace is not supported with -backend %s -alg %s (it steps the gpu AS engine only)", *backend, *alg)
+	}
+
 	label, clock := "CPU", "modelled CPU"
 	switch *backend {
 	case "tensor":
-		if *iterLog {
-			return fmt.Errorf("-trace is not supported with -backend tensor")
-		}
 		opts.Backend, label, clock = antgpu.BackendTensor, "tensor", "host wall-clock"
 	case "gpu":
 		var dev *antgpu.Device
@@ -168,7 +169,7 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("unknown device %q (want c1060 or m2050)", *device)
 		}
 		fmt.Fprintf(stdout, "device: %s\n", dev)
-		if *iterLog && opts.Algorithm == antgpu.AlgorithmAS {
+		if *iterLog {
 			return tracedRun(stdout, dev, in, p, *tourV, *pherV, *iters, *ls, *profile, *tourOut, *traceOut)
 		}
 		opts.Backend, opts.Device, opts.Faults = antgpu.BackendGPU, dev, faults

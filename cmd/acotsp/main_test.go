@@ -154,6 +154,22 @@ func TestIterLogRejectsRuns(t *testing.T) {
 	}
 }
 
+// The per-iteration log steps the gpu AS engine only, so every other
+// (backend, algorithm) pair refuses -trace instead of solving without it.
+func TestIterLogRejectsOtherPairs(t *testing.T) {
+	for _, extra := range [][]string{
+		nil, // the cpu backend
+		{"-backend", "gpu", "-alg", "mmas"},
+		{"-backend", "tensor"},
+	} {
+		var out bytes.Buffer
+		args := append([]string{"-bench", "att48", "-iters", "3", "-trace"}, extra...)
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v: -trace should fail, printed\n%s", extra, out.String())
+		}
+	}
+}
+
 func TestRunRejectsMissingInstance(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(nil, &out); err == nil {
