@@ -203,7 +203,7 @@ func TestRecycledMatricesMatchFresh(t *testing.T) {
 // returns its matrix set and η^β table, now idle. With wide, the engine
 // runs 30 ants on 4 workers on the NN rule with an NN width of 40, so the
 // set's tours, lengths, wNN and scratch outsize those of every engine in
-// recycleAlgs (12 ants, 2 workers, NN width 30).
+// recycleAlgs (at most 12 ants, 2 workers and NN width 30).
 func usedSet(t *testing.T, in *tsp.Instance, beta float64, panicked, wide bool) (*matrices, *etaTable) {
 	t.Helper()
 	run := recycleAlgs[0].run
@@ -470,11 +470,16 @@ func TestEtaTableSharing(t *testing.T) {
 // -race, a taker reading the table before the fill completed is a
 // reported race.
 func TestConcurrentTakersSeeFilledTable(t *testing.T) {
-	in, err := tsp.Generate(tsp.GenSpec{Name: "fill", N: 300, Type: tsp.Euc2D, Seed: 5})
+	in, err := tsp.Generate(tsp.GenSpec{Name: "fill", N: 500, Type: tsp.Euc2D, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := freshEta(in, 2)
+	// The derived data is given, so the takers reach the table together.
+	d, err := in.ComputeDerived(aco.DefaultParams().NN)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const takers = 6
 	engines := make([]*Engine, takers)
 	errs := make([]error, takers)
@@ -487,7 +492,7 @@ func TestConcurrentTakersSeeFilledTable(t *testing.T) {
 			p := aco.DefaultParams()
 			p.Ants, p.Workers = 4, 1
 			<-start
-			e, err := New(in, p)
+			e, err := NewWithDerived(in, p, d)
 			if err != nil {
 				errs[i] = err
 				return
