@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -288,5 +289,48 @@ func TestSmokeMetricsOut(t *testing.T) {
 	}
 	if !bytes.Contains(out.Bytes(), []byte("# TYPE antgpu_iterations_total counter")) {
 		t.Fatalf("stdout exposition missing convergence counter:\n%s", out.String())
+	}
+}
+
+// The gpu AS -trace lines of att48 at -iters 5 and seed 1, without and with
+// -ls, as the engine-stepping log printed them: the best-so-far length and
+// the construct and update stage times of every iteration, in simulated
+// milliseconds. Under -ls the construct column carries the 2-opt kernels.
+const (
+	traceGuard = `iter   1: best    22962 | construct    0.136 ms | update    0.054 ms
+iter   2: best    20194 | construct    0.136 ms | update    0.054 ms
+iter   3: best    19337 | construct    0.136 ms | update    0.054 ms
+iter   4: best    19337 | construct    0.136 ms | update    0.054 ms
+iter   5: best    19337 | construct    0.136 ms | update    0.054 ms
+`
+	traceGuardLS = `iter   1: best    18575 | construct    0.320 ms | update    0.054 ms
+iter   2: best    18401 | construct    0.253 ms | update    0.055 ms
+iter   3: best    18401 | construct    0.238 ms | update    0.055 ms
+iter   4: best    18401 | construct    0.229 ms | update    0.055 ms
+iter   5: best    18399 | construct    0.222 ms | update    0.055 ms
+`
+)
+
+var iterLineRE = regexp.MustCompile(`(?m)^iter .*\n`)
+
+// iterLines returns the per-iteration lines of an acotsp output.
+func iterLines(out string) string {
+	return strings.Join(iterLineRE.FindAllString(out, -1), "")
+}
+
+// TestIterLogGuard pins the gpu AS -trace lines of att48.
+func TestIterLogGuard(t *testing.T) {
+	for _, c := range []struct {
+		extra []string
+		want  string
+	}{{nil, traceGuard}, {[]string{"-ls"}, traceGuardLS}} {
+		var out bytes.Buffer
+		args := append([]string{"-bench", "att48", "-backend", "gpu", "-iters", "5", "-trace"}, c.extra...)
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := iterLines(out.String()); got != c.want {
+			t.Errorf("%v: -trace printed\n%swant\n%s", c.extra, got, c.want)
+		}
 	}
 }
