@@ -183,8 +183,8 @@ type scatterPlan struct {
 // its cell and then scanning every ant's tour for its own edge — the
 // scatter-to-gather transformation of the paper, with its Θ(n⁴) load
 // volume. To keep the functional simulation tractable at large n the scan
-// may sample every antStride-th ant; the engine rescales the meters so the
-// reported launch cost is exact in expectation (see rescaleAnts).
+// may sample every antStride-th ant; the launch's WorkScale extrapolates
+// the meters, so the reported launch cost is exact in expectation.
 func (e *Engine) pherScatterGather(v PherVersion) (*cuda.LaunchResult, error) {
 	defer e.Tracer.Phase("reduction")()
 	n, m := e.n, e.m
@@ -233,6 +233,7 @@ func (e *Engine) pherScatterGather(v PherVersion) (*cuda.LaunchResult, error) {
 		Grid:        cuda.D1(blocks),
 		Block:       cuda.D1(threads),
 		SharedBytes: shared,
+		WorkScale:   float64(m) / float64(scanned),
 	}
 	perBlockOps := int64(threads) * int64(scanned) * int64(2*(n+1))
 
@@ -477,26 +478,7 @@ func (e *Engine) pherScatterGather(v PherVersion) (*cuda.LaunchResult, error) {
 		}
 	}
 
-	res, err := e.launch(cfg, fmt.Sprintf("pher-scatter-v%d", int(plan.version)), perBlockOps, kernel)
-	if err != nil {
-		return nil, err
-	}
-	if antStride > 1 {
-		rescaleAnts(res, e.Dev, &cfg, float64(m)/float64(scanned))
-		e.Tracer.AmendLastKernel(res)
-	}
-	return res, nil
-}
-
-// rescaleAnts extrapolates a launch whose kernel scanned only every k-th
-// ant: all per-work meters scale by the factor, while the structural warp
-// count stays (the same warps did proportionally more work), and the
-// simulated time is recomputed.
-func rescaleAnts(res *cuda.LaunchResult, dev *cuda.Device, cfg *cuda.LaunchConfig, factor float64) {
-	warps := res.Meter.WarpsExecuted
-	res.Meter.Scale(factor)
-	res.Meter.WarpsExecuted = warps
-	res.Seconds, res.Breakdown = cuda.EstimateTime(dev, cfg, &res.Meter)
+	return e.launch(cfg, fmt.Sprintf("pher-scatter-v%d", int(plan.version)), perBlockOps, kernel)
 }
 
 // upperTriangle maps a linear index k in [0, n(n+1)/2) to the (i, j) cell

@@ -118,6 +118,7 @@ func (e *Engine) tourTask(v TourVersion) (*cuda.LaunchResult, error) {
 		Block:         cuda.D1(plan.threads),
 		SharedBytes:   plan.sharedBytes,
 		RegsPerThread: regs,
+		WorkScale:     stepScale,
 		// The task-based scan is a load → branch → load chain: exactly the
 		// dependent, unpredictable access pattern the paper blames.
 		DependentMemory: true,
@@ -456,12 +457,5 @@ func (e *Engine) tourTask(v TourVersion) (*cuda.LaunchResult, error) {
 		})
 	}
 
-	res, err := e.launch(cfg, fmt.Sprintf("tour-task-v%d", int(v)), per, kernel)
-	if err != nil {
-		return nil, err
-	}
-	if stepScale > 1 {
-		rescaleAnts(res, e.Dev, &cfg, stepScale)
-	}
-	return res, nil
+	return e.launch(cfg, fmt.Sprintf("tour-task-v%d", int(v)), per, kernel)
 }

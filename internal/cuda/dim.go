@@ -95,6 +95,14 @@ type LaunchConfig struct {
 	// use them for timing studies only.
 	SampleStride int
 
+	// WorkScale extrapolates a kernel that did only part of each block's
+	// work, such as every k-th ant or a prefix of the construction steps:
+	// above one, Launch scales every meter but WarpsExecuted by it (the
+	// same warps do proportionally more work) before it prices the launch,
+	// so the result, the fault checks and every observer see the
+	// extrapolated launch. Zero or one leaves the meters as measured.
+	WorkScale float64
+
 	// SampleBudget, when positive and SampleStride is zero, picks the
 	// smallest stride such that the predicted number of executed lane
 	// operations stays at or below the budget. The prediction uses

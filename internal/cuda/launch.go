@@ -49,7 +49,7 @@ type workerAccum struct {
 // Launch executes a kernel over the grid described by cfg on the simulated
 // device and returns the metered result. Blocks run functionally; when
 // cfg requests sampling, only every stride-th block executes and the meters
-// are scaled to the full grid.
+// are scaled to the full grid, and then by cfg.WorkScale.
 func Launch(dev *Device, cfg LaunchConfig, name string, k Kernel) (*LaunchResult, error) {
 	if err := cfg.Validate(dev); err != nil {
 		return nil, err
@@ -150,6 +150,11 @@ func Launch(dev *Device, cfg LaunchConfig, name string, k Kernel) (*LaunchResult
 	}
 	total.BlocksLaunched = int64(blocks)
 	total.BlocksExecuted = int64(executed)
+	if cfg.WorkScale > 1 {
+		warps := total.WarpsExecuted
+		total.Scale(cfg.WorkScale)
+		total.WarpsExecuted = warps
+	}
 
 	res := &LaunchResult{
 		Name:      name,

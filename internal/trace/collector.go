@@ -45,8 +45,7 @@ type KernelDetail struct {
 // not safe for concurrent use: engines issue launches and spans serially,
 // mirroring a single CUDA stream. The zero value is NOT ready to use;
 // call NewCollector. A nil *Collector is a disabled profiler: Begin, End,
-// Phase, Span, Fault and AmendLastKernel do nothing on it, so engines call
-// them unguarded.
+// Phase, Span and Fault do nothing on it, so engines call them unguarded.
 type Collector struct {
 	clock  float64
 	events []Event
@@ -143,29 +142,6 @@ func (c *Collector) Fault(name string, seconds float64) {
 	}
 	c.events = append(c.events, Event{Name: name, Cat: "fault", Start: c.clock, Dur: seconds})
 	c.clock += seconds
-}
-
-// AmendLastKernel replaces the most recent kernel event's duration and
-// detail with res and re-adjusts the clock. Engines that rescale a sampled
-// launch after the fact (the ant-stride extrapolation of the
-// scatter-to-gather kernels) use it so the timeline matches what they
-// report.
-func (c *Collector) AmendLastKernel(res *cuda.LaunchResult) {
-	if c == nil {
-		return
-	}
-	for i := len(c.events) - 1; i >= 0; i-- {
-		e := &c.events[i]
-		if e.Cat != "kernel" {
-			continue
-		}
-		c.clock += res.Seconds - e.Dur
-		e.Dur = res.Seconds
-		e.Kernel.Stride = res.Stride
-		e.Kernel.Meter = res.Meter
-		e.Kernel.Breakdown = res.Breakdown
-		return
-	}
 }
 
 // Merge appends other's timeline onto c, starting at c's current simulated

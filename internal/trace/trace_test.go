@@ -77,8 +77,6 @@ func TestNilCollectorRecordsNothing(t *testing.T) {
 	c.Begin("iteration")
 	c.Span("host", 1e-3)
 	c.Fault("fault:launch", 1e-3)
-	_, res := fakeLaunch("k", 1e-3)
-	c.AmendLastKernel(res)
 	c.End()
 	c.Phase("update")()
 }
@@ -97,23 +95,41 @@ func TestPhaseClosesItsSpan(t *testing.T) {
 	}
 }
 
-func TestAmendLastKernelRewritesTimeline(t *testing.T) {
-	c := trace.NewCollector()
-	cfg, res := fakeLaunch("scan", 1e-3)
-	c.ObserveLaunch(cfg, res)
-	c.Span("after", 1e-4) // amend must still find the kernel behind this
-
-	amended := &cuda.LaunchResult{Name: "scan", Seconds: 4e-3, Stride: 8}
-	amended.Meter.AtomicOps = 99
-	c.AmendLastKernel(amended)
-
-	ev := c.Events()
-	if ev[0].Dur != 4e-3 || ev[0].Kernel.Stride != 8 || ev[0].Kernel.Meter.AtomicOps != 99 {
-		t.Fatalf("amend did not rewrite the kernel event: %+v", ev[0])
+// A sampled launch reaches the timeline extrapolated: the step-sampled
+// task-based construction and the ant-sampled scatter-to-gather update
+// each record the kernel their stage reports.
+func TestSampledLaunchesReachTheTimelineScaled(t *testing.T) {
+	e, err := core.NewEngine(cuda.TeslaC1060(), tsp.MustLoadBenchmark("att48"), aco.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := 4e-3 + 1e-4
-	if got := c.Seconds(); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("clock after amend = %g, want %g", got, want)
+	defer e.Free()
+	e.SampleBudget = 1 << 12
+	tr := trace.NewCollector()
+	e.SetTracer(tr)
+	construct, err := e.ConstructTours(core.TourChoiceKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	update, err := e.UpdatePheromone(core.PherScatterGather)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(construct.Kernels, update.Kernels...)
+	var got []trace.Event
+	for _, ev := range tr.Events() {
+		if ev.Cat == "kernel" {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d kernel events for %d launches", len(got), len(want))
+	}
+	for i, k := range want {
+		ev := got[i]
+		if ev.Name != k.Name || ev.Dur != k.Seconds || ev.Kernel.Meter != k.Meter || ev.Kernel.Breakdown != k.Breakdown {
+			t.Errorf("%s: timeline %.4f ms, stage %.4f ms", k.Name, ev.Dur*1e3, k.Millis())
+		}
 	}
 }
 
@@ -177,9 +193,13 @@ func engineTrace(t *testing.T) (*trace.Collector, float64) {
 	}
 	tr := trace.NewCollector()
 	e.SetTracer(tr)
-	_, _, secs, err := e.Run(core.TourDataParallel, core.PherAtomicShared, 2)
-	if err != nil {
-		t.Fatal(err)
+	secs := 0.0
+	for i := 0; i < 2; i++ {
+		res, err := e.Iterate(core.TourDataParallel, core.PherAtomicShared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs += res.Seconds()
 	}
 	return tr, secs
 }
