@@ -26,9 +26,9 @@
 //	fmt.Printf("simulated GPU time: %.2f ms\n", res.SimulatedSeconds*1e3)
 //
 // The experiment harness that regenerates every table and figure of the
-// paper lives in cmd/acobench; the underlying pieces (the simulator, the
-// kernels, the instrumented CPU baseline) are re-exported here for
-// programmatic use.
+// paper lives in cmd/acobench; the device models, kernel versions, fault
+// plans and profiler it solves with are re-exported here for programmatic
+// use.
 package antgpu
 
 import (
@@ -56,18 +56,12 @@ type (
 	Instance = tsp.Instance
 	// Params are the Ant System parameters (α, β, ρ, m, nn, seed).
 	Params = aco.Params
-	// Colony is the sequential CPU Ant System.
-	Colony = aco.Colony
-	// Engine is the GPU Ant System on the simulated device.
-	Engine = core.Engine
 	// Device is a simulated GPU model.
 	Device = cuda.Device
 	// TourVersion selects a tour-construction kernel design (Table II).
 	TourVersion = core.TourVersion
 	// PherVersion selects a pheromone-update kernel design (Tables III/IV).
 	PherVersion = core.PherVersion
-	// CPUModel converts instrumented CPU meters into deterministic times.
-	CPUModel = aco.CPUModel
 	// Trace is a profiling collector: every kernel launch and algorithm
 	// phase on one simulated timeline, exportable as a Chrome trace-event
 	// JSON (WriteChromeTrace) or a per-kernel summary (WriteSummary).
@@ -355,10 +349,6 @@ type Result struct {
 	// ran through it (SolveOptions.Faults or SolveOptions.Recovery set).
 	Recovery *RecoveryReport
 }
-
-// NewTrace returns an empty profiling collector for callers that drive an
-// Engine or Colony directly instead of going through Solve.
-func NewTrace() *Trace { return trace.NewCollector() }
 
 // newTracer returns a fresh profiling collector, or nil when profiling is
 // off (a nil tracer disables all span and observer hooks). The context's

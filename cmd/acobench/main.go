@@ -30,11 +30,8 @@ import (
 	"runtime/pprof"
 
 	"antgpu"
-	"antgpu/internal/aco"
 	"antgpu/internal/bench"
-	"antgpu/internal/core"
 	"antgpu/internal/cuda"
-	"antgpu/internal/trace"
 	"antgpu/internal/tsp"
 )
 
@@ -493,26 +490,23 @@ func runInject(stdout io.Writer, spec string) error {
 	return nil
 }
 
-// runProfile runs one full Ant System iteration on att48 for each device
-// with a tracer attached and prints the per-kernel summary — the profiler
-// view of the per-kernel costs behind the paper's tables.
+// runProfile solves one profiled Ant System iteration on att48 for each
+// device and prints the per-kernel summary — the profiler view of the
+// per-kernel costs behind the paper's tables.
 func runProfile(stdout io.Writer, traceOut string) error {
 	in, err := tsp.LoadBenchmark("att48")
 	if err != nil {
 		return err
 	}
-	p := aco.DefaultParams()
-	p.Seed = 1
 	for _, dev := range []*cuda.Device{cuda.TeslaC1060(), cuda.TeslaM2050()} {
-		e, err := core.NewEngine(dev, in, p)
+		res, err := antgpu.Solve(in, antgpu.SolveOptions{
+			Params: antgpu.Params{Seed: 1}, Iterations: 1, Backend: antgpu.BackendGPU, Device: dev,
+			Tour: antgpu.TourDataParallelTexture, Pher: antgpu.PherAtomicShared, Profile: true,
+		})
 		if err != nil {
 			return err
 		}
-		tr := trace.NewCollector()
-		e.SetTracer(tr)
-		if _, err := e.Iterate(core.TourDataParallelTexture, core.PherAtomicShared); err != nil {
-			return err
-		}
+		tr := res.Trace
 		fmt.Fprintf(stdout, "%s: one AS iteration on att48, %.4f ms simulated\n",
 			dev.Name, tr.Seconds()*1e3)
 		if err := tr.WriteSummary(stdout); err != nil {

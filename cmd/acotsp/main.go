@@ -1,6 +1,6 @@
-// Command acotsp solves TSP instances with the Ant System, on the
-// sequential CPU baseline or on the simulated GPU with any of the paper's
-// kernel versions.
+// Command acotsp solves TSP instances with the Ant System or one of its
+// variants, on the sequential CPU baseline, on the simulated GPU with any of
+// the paper's kernel versions, or on the float32 tensor engine.
 //
 // Usage:
 //
@@ -8,6 +8,7 @@
 //	acotsp -bench pr1002 -backend gpu -device m2050     # GPU, defaults
 //	acotsp -file my.tsp -backend gpu -tour 7 -pher 1    # explicit kernels
 //	acotsp -bench kroC100 -backend gpu -trace           # per-iteration log
+//	acotsp -bench att48 -alg mmas -variant full -trace  # any backend and algorithm
 //	acotsp -bench att48 -backend gpu -profile \
 //	       -traceout trace.json                         # profiler + Perfetto
 //	acotsp -bench att48 -backend gpu \
@@ -24,7 +25,6 @@ import (
 
 	"antgpu"
 	"antgpu/internal/aco"
-	"antgpu/internal/core"
 	"antgpu/internal/tsp"
 )
 
@@ -45,10 +45,10 @@ func run(args []string, stdout io.Writer) error {
 		device    = fs.String("device", "m2050", "simulated device: c1060 or m2050")
 		tourV     = fs.Int("tour", 0, "tour construction version 1-8 (0 = auto)")
 		pherV     = fs.Int("pher", 0, "pheromone update version 1-5 (0 = atomic+shared)")
-		variant   = fs.String("variant", "nn", "CPU construction: nn or full")
+		variant   = fs.String("variant", "nn", "construction rule of the cpu and tensor backends: nn or full (ACS ignores it)")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		ants      = fs.Int("ants", 0, "ant count m (0 = one per city)")
-		iterLog   = fs.Bool("trace", false, "log per-iteration best and stage times (gpu backend, AS only)")
+		iterLog   = fs.Bool("trace", false, "log each iteration's best-so-far length and construct, 2-opt (-ls) and update times, in the backend's clock")
 		alg       = fs.String("alg", "as", "algorithm: as, acs, mmas, eas or rank")
 		ls        = fs.Bool("ls", false, "apply 2-opt local search to every ant's tour (AS only)")
 		runs      = fs.Int("runs", 1, "independent runs with consecutive seeds, solved concurrently; reports the best")
@@ -73,14 +73,8 @@ func run(args []string, stdout io.Writer) error {
 	if *traceOut != "" {
 		*profile = true
 	}
-	if *iterLog && *runs > 1 {
-		return fmt.Errorf("-runs is not supported with -trace (the traced run drives one engine directly)")
-	}
 	var reg *antgpu.Metrics
 	if *metricsOut != "" {
-		if *iterLog {
-			return fmt.Errorf("-metricsout is not supported with -trace (the traced run drives the engine directly)")
-		}
 		reg = antgpu.NewMetrics()
 		defer func() {
 			if err := writeMetrics(stdout, *metricsOut, reg); err != nil {
@@ -96,9 +90,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if *backend != "gpu" {
 			return fmt.Errorf("-inject needs -backend gpu (faults live on the simulated device)")
-		}
-		if *iterLog {
-			return fmt.Errorf("-inject is not supported with -trace (the traced run drives the engine directly)")
 		}
 	}
 
@@ -125,17 +116,17 @@ func run(args []string, stdout io.Writer) error {
 		in.Name, in.N(), in.Type, p.AntCount(in.N()), *iters)
 
 	// ACS and MMAS default their unset fields per field and take their seed
-	// from Params, so only an explicit -ants needs carrying over.
+	// from Params, so only an explicit -ants needs carrying over. -trace
+	// reads its stage times from the profile.
 	opts := antgpu.SolveOptions{
-		Params: p, Iterations: *iters, LocalSearch: *ls, Profile: *profile,
-		Metrics: reg, Optimum: *optimum,
+		Params: p, Iterations: *iters, LocalSearch: *ls, Profile: *profile || *iterLog,
+		Metrics: reg, Optimum: *optimum, Variant: aco.NNListConstruction,
+	}
+	if *variant == "full" {
+		opts.Variant = aco.FullProbabilistic
 	}
 	switch strings.ToLower(*alg) {
 	case "as":
-		opts.Variant = aco.NNListConstruction
-		if *variant == "full" {
-			opts.Variant = aco.FullProbabilistic
-		}
 	case "acs":
 		opts.Algorithm = antgpu.AlgorithmACS
 		opts.ACS.Ants = *ants
@@ -148,10 +139,6 @@ func run(args []string, stdout io.Writer) error {
 		opts.Algorithm = antgpu.AlgorithmRank
 	default:
 		return fmt.Errorf("unknown algorithm %q (want as, acs, mmas, eas or rank)", *alg)
-	}
-
-	if *iterLog && (*backend != "gpu" || opts.Algorithm != antgpu.AlgorithmAS) {
-		return fmt.Errorf("-trace is not supported with -backend %s -alg %s (it steps the gpu AS engine only)", *backend, *alg)
 	}
 
 	label, clock := "CPU", "modelled CPU"
@@ -169,12 +156,22 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("unknown device %q (want c1060 or m2050)", *device)
 		}
 		fmt.Fprintf(stdout, "device: %s\n", dev)
-		if *iterLog {
-			return tracedRun(stdout, dev, in, p, *tourV, *pherV, *iters, *ls, *profile, *tourOut, *traceOut)
-		}
 		opts.Backend, opts.Device, opts.Faults = antgpu.BackendGPU, dev, faults
 		opts.Tour, opts.Pher = antgpu.TourVersion(*tourV), antgpu.PherVersion(*pherV)
 		label, clock = "GPU", "simulated GPU"
+	}
+
+	// -trace collects every run's best-so-far lengths through OnIteration;
+	// under -runs each run's sink writes its own slice on a pool goroutine.
+	var bests [][]int64
+	if *iterLog {
+		bests = make([][]int64, *runs)
+	}
+	onIteration := func(i int) func(antgpu.IterationEvent) {
+		if bests == nil {
+			return nil
+		}
+		return func(ev antgpu.IterationEvent) { bests[i] = append(bests[i], ev.BestSoFar) }
 	}
 
 	var res *antgpu.Result
@@ -187,6 +184,7 @@ func run(args []string, stdout io.Writer) error {
 		for i := range reqs {
 			reqs[i] = antgpu.SolveRequest{Instance: in, Options: opts}
 			reqs[i].Options.Params.Seed = *seed + uint64(i)
+			reqs[i].Options.OnIteration = onIteration(i)
 		}
 		rep, err := antgpu.SolveBatch(context.Background(), reqs,
 			antgpu.PoolOptions{Workers: *workers, Metrics: reg})
@@ -202,17 +200,32 @@ func run(args []string, stdout io.Writer) error {
 				best = i
 			}
 		}
+		for i := range bests {
+			fmt.Fprintf(stdout, "seed %d:\n", *seed+uint64(i))
+			if err := writeIterLog(stdout, rep.Results[i].Result.Trace, bests[i], *ls); err != nil {
+				return err
+			}
+		}
 		fmt.Fprintf(stdout, "best of %d concurrent %s runs (seed %d): "+
 			"%.3f s wall, %.3f s simulated total, cache %d hits / %d misses\n",
 			*runs, label, *seed+uint64(best), rep.WallSeconds, rep.SimulatedSeconds,
 			rep.CacheHits, rep.CacheMisses)
 		res, tr = rep.Results[best].Result, rep.Trace
 	} else {
+		opts.OnIteration = onIteration(0)
 		var err error
 		if res, err = antgpu.Solve(in, opts); err != nil {
 			return err
 		}
+		if bests != nil {
+			if err := writeIterLog(stdout, res.Trace, bests[0], *ls); err != nil {
+				return err
+			}
+		}
 		tr = res.Trace
+	}
+	if !*profile {
+		tr = nil
 	}
 	reportRecovery(stdout, res.Recovery)
 	if err := report(stdout, in, res.BestTour, res.BestLen, res.SimulatedSeconds, clock); err != nil {
@@ -224,53 +237,41 @@ func run(args []string, stdout io.Writer) error {
 	return emitProfile(stdout, tr, *traceOut)
 }
 
-// tracedRun drives the GPU Ant System engine directly, logging every
-// iteration's best length and stage times; ls adds the 2-opt pass, whose
-// kernels the construct stage carries.
-func tracedRun(stdout io.Writer, dev *antgpu.Device, in *antgpu.Instance, p antgpu.Params,
-	tourV, pherV, iters int, ls, profile bool, tourOut, traceOut string) error {
-	e, err := core.NewEngine(dev, in, p)
-	if err != nil {
-		return err
-	}
-	defer e.Free()
-	var tr *antgpu.Trace
-	if profile {
-		tr = antgpu.NewTrace()
-		e.SetTracer(tr)
-	}
-	tv := antgpu.TourVersion(tourV)
-	if tv == 0 {
-		tv = core.DefaultTourVersion(in.N())
-	}
-	pv := antgpu.PherVersion(pherV)
-	if pv == 0 {
-		pv = antgpu.PherAtomicShared
-	}
-	fmt.Fprintf(stdout, "kernels: %v / %v\n", tv, pv)
-	iterate := e.Iterate
-	if ls {
-		iterate = e.IterateWithLocalSearch
-	}
-	total := 0.0
-	for i := 1; i <= iters; i++ {
-		res, err := iterate(tv, pv)
-		if err != nil {
-			return err
+// writeIterLog prints one line per committed iteration of a profiled
+// solve: its best-so-far length, as the solve's OnIteration events
+// reported it, and the milliseconds of the construct, 2-opt (with ls) and
+// update phases of its iteration span, on the backend's own clock. The
+// recovery runtime retries a faulted iteration, so an iteration span that
+// a fault event follows was an attempt and is skipped.
+func writeIterLog(stdout io.Writer, tr *antgpu.Trace, best []int64, ls bool) error {
+	stages := [...]string{"construct", "2-opt", "update"}
+	var ms [][len(stages)]float64 // per committed iteration
+	pending := false              // the last iteration span may yet prove an attempt
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Cat == "phase" && ev.Name == "iteration":
+			ms, pending = append(ms, [len(stages)]float64{}), true
+		case ev.Cat == "fault" && pending:
+			ms, pending = ms[:len(ms)-1], false
+		case pending:
+			for k, name := range stages {
+				if ev.Name == name {
+					ms[len(ms)-1][k] = ev.Dur * 1e3
+				}
+			}
 		}
-		total += res.Seconds()
-		_, best := e.Best()
-		fmt.Fprintf(stdout, "iter %3d: best %8d | construct %8.3f ms | update %8.3f ms\n",
-			i, best, res.Construct.Millis(), res.Update.Millis())
 	}
-	tour, best := e.Best()
-	if err := report(stdout, in, tour, best, total, "simulated GPU"); err != nil {
-		return err
+	if len(ms) != len(best) {
+		return fmt.Errorf("-trace: %d committed iteration spans for %d iterations", len(ms), len(best))
 	}
-	if err := writeTour(stdout, tourOut, in, tour); err != nil {
-		return err
+	for i, st := range ms {
+		fmt.Fprintf(stdout, "iter %3d: best %8d | construct %8.3f ms", i+1, best[i], st[0])
+		if ls {
+			fmt.Fprintf(stdout, " | 2-opt %8.3f ms", st[1])
+		}
+		fmt.Fprintf(stdout, " | update %8.3f ms\n", st[2])
 	}
-	return emitProfile(stdout, tr, traceOut)
+	return nil
 }
 
 // writeMetrics writes the registry's Prometheus exposition to path ("-"

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"antgpu"
+	"antgpu/internal/aco"
 )
 
 var bestLenRE = regexp.MustCompile(`best tour length: (\d+)`)
@@ -126,47 +130,138 @@ func TestSmokeIterLogWithProfile(t *testing.T) {
 	}
 }
 
-// The per-iteration log drives the engine directly; with no -tour it must
-// still pick the facade's kernels, and with -ls step the 2-opt iteration,
-// and so solve the same run.
+// iterPairs are the 13 solvable (backend, algorithm) pairs and AS + 2-opt
+// on each backend, as acotsp flags.
+func iterPairs() [][]string {
+	var pairs [][]string
+	for _, b := range []string{"cpu", "gpu", "tensor"} {
+		for _, a := range []string{"as", "acs", "mmas", "eas", "rank"} {
+			if b == "tensor" && (a == "eas" || a == "rank") {
+				continue
+			}
+			pairs = append(pairs, []string{"-backend", b, "-alg", a})
+		}
+		pairs = append(pairs, []string{"-backend", b, "-ls"})
+	}
+	return pairs
+}
+
+var resultRE = regexp.MustCompile(`best tour length: .*\n.* time: .*\n`)
+
+// resultLines returns the best-length and time lines of an acotsp output;
+// the tensor backend's time is host wall-clock, so only its best-length
+// line repeats from run to run.
+func resultLines(out string, pair []string) string {
+	res := resultRE.FindString(out)
+	if pair[1] == "tensor" {
+		res = bestLenRE.FindString(out)
+	}
+	return res
+}
+
+// -trace reads the solve's profile and OnIteration events, so every pair
+// logs one line per iteration and solves the same run as without it.
 func TestIterLogSolvesTheSameRun(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-ls"}} {
-		args := append([]string{"-bench", "att48", "-iters", "5", "-backend", "gpu"}, extra...)
+	const iters = 3
+	for _, pair := range iterPairs() {
+		args := append([]string{"-bench", "att48", "-iters", strconv.Itoa(iters)}, pair...)
 		var plain, traced bytes.Buffer
 		if err := run(args, &plain); err != nil {
 			t.Fatal(err)
 		}
 		if err := run(append(args, "-trace"), &traced); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v: %v", pair, err)
 		}
-		resultRE := regexp.MustCompile(`best tour length: .*\n.* time: .*\n`)
-		want, got := resultRE.FindString(plain.String()), resultRE.FindString(traced.String())
+		if n := len(iterLineRE.FindAllString(traced.String(), -1)); n != iters {
+			t.Errorf("%v: %d iteration lines for %d iterations:\n%s", pair, n, iters, traced.String())
+		}
+		want, got := resultLines(plain.String(), pair), resultLines(traced.String(), pair)
 		if want == "" || got != want {
-			t.Fatalf("%v: -trace reports\n%s\nthe plain run\n%s", extra, got, want)
+			t.Errorf("%v: -trace reports\n%s\nthe plain run\n%s", pair, got, want)
 		}
 	}
 }
 
-// The per-iteration log solves one seed, so it refuses -runs.
-func TestIterLogRejectsRuns(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-bench", "att48", "-iters", "2", "-backend", "gpu", "-runs", "2", "-trace"}, &out); err == nil {
-		t.Fatal("-runs 2 with -trace should fail")
+// -trace works beside -runs, -inject and -metricsout: each run logs one
+// line per iteration, the recovered run logs the fault-free run's lines,
+// and the metrics exposition still follows.
+func TestSmokeIterLogWithOtherModes(t *testing.T) {
+	base := []string{"-bench", "att48", "-seed", "7", "-iters", "3", "-backend", "gpu", "-trace"}
+	var clean bytes.Buffer
+	if err := run(base, &clean); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// The per-iteration log steps the gpu AS engine only, so every other
-// (backend, algorithm) pair refuses -trace instead of solving without it.
-func TestIterLogRejectsOtherPairs(t *testing.T) {
-	for _, extra := range [][]string{
-		nil, // the cpu backend
-		{"-backend", "gpu", "-alg", "mmas"},
-		{"-backend", "tensor"},
+	for _, c := range []struct {
+		extra []string
+		lines int
+		want  string
+	}{
+		{[]string{"-runs", "2"}, 6, "best of 2 concurrent GPU runs"},
+		{[]string{"-inject", "rate=0.03,seed=9"}, 3, "recovery:"},
+		{[]string{"-metricsout", "-"}, 3, "# TYPE antgpu_iterations_total counter"},
 	} {
 		var out bytes.Buffer
-		args := append([]string{"-bench", "att48", "-iters", "3", "-trace"}, extra...)
-		if err := run(args, &out); err == nil {
-			t.Errorf("%v: -trace should fail, printed\n%s", extra, out.String())
+		if err := run(append(base, c.extra...), &out); err != nil {
+			t.Fatalf("%v: %v", c.extra, err)
+		}
+		if n := len(iterLineRE.FindAllString(out.String(), -1)); n != c.lines {
+			t.Errorf("%v: %d iteration lines, want %d:\n%s", c.extra, n, c.lines, out.String())
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%v: no %q in output:\n%s", c.extra, c.want, out.String())
+		}
+	}
+
+	// The recovery runtime replays a faulted iteration exactly, so the
+	// committed iterations log what the fault-free run logs.
+	var injected bytes.Buffer
+	if err := run(append(base, "-iters", "6", "-inject", "rate=0.03,seed=9"), &injected); err != nil {
+		t.Fatal(err)
+	}
+	clean.Reset()
+	if err := run(append(base, "-iters", "6"), &clean); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`[1-9]\d* retries`).MatchString(injected.String()) {
+		t.Fatalf("the injected run retried nothing:\n%s", injected.String())
+	}
+	if got, want := iterLines(injected.String()), iterLines(clean.String()); got != want {
+		t.Errorf("injected -trace logged\n%sthe fault-free run\n%s", got, want)
+	}
+}
+
+// -variant reaches MMAS, EAS and Rank on the cpu backend: the two rules
+// solve differently, and each solves as antgpu.Solve does with that rule.
+func TestVariantReachesEveryAlgorithm(t *testing.T) {
+	in, err := antgpu.LoadBenchmark("att48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []struct {
+		flag string
+		alg  antgpu.Algorithm
+	}{{"mmas", antgpu.AlgorithmMMAS}, {"eas", antgpu.AlgorithmEAS}, {"rank", antgpu.AlgorithmRank}} {
+		got := map[string]int{}
+		for _, v := range []struct {
+			flag string
+			rule aco.Variant
+		}{{"nn", aco.NNListConstruction}, {"full", aco.FullProbabilistic}} {
+			var out bytes.Buffer
+			if err := run([]string{"-bench", "att48", "-iters", "5", "-alg", a.flag, "-variant", v.flag}, &out); err != nil {
+				t.Fatal(err)
+			}
+			got[v.flag] = bestLen(t, out.String())
+			res, err := antgpu.Solve(in, antgpu.SolveOptions{Algorithm: a.alg, Variant: v.rule,
+				Iterations: 5, Params: antgpu.Params{Seed: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(got[v.flag]) != res.BestLen {
+				t.Errorf("%s -variant %s: acotsp %d, antgpu.Solve %d", a.flag, v.flag, got[v.flag], res.BestLen)
+			}
+		}
+		if got["nn"] == got["full"] {
+			t.Errorf("%s: -variant nn and full both solve to %d", a.flag, got["nn"])
 		}
 	}
 }
@@ -204,9 +299,6 @@ func TestInjectRejectsBadUsage(t *testing.T) {
 	}
 	if err := run([]string{"-bench", "att48", "-backend", "gpu", "-inject", "bogus"}, &out); err == nil {
 		t.Fatal("malformed -inject spec should fail")
-	}
-	if err := run([]string{"-bench", "att48", "-backend", "gpu", "-trace", "-inject", "rate=0.1"}, &out); err == nil {
-		t.Fatal("-inject with -trace should fail")
 	}
 }
 
@@ -311,26 +403,51 @@ iter   5: best    18399 | construct    0.222 ms | update    0.055 ms
 `
 )
 
-var iterLineRE = regexp.MustCompile(`(?m)^iter .*\n`)
+var (
+	iterLineRE  = regexp.MustCompile(`(?m)^iter .*\n`)
+	guardLineRE = regexp.MustCompile(`(?m)^(iter .*) \| construct +([0-9.]+) ms( \| update .*)$`)
+	lsLineRE    = regexp.MustCompile(`(?m)^(iter .*) \| construct +([0-9.]+) ms \| 2-opt +([0-9.]+) ms( \| update .*)$`)
+)
 
 // iterLines returns the per-iteration lines of an acotsp output.
 func iterLines(out string) string {
 	return strings.Join(iterLineRE.FindAllString(out, -1), "")
 }
 
-// TestIterLogGuard pins the gpu AS -trace lines of att48.
+// TestIterLogGuard pins the gpu AS -trace lines of att48. Under -ls the log
+// prints the 2-opt kernels apart from construction; their sum is the
+// guard's construct column, up to the rounding of the two printed terms.
 func TestIterLogGuard(t *testing.T) {
-	for _, c := range []struct {
-		extra []string
-		want  string
-	}{{nil, traceGuard}, {[]string{"-ls"}, traceGuardLS}} {
-		var out bytes.Buffer
-		args := append([]string{"-bench", "att48", "-backend", "gpu", "-iters", "5", "-trace"}, c.extra...)
-		if err := run(args, &out); err != nil {
+	var out bytes.Buffer
+	args := []string{"-bench", "att48", "-backend", "gpu", "-iters", "5", "-trace"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := iterLines(out.String()); got != traceGuard {
+		t.Errorf("-trace printed\n%swant\n%s", got, traceGuard)
+	}
+
+	out.Reset()
+	if err := run(append(args, "-ls"), &out); err != nil {
+		t.Fatal(err)
+	}
+	got := lsLineRE.FindAllStringSubmatch(out.String(), -1)
+	want := guardLineRE.FindAllStringSubmatch(traceGuardLS, -1)
+	if len(got) != len(want) {
+		t.Fatalf("-trace -ls printed %d iteration lines, want %d:\n%s", len(got), len(want), out.String())
+	}
+	ms := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := iterLines(out.String()); got != c.want {
-			t.Errorf("%v: -trace printed\n%swant\n%s", c.extra, got, c.want)
+		return v
+	}
+	for i, g := range got {
+		w := want[i]
+		sum := ms(g[2]) + ms(g[3])
+		if g[1] != w[1] || g[4] != w[3] || math.Abs(sum-ms(w[2])) > 0.0015 {
+			t.Errorf("-trace -ls printed\n%s\nwhere the guard has\n%s", g[0], w[0])
 		}
 	}
 }

@@ -19,6 +19,15 @@ func newColony(t *testing.T, name string, p aco.Params) *aco.Colony {
 	return c
 }
 
+// runIterations steps the colony through iters Ant System iterations with
+// rule v and returns its best-so-far tour and length.
+func runIterations(c *aco.Colony, v aco.Variant, iters int) ([]int32, int64) {
+	for i := 0; i < iters; i++ {
+		c.Iterate(v)
+	}
+	return c.BestTour, c.BestLen
+}
+
 func TestDefaultParamsMatchPaper(t *testing.T) {
 	p := aco.DefaultParams()
 	if p.Alpha != 1 || p.Beta != 2 || p.Rho != 0.5 || p.NN != 30 {
@@ -170,7 +179,7 @@ func TestIterationImprovesOverRandom(t *testing.T) {
 	c.ConstructTours(aco.FullProbabilistic)
 	first := c.BestLen
 	c.UpdatePheromone()
-	_, best := c.Run(aco.NNListConstruction, 10)
+	_, best := runIterations(c, aco.NNListConstruction, 10)
 	if best > first {
 		t.Errorf("best after 10 iterations (%d) worse than first batch (%d)", best, first)
 	}
@@ -183,7 +192,7 @@ func TestIterationImprovesOverRandom(t *testing.T) {
 
 func TestBestTourAlwaysValid(t *testing.T) {
 	c := newColony(t, "att48", aco.DefaultParams())
-	c.Run(aco.NNListConstruction, 5)
+	runIterations(c, aco.NNListConstruction, 5)
 	if err := c.In.ValidTour(c.BestTour); err != nil {
 		t.Fatalf("best tour invalid: %v", err)
 	}
@@ -297,7 +306,7 @@ func TestPheromoneInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c.Run(aco.NNListConstruction, 3)
+		runIterations(c, aco.NNListConstruction, 3)
 		n := c.N()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {

@@ -433,15 +433,6 @@ func (c *Colony) IterateWithLocalSearch(v Variant) {
 	c.UpdatePheromone()
 }
 
-// Run executes `iters` iterations and returns the best tour found and its
-// length.
-func (c *Colony) Run(v Variant, iters int) ([]int32, int64) {
-	for i := 0; i < iters; i++ {
-		c.Iterate(v)
-	}
-	return c.BestTour, c.BestLen
-}
-
 // RecordConvergence publishes the latest iteration to conv: the best and
 // mean tour length of the colony, the best-so-far and the pheromone
 // statistics. Every algorithm embedding the colony shares it. A nil conv

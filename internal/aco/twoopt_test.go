@@ -127,7 +127,7 @@ func TestColonyLocalSearchImprovesAnts(t *testing.T) {
 
 func TestASWithLocalSearchBeatsPlainAS(t *testing.T) {
 	plain := newColony(t, "kroC100", aco.DefaultParams())
-	plain.Run(aco.NNListConstruction, 10)
+	runIterations(plain, aco.NNListConstruction, 10)
 
 	ls := newColony(t, "kroC100", aco.DefaultParams())
 	for i := 0; i < 10; i++ {

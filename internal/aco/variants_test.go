@@ -41,7 +41,7 @@ func TestEASConvergesFasterThanAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, asBest := as.Run(aco.NNListConstruction, 15)
+	_, asBest := runIterations(as, aco.NNListConstruction, 15)
 
 	eas, err := aco.NewEASColony(in, aco.DefaultParams(), nil)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestBranchingFactorDecreasesWithConvergence(t *testing.T) {
 	if start != float64(c.N()-1) {
 		t.Fatalf("uniform branching factor = %v, want %d", start, c.N()-1)
 	}
-	c.Run(aco.NNListConstruction, 15)
+	runIterations(c, aco.NNListConstruction, 15)
 	_, after := metrics.PheromoneStats64(c.Pher, c.N())
 	if after >= start/2 {
 		t.Errorf("branching factor should collapse as trails concentrate: %v -> %v", start, after)

@@ -206,18 +206,17 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 	cpuWall, cpuBest := minWall(func() (time.Duration, int64) {
 		c, _ := aco.New(in, p)
 		start := time.Now()
-		_, best := c.Run(aco.NNListConstruction, cfg.Iterations)
-		return time.Since(start), best
+		for i := 0; i < cfg.Iterations; i++ {
+			c.Iterate(aco.NNListConstruction)
+		}
+		return time.Since(start), c.BestLen
 	})
 	base.CPUWallMs = float64(cpuWall.Nanoseconds()) / 1e6
 	base.CPUNsPerAntStep = float64(cpuWall.Nanoseconds()) / antSteps
 	base.CPUBest = cpuBest
 
 	if !cfg.SkipSim && ants == 0 {
-		tv := core.TourDataParallelTexture
-		if in.N() > 500 {
-			tv = core.TourNNSharedTexture
-		}
+		tv := core.DefaultTourVersion(in.N())
 		var simErr error
 		simWall, _ := minWall(func() (time.Duration, int64) {
 			g, err := core.NewEngine(cuda.TeslaM2050(), in, p)
@@ -226,7 +225,9 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 				return minMeasureWall, 0 // stop repeating; the error surfaces below
 			}
 			start := time.Now()
-			_, _, _, err = g.Run(tv, core.PherAtomicShared, cfg.Iterations)
+			for i := 0; i < cfg.Iterations && err == nil; i++ {
+				_, err = g.Iterate(tv, core.PherAtomicShared)
+			}
 			w := time.Since(start)
 			g.Free()
 			if err != nil {
@@ -255,8 +256,10 @@ func tensorRows(in *tsp.Instance, label string, ants int, cfg TensorConfig) ([]T
 			e, _ := tensor.New(in, p)
 			defer e.Close()
 			start := time.Now()
-			_, best := e.Run(aco.NNListConstruction, cfg.Iterations)
-			return time.Since(start), best
+			for i := 0; i < cfg.Iterations; i++ {
+				e.Iterate(aco.NNListConstruction)
+			}
+			return time.Since(start), e.BestLen
 		})
 
 		row := base

@@ -128,18 +128,3 @@ func (e *Engine) Iterate(tv TourVersion, pv PherVersion) (*IterationResult, erro
 	return e.iterate(func() (*StageResult, error) { return e.ConstructTours(tv) },
 		func(int) (*StageResult, error) { return e.UpdatePheromone(pv) })
 }
-
-// Run executes iters full iterations and returns the best tour found, its
-// length, and the accumulated simulated GPU seconds.
-func (e *Engine) Run(tv TourVersion, pv PherVersion, iters int) ([]int32, int64, float64, error) {
-	total := 0.0
-	for i := 0; i < iters; i++ {
-		res, err := e.Iterate(tv, pv)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		total += res.Seconds()
-	}
-	tour, l := e.Best()
-	return tour, l, total, nil
-}

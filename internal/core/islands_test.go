@@ -77,10 +77,12 @@ func TestIslandsSingleMatchesEngine(t *testing.T) {
 		t.Fatalf("engine: %v", err)
 	}
 	defer e.Free()
-	tour, l, _, err := e.Run(core.TourNNSharedTexture, core.PherAtomicShared, islandIters)
-	if err != nil {
-		t.Fatalf("engine run: %v", err)
+	for i := 0; i < islandIters; i++ {
+		if _, err := e.Iterate(core.TourNNSharedTexture, core.PherAtomicShared); err != nil {
+			t.Fatalf("engine run: %v", err)
+		}
 	}
+	tour, l := e.Best()
 	if r.BestLen != l {
 		t.Fatalf("island BestLen = %d, engine = %d", r.BestLen, l)
 	}

@@ -437,15 +437,6 @@ func (e *Engine) IterateWithLocalSearch(v aco.Variant) {
 	e.iterate(func() { e.ConstructTours(v) }, e.LocalSearchTours, e.UpdatePheromone)
 }
 
-// Run executes iters iterations and returns the best tour found and its
-// length.
-func (e *Engine) Run(v aco.Variant, iters int) ([]int32, int64) {
-	for i := 0; i < iters; i++ {
-		e.Iterate(v)
-	}
-	return e.BestTour, e.BestLen
-}
-
 // Checkpoint is a restartable snapshot of the engine's evolving state: the
 // pheromone matrix, the iteration counter that seeds the per-ant random
 // streams, and the best-so-far. It is the tensor analogue of the recovery

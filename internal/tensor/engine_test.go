@@ -152,8 +152,10 @@ func TestTensorDeterministicRerun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tour, l := e.Run(aco.NNListConstruction, 10)
-		return append([]int32(nil), tour...), l
+		for i := 0; i < 10; i++ {
+			e.Iterate(aco.NNListConstruction)
+		}
+		return append([]int32(nil), e.BestTour...), e.BestLen
 	}
 	t1, l1 := run(99)
 	t2, l2 := run(99)
@@ -187,8 +189,11 @@ func TestTensorQualityGapVsColony(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cl := c.Run(aco.NNListConstruction, 25)
-	tour, el := e.Run(aco.NNListConstruction, 25)
+	for i := 0; i < 25; i++ {
+		c.Iterate(aco.NNListConstruction)
+		e.Iterate(aco.NNListConstruction)
+	}
+	cl, tour, el := c.BestLen, e.BestTour, e.BestLen
 	if err := in.ValidTour(tour); err != nil {
 		t.Fatalf("tensor best tour invalid: %v", err)
 	}
