@@ -6,12 +6,52 @@ import (
 	"sync/atomic"
 )
 
-// Device describes the simulated GPU. The fields mirror Table I of the
-// paper plus the handful of microarchitectural parameters the timing model
-// needs (latencies, service rates, atomic behaviour). Two presets are
-// provided, TeslaC1060 and TeslaM2050, matching the paper's evaluation
-// hardware.
+// Device is one simulated GPU: its hardware and timing model, whose
+// fields it promotes, plus the hooks and the fault and allocation state of
+// the simulation running on it. Two presets are provided, TeslaC1060 and
+// TeslaM2050, matching the paper's evaluation hardware.
 type Device struct {
+	Spec
+
+	// Observer, when non-nil, receives every completed launch on this
+	// device in issue order (the profiler hook; see internal/trace).
+	Observer LaunchObserver
+
+	// Metrics, when non-nil, also receives every completed launch — the
+	// metrics layer's hardware-counter hook (see internal/metrics.HW). It
+	// is independent of Observer so profiling and metrics collection can
+	// run together, and it survives engine rebuilds and Device.Reset: the
+	// engines manage Observer, the solve facade manages Metrics.
+	Metrics LaunchObserver
+
+	// Log, when non-nil, also receives every completed launch — the
+	// structured-logging hook (see internal/obslog). Like Metrics it is a
+	// facade-managed slot, independent of the engine-managed Observer.
+	Log LaunchObserver
+
+	// Faults, when non-nil, injects deterministic faults into launches and
+	// allocations on this device (see fault.go).
+	Faults *FaultPlan
+
+	// Fault and allocation-accounting state (fault.go).
+	mu         sync.Mutex
+	allocBytes int64
+	sticky     error
+	eccTargets []eccTarget
+
+	// streamHint caches the high-water per-lane stream length observed on
+	// this device's launches (rounded up to a power of two), so later
+	// launches size fresh lane streams to fit. Purely a host-side capacity
+	// hint: it never affects meters, and Clone deliberately does not copy
+	// it.
+	streamHint atomic.Int64
+}
+
+// Spec is the hardware and timing model of a simulated GPU. The fields
+// mirror Table I of the paper plus the handful of microarchitectural
+// parameters the timing model needs (latencies, service rates, atomic
+// behaviour).
+type Spec struct {
 	Name string
 
 	// Compute resources (paper Table I).
@@ -72,39 +112,6 @@ type Device struct {
 
 	// KernelLaunchSeconds is the fixed host-side launch overhead.
 	KernelLaunchSeconds float64
-
-	// Observer, when non-nil, receives every completed launch on this
-	// device in issue order (the profiler hook; see internal/trace).
-	Observer LaunchObserver
-
-	// Metrics, when non-nil, also receives every completed launch — the
-	// metrics layer's hardware-counter hook (see internal/metrics.HW). It
-	// is independent of Observer so profiling and metrics collection can
-	// run together, and it survives engine rebuilds and Device.Reset: the
-	// engines manage Observer, the solve facade manages Metrics.
-	Metrics LaunchObserver
-
-	// Log, when non-nil, also receives every completed launch — the
-	// structured-logging hook (see internal/obslog). Like Metrics it is a
-	// facade-managed slot, independent of the engine-managed Observer.
-	Log LaunchObserver
-
-	// Faults, when non-nil, injects deterministic faults into launches and
-	// allocations on this device (see fault.go).
-	Faults *FaultPlan
-
-	// Fault and allocation-accounting state (fault.go).
-	mu         sync.Mutex
-	allocBytes int64
-	sticky     error
-	eccTargets []eccTarget
-
-	// streamHint caches the high-water per-lane stream length observed on
-	// this device's launches (rounded up to a power of two), so later
-	// launches size fresh lane streams to fit. Purely a host-side capacity
-	// hint: it never affects meters, and Clone deliberately does not copy
-	// it.
-	streamHint atomic.Int64
 }
 
 // noteStreamHighWater records the deepest per-lane stream a finished block
@@ -132,7 +139,7 @@ func (d *Device) noteStreamHighWater(n int) {
 // TeslaC1060 returns the GT200-class device of the paper (CUDA compute
 // capability 1.3, mid-2008).
 func TeslaC1060() *Device {
-	return &Device{
+	return &Device{Spec: Spec{
 		Name:       "Tesla C1060",
 		SMs:        30,
 		CoresPerSM: 8,
@@ -168,13 +175,13 @@ func TeslaC1060() *Device {
 		FloatAtomicEmulation: 4,
 
 		KernelLaunchSeconds: 40e-6,
-	}
+	}}
 }
 
 // TeslaM2050 returns the Fermi-class device of the paper (compute
 // capability 2.0, late 2010). The paper's Table I labels it M2050/S2050.
 func TeslaM2050() *Device {
-	return &Device{
+	return &Device{Spec: Spec{
 		Name:       "Tesla M2050",
 		SMs:        14,
 		CoresPerSM: 32,
@@ -210,7 +217,7 @@ func TeslaM2050() *Device {
 		FloatAtomicEmulation: 1,
 
 		KernelLaunchSeconds: 20e-6,
-	}
+	}}
 }
 
 // Clone returns a private copy of the device model: the same hardware and
@@ -221,46 +228,7 @@ func TeslaM2050() *Device {
 // run on a clone, so one *Device value can be shared as a read-only model
 // by any number of concurrent solves.
 func (d *Device) Clone() *Device {
-	c := &Device{
-		Name: d.Name,
-
-		SMs:        d.SMs,
-		CoresPerSM: d.CoresPerSM,
-		ClockHz:    d.ClockHz,
-
-		MaxThreadsPerSM:    d.MaxThreadsPerSM,
-		MaxThreadsPerBlock: d.MaxThreadsPerBlock,
-		MaxBlocksPerSM:     d.MaxBlocksPerSM,
-		WarpSize:           d.WarpSize,
-
-		RegistersPerSM: d.RegistersPerSM,
-		SharedMemPerSM: d.SharedMemPerSM,
-		HasL1:          d.HasL1,
-
-		GlobalMemBytes:    d.GlobalMemBytes,
-		BandwidthBytesPS:  d.BandwidthBytesPS,
-		PerSMBandwidthBPS: d.PerSMBandwidthBPS,
-
-		MemLatencyCycles:     d.MemLatencyCycles,
-		SharedLatencyCycles:  d.SharedLatencyCycles,
-		TextureLatencyCycles: d.TextureLatencyCycles,
-		TxServiceCycles:      d.TxServiceCycles,
-		BarrierCycles:        d.BarrierCycles,
-		DPArithFactor:        d.DPArithFactor,
-		GlobalIssueCycles:    d.GlobalIssueCycles,
-		SegmentBytes:         d.SegmentBytes,
-		TextureLineBytes:     d.TextureLineBytes,
-		TextureCacheBytes:    d.TextureCacheBytes,
-
-		NativeFloatAtomics:   d.NativeFloatAtomics,
-		AtomicLatencyCycles:  d.AtomicLatencyCycles,
-		AtomicSerialCycles:   d.AtomicSerialCycles,
-		FloatAtomicEmulation: d.FloatAtomicEmulation,
-
-		KernelLaunchSeconds: d.KernelLaunchSeconds,
-	}
-	c.Faults = d.Faults.Clone()
-	return c
+	return &Device{Spec: d.Spec, Faults: d.Faults.Clone()}
 }
 
 // TotalCores returns the total scalar core count of the device.
