@@ -182,23 +182,18 @@ func TestIterLogSolvesTheSameRun(t *testing.T) {
 	}
 }
 
-// -trace works beside -runs, -inject and -metricsout: each run logs one
-// line per iteration, the recovered run logs the fault-free run's lines,
-// and the metrics exposition still follows.
+// -trace works beside -runs, -metricsout and -inject: each run logs one
+// line per iteration after the batch, the metrics exposition still
+// follows, and the recovered run logs the fault-free run's lines.
 func TestSmokeIterLogWithOtherModes(t *testing.T) {
-	base := []string{"-bench", "att48", "-seed", "7", "-iters", "3", "-backend", "gpu", "-trace"}
-	var clean bytes.Buffer
-	if err := run(base, &clean); err != nil {
-		t.Fatal(err)
-	}
+	base := []string{"-bench", "att48", "-seed", "7", "-iters", "6", "-backend", "gpu", "-trace"}
 	for _, c := range []struct {
 		extra []string
 		lines int
 		want  string
 	}{
-		{[]string{"-runs", "2"}, 6, "best of 2 concurrent GPU runs"},
-		{[]string{"-inject", "rate=0.03,seed=9"}, 3, "recovery:"},
-		{[]string{"-metricsout", "-"}, 3, "# TYPE antgpu_iterations_total counter"},
+		{[]string{"-runs", "2"}, 12, "seed 8:\niter   1:"},
+		{[]string{"-metricsout", "-"}, 6, "# TYPE antgpu_iterations_total counter"},
 	} {
 		var out bytes.Buffer
 		if err := run(append(base, c.extra...), &out); err != nil {
@@ -214,12 +209,11 @@ func TestSmokeIterLogWithOtherModes(t *testing.T) {
 
 	// The recovery runtime replays a faulted iteration exactly, so the
 	// committed iterations log what the fault-free run logs.
-	var injected bytes.Buffer
-	if err := run(append(base, "-iters", "6", "-inject", "rate=0.03,seed=9"), &injected); err != nil {
+	var clean, injected bytes.Buffer
+	if err := run(base, &clean); err != nil {
 		t.Fatal(err)
 	}
-	clean.Reset()
-	if err := run(append(base, "-iters", "6"), &clean); err != nil {
+	if err := run(append(base, "-inject", "rate=0.03,seed=9"), &injected); err != nil {
 		t.Fatal(err)
 	}
 	if !regexp.MustCompile(`[1-9]\d* retries`).MatchString(injected.String()) {
