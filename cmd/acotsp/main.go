@@ -163,9 +163,10 @@ func run(args []string, stdout io.Writer) error {
 
 	// -trace collects every run's best-so-far lengths through OnIteration;
 	// under -runs each run's sink writes its own slice on a pool goroutine.
+	// A -runs below 2 solves one run.
 	var bests [][]int64
 	if *iterLog {
-		bests = make([][]int64, *runs)
+		bests = make([][]int64, max(*runs, 1))
 	}
 	onIteration := func(i int) func(antgpu.IterationEvent) {
 		if bests == nil {

@@ -193,6 +193,7 @@ func TestSmokeIterLogWithOtherModes(t *testing.T) {
 		want  string
 	}{
 		{[]string{"-runs", "2"}, 12, "seed 8:\niter   1:"},
+		{[]string{"-runs", "0"}, 6, "best tour length"},
 		{[]string{"-metricsout", "-"}, 6, "# TYPE antgpu_iterations_total counter"},
 	} {
 		var out bytes.Buffer
