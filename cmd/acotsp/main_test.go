@@ -159,12 +159,11 @@ func resultLines(out string, pair []string) string {
 	return res
 }
 
-// -trace reads the solve's profile and OnIteration events, so every pair
-// logs one line per iteration and solves the same run as without it.
+// -trace reads the solve's OnIteration events and profile beside the one
+// solve, so every pair solves the same run as without it.
 func TestIterLogSolvesTheSameRun(t *testing.T) {
-	const iters = 3
 	for _, pair := range iterPairs() {
-		args := append([]string{"-bench", "att48", "-iters", strconv.Itoa(iters)}, pair...)
+		args := append([]string{"-bench", "att48", "-iters", "3"}, pair...)
 		var plain, traced bytes.Buffer
 		if err := run(args, &plain); err != nil {
 			t.Fatal(err)
@@ -172,12 +171,37 @@ func TestIterLogSolvesTheSameRun(t *testing.T) {
 		if err := run(append(args, "-trace"), &traced); err != nil {
 			t.Fatalf("%v: %v", pair, err)
 		}
-		if n := len(iterLineRE.FindAllString(traced.String(), -1)); n != iters {
-			t.Errorf("%v: %d iteration lines for %d iterations:\n%s", pair, n, iters, traced.String())
-		}
 		want, got := resultLines(plain.String(), pair), resultLines(traced.String(), pair)
 		if want == "" || got != want {
 			t.Errorf("%v: -trace reports\n%s\nthe plain run\n%s", pair, got, want)
+		}
+	}
+}
+
+// Every pair, not gpu AS alone, logs one line per iteration with its
+// construct and update times, and its 2-opt time under -ls.
+func TestIterLogEveryPair(t *testing.T) {
+	const iters = 3
+	for _, pair := range iterPairs() {
+		var out bytes.Buffer
+		args := append([]string{"-bench", "att48", "-iters", strconv.Itoa(iters), "-trace"}, pair...)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", pair, err)
+		}
+		lineRE := guardLineRE
+		if pair[len(pair)-1] == "-ls" {
+			lineRE = lsLineRE
+		}
+		lines := lineRE.FindAllStringSubmatch(out.String(), -1)
+		if n := len(iterLineRE.FindAllString(out.String(), -1)); n != iters || len(lines) != iters {
+			t.Errorf("%v: %d iteration lines, %d of them with the pair's columns, for %d iterations:\n%s",
+				pair, n, len(lines), iters, out.String())
+			continue
+		}
+		for _, l := range lines {
+			if construct, err := strconv.ParseFloat(l[2], 64); err != nil || construct <= 0 {
+				t.Errorf("%v: no construct time in %q", pair, l[0])
+			}
 		}
 	}
 }
